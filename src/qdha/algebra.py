@@ -413,15 +413,6 @@ class Algebra:
             return self.mul(self.poly_mult(da, lam), self.tau_letter(i, lam)) + self.idempotent(lam)
         return self.tau_letter(i, lam)
 
-    def intertwiner_word(self, word: Sequence[int], lam: Vec) -> RatOperator:
-        lam = vec(lam)
-        acc = self.idempotent(lam)
-        cur = lam
-        for i in reversed(list(word)):
-            acc = self.mul(self.intertwiner_phi(i, cur), acc)
-            cur = self.group.act_point(self.group.simple_reflection(i), cur)
-        return acc
-
     def phi_square_exponent(self, i: int, lam: Vec) -> int:
         """n with phi_a^2 e(lambda) = ±(da)^n e(lambda)."""
         a = self.ars.delta[i]

@@ -305,8 +305,6 @@ class BAlgebra:
     def frobenius_trace(self, x: RatOperator) -> Poly:
         """The trace of x: the stabilizer Demazure image of the top coefficient,
         pulled back to the base point and summed over the orbit."""
-        from .kz import ell_representative
-
         w0 = self.fin.longest_element()
         total = Poly.zero(self.rank)
         by_source: dict[Vec, dict[BEntryKey, RatFunc]] = {}
@@ -318,7 +316,7 @@ class BAlgebra:
             if f is None or f.is_zero():
                 continue
             val = self.theta_trace(src, f)
-            rep = ell_representative(self.group, self.bof.base_point, src)
+            rep = self.bof.cosets[torus_point(src)]
             total = total + self.act_poly(self.fin.inverse(rep), val)
         return total
 

@@ -2,7 +2,10 @@
 
 Stdout is deterministic for fixed inputs (timings go to stderr), so reports
 can be diffed byte for byte.  Exit codes: 0 pass, 1 verification failure,
-2 usage or parse error.  The environment variable QDHA_THREADS caps worker
+2 usage or parse error, 3 undecided: the computation stopped before a verdict
+(a case not implemented, an exact-arithmetic inconsistency, a weight window or
+exploration bound exceeded, a normal form that does not terminate), with a
+one-line reason on stderr.  The environment variable QDHA_THREADS caps worker
 parallelism; sweeps run sequentially, which respects any cap.
 """
 from __future__ import annotations
@@ -15,9 +18,9 @@ import sys
 import time
 from fractions import Fraction
 
-from .algebra import NotInAlgebra
+from .algebra import NonTerminating, NotInAlgebra, WindowExceeded
 from .bqha import gram_rank_at_point
-from .clans import enumerate_clans
+from .clans import IncompleteExploration, enumerate_clans
 from .instances import InstanceSpec, load_instance, rank1_quarter
 from .kz import (
     clan_weight_character,
@@ -36,6 +39,11 @@ from .rootsys import vec
 
 CHECKS = ("length", "basis", "braid", "filtration", "integral", "iso",
           "frobenius", "kernel", "gamma", "product")
+
+EXIT_UNDECIDED = 3
+# raised when a computation cannot reach a verdict, as opposed to a failed check
+UNDECIDED = (NotImplementedError, ArithmeticError, WindowExceeded, NonTerminating,
+             IncompleteExploration)
 
 
 def _thread_cap() -> int:
@@ -477,6 +485,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except UNDECIDED as exc:
+        reason = " ".join(str(exc).split())
+        print(f"undecided: {type(exc).__name__}: {reason}", file=sys.stderr)
+        return EXIT_UNDECIDED
     return 2
 
 

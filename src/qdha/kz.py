@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .rootsys import Vec, vec
 from .weyl import AffineWeylElement, AffineWeylGroup, Perm
-from .orderfun import OrderFunction, torus_orbit, torus_point
+from .orderfun import OrderFunction, torus_cosets, torus_orbit, torus_point
 
 
 @dataclass(frozen=True)
@@ -93,27 +93,7 @@ def coset_representatives(group: AffineWeylGroup, base_point: Vec) -> list[Perm]
     Each representative is the minimal-length (then lex-least-word) finite
     element sending ell_0 to its orbit point.
     """
-    base = torus_point(vec(base_point))
-    chosen: dict[Vec, Perm] = {}
-    fin = group.finite
-    def sort_key(w):
-        return (fin.length(w), fin.word(w))
-    for w in sorted(fin.elements, key=sort_key):
-        pt = torus_point(fin.act_point(w, base))
-        if pt not in chosen:
-            chosen[pt] = w
-    return [chosen[pt] for pt in sorted(chosen)]
-
-
-def ell_representative(group: AffineWeylGroup, base_point: Vec, ell: Sequence) -> Perm:
-    """The chosen coset representative sending ell_0 to the torus point ell."""
-    target = torus_point(vec(ell))
-    base = torus_point(vec(base_point))
-    fin = group.finite
-    for w in coset_representatives(group, base_point):
-        if torus_point(fin.act_point(w, base)) == target:
-            return w
-    raise ValueError(f"{ell} is not in the torus orbit of {base_point}")
+    return list(torus_cosets(group, base_point).values())
 
 
 def pregamma_group(group: AffineWeylGroup, gamma: Vec, w: Perm) -> AffineWeylElement:
@@ -124,9 +104,10 @@ def pregamma_group(group: AffineWeylGroup, gamma: Vec, w: Perm) -> AffineWeylEle
 
 def pregamma_point(omega: OrderFunction, gamma: Vec, ell: Sequence) -> Vec:
     """The lift X^gamma w lambda_0 of a torus orbit point, w its chosen representative."""
-    group = omega.group
-    w = ell_representative(group, omega.base_point, ell)
-    pt = group.finite.act_point(w, omega.base_point)
+    w = omega.cosets.get(torus_point(vec(ell)))
+    if w is None:
+        raise ValueError(f"{ell} is not in the torus orbit of {omega.base_point}")
+    pt = omega.group.finite.act_point(w, omega.base_point)
     return vec(tuple(p + g for p, g in zip(pt, gamma)))
 
 

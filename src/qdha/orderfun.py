@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .rootsys import AffineRoot, RootKey, Vec, vec
-from .weyl import AffineWeylElement, AffineWeylGroup
+from .weyl import AffineWeylElement, AffineWeylGroup, Perm
 
 
 class InvalidOrderFunction(ValueError):
@@ -51,6 +51,20 @@ def torus_orbit(group: AffineWeylGroup, base: Vec) -> list[Vec]:
     return sorted(seen)
 
 
+def torus_cosets(group: AffineWeylGroup, base: Vec) -> dict[Vec, Perm]:
+    """One finite element per torus orbit point of base, keyed by the point.
+
+    Each is the shortest element sending the torus point of base to its key,
+    the lexicographically least word breaking ties; keys come sorted.
+    """
+    base = torus_point(vec(base))
+    fin = group.finite
+    chosen: dict[Vec, Perm] = {}
+    for w in fin.shortlex:
+        chosen.setdefault(torus_point(fin.act_point(w, base)), w)
+    return dict(sorted(chosen.items()))
+
+
 class OrderFunction:
     """A finitely supported order function based at ``base_point``.
 
@@ -67,6 +81,7 @@ class OrderFunction:
             a: int(v) for a, v in sorted(support.items()) if int(v) != 0
         }
         self.validate()
+        self.cosets = torus_cosets(group, self.base_point)
 
     # ----- validation -----
 
@@ -108,9 +123,6 @@ class OrderFunction:
         if not self.support:
             return 0
         return max(abs(a.level) for a in self.support)
-
-    def max_value(self) -> int:
-        return max([v for v in self.support.values()], default=0)
 
     # ----- degree data -----
 
@@ -177,6 +189,7 @@ class BOrderFunction:
         self.table = {k: int(v) for k, v in table.items()}
         self._orbit_set = frozenset(torus_orbit(group, self.base_torus))
         self.validate()
+        self.cosets = torus_cosets(group, self.base_point)
 
     def orbit(self) -> list[Vec]:
         return torus_orbit(self.group, self.base_torus)
@@ -186,10 +199,6 @@ class BOrderFunction:
         if pt not in self._orbit_set:
             raise KeyError(f"{ell} is not in the torus orbit of the base point")
         return self.table.get((pt, alpha), 0)
-
-    def y_is_one(self, ell: Vec, alpha: RootKey) -> bool:
-        """Whether Y^alpha(ell) = 1, i.e. <alpha, lambda> is an integer."""
-        return self.rs.pair_root_point(alpha, ell).denominator == 1
 
     def validate(self) -> None:
         rs = self.rs

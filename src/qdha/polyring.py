@@ -374,19 +374,6 @@ class RatFunc:
         return f"({self.num!r}) / ({self.den_poly()!r})"
 
 
-def rat_mul(a: RatFunc, b: RatFunc) -> RatFunc:
-    return a * b
-
-
-def rat_add(a: RatFunc, b: RatFunc) -> RatFunc:
-    return a + b
-
-
-def rat_normalize(a: RatFunc) -> RatFunc:
-    """Re-run factor reduction; the constructor already normalizes."""
-    return RatFunc(a.num, {p: m for p, m in a.den.values()})
-
-
 def apply_linear(f: Poly, images: Sequence[Poly]) -> Poly:
     """Apply the ring automorphism determined by variable images to f."""
     return f.substitute(images)

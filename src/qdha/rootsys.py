@@ -29,6 +29,16 @@ def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
+def _int_combination(terms: Sequence[tuple[int, int]], x: Sequence[Fraction]) -> Fraction:
+    """``sum c * x[i]`` over nonempty integer terms ``(i, c)``, all c nonzero."""
+    it = iter(terms)
+    i, c = next(it)
+    acc = x[i] if c == 1 else x[i] * c
+    for i, c in it:
+        acc = acc + x[i] if c == 1 else acc + x[i] * c
+    return acc
+
+
 def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
     """Solve a square rational linear system by Gaussian elimination."""
     n = len(rows)
@@ -81,10 +91,7 @@ class FiniteRootSystem:
         self.cartan = [
             [2 * self.gram[i][j] / self.gram[i][i] for j in range(self.rank)] for i in range(self.rank)
         ]
-        self._simple_pairings = {
-            key: tuple(self.pair_root_coroot(key, self.simple_root(i)) for i in range(self.rank))
-            for key in self.roots
-        }
+        self._build_tables()
         self.fundamental_coweights = self._fundamental_coweights()
         self.fundamental_weights = self._fundamental_weights()
         self.coxeter_number = int(self.height(self.highest_root)) + 1
@@ -116,6 +123,33 @@ class FiniteRootSystem:
         if any(Fraction(k) != c for k, c in zip(key, coords)):
             raise ValueError(f"root {ambient} is not an integer combination of the simple roots")
         return key
+
+    def _build_tables(self) -> None:
+        """Pairings, coroots and reflections for every pair of roots, built once."""
+        roots, r = self.roots, range(self.rank)
+        gram_b = {b: [sum(self.gram[i][j] * b[j] for j in r) for i in r] for b in roots}
+        self._inner: dict[tuple[RootKey, RootKey], Fraction] = {
+            (a, b): sum((a[i] * gb[i] for i in r if a[i]), Fraction(0))
+            for a in roots for b, gb in gram_b.items()
+        }
+        self._pairing: dict[tuple[RootKey, RootKey], int] = {}
+        for (a, b), ab in self._inner.items():
+            c = 2 * ab / self._inner[(b, b)]
+            if c.denominator != 1:
+                raise ValueError(f"<{a}, {b}^vee> = {c} is not an integer")
+            self._pairing[(a, b)] = int(c)
+        self._coroot: dict[RootKey, Vec] = {
+            a: tuple(a[i] * self.gram[i][i] / self._inner[(a, a)] for i in r) for a in roots
+        }
+        # <a, x> = sum_i x_i <a, alpha_i^vee>, kept as the nonzero (i, pairing) terms
+        self._point_terms: dict[RootKey, tuple[tuple[int, int], ...]] = {
+            a: tuple((i, p) for i in r if (p := self._pairing[(a, self.simple_root(i))]))
+            for a in roots
+        }
+        self._reflect: dict[tuple[RootKey, RootKey], RootKey] = {
+            (by, a): tuple(ai - self._pairing[(a, by)] * bi for ai, bi in zip(a, by))
+            for by in roots for a in roots
+        }
 
     def _is_divisible(self, key: RootKey) -> bool:
         if any(c % 2 for c in key):
@@ -170,36 +204,30 @@ class FiniteRootSystem:
         return sum(key)
 
     def inner(self, a: RootKey, b: RootKey) -> Fraction:
-        return sum(
-            (Fraction(a[i]) * Fraction(b[j]) * self.gram[i][j] for i in range(self.rank) for j in range(self.rank)),
-            Fraction(0),
-        )
+        return self._inner[(a, b)]
 
     def norm2(self, a: RootKey) -> Fraction:
-        return self.inner(a, a)
+        return self._inner[(a, a)]
 
-    def pair_root_coroot(self, a: RootKey, b: RootKey) -> Fraction:
+    def pair_root_coroot(self, a: RootKey, b: RootKey) -> int:
         """``<a, b^vee> = 2(a,b)/(b,b)``; an integer for roots a, b."""
-        return 2 * self.inner(a, b) / self.norm2(b)
+        return self._pairing[(a, b)]
 
     def coroot_coords(self, a: RootKey) -> Vec:
-        """Coordinates of ``a^vee`` in the simple-coroot basis."""
-        n2 = self.norm2(a)
-        return tuple(Fraction(a[i]) * self.gram[i][i] / n2 for i in range(self.rank))
+        """Coordinates of ``a^vee`` in the simple-coroot basis.
+
+        Integers, except for the divisible roots of a non-reduced system:
+        ``(2a)^vee = a^vee / 2``.
+        """
+        return self._coroot[a]
 
     def pair_root_point(self, a: RootKey, x: Vec) -> Fraction:
         """``<a, x>`` for a point x given in simple-coroot coordinates."""
-        cached = getattr(self, "_simple_pairings", None)
-        if cached is not None and a in cached:
-            pairings = cached[a]
-        else:
-            pairings = tuple(self.pair_root_coroot(a, self.simple_root(i)) for i in range(self.rank))
-        return sum((xi * pi for xi, pi in zip(x, pairings)), Fraction(0))
+        return _int_combination(self._point_terms[a], x)
 
     def reflect_root(self, by: RootKey, a: RootKey) -> RootKey:
         """``s_by(a) = a - <by^vee, a> by``."""
-        c = self.pair_root_coroot(a, by)
-        return tuple(ai - int(c) * bi for ai, bi in zip(a, by))
+        return self._reflect[(by, a)]
 
     def reflect_point(self, by: RootKey, x: Vec) -> Vec:
         """Reflection of a point (coroot coordinates) in the wall of the finite root ``by``."""

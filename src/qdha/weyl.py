@@ -3,7 +3,8 @@
 Elements are pairs ``X^mu * w`` with ``mu`` a translation (coroot coordinates)
 and ``w`` in the finite Weyl group.  Finite elements are stored as permutations
 of the root list, so equality is by action; each element's lexicographically
-least reduced word, matrices and length are cached on the group object.
+least reduced word, integer point matrix, inverse and length are tabulated
+when the group is built.
 
 Lengths come in two independent flavours: an inversion-set count obtained by
 enumerating the finitely many affine roots a given element can invert, and the
@@ -17,17 +18,25 @@ together with its ``X^mu w`` variant.  The two are cross-checked in the tests.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rootsys import AffineRoot, AffineRootSystem, FiniteRootSystem, RootKey, Vec, vec
+from .rootsys import (AffineRoot, AffineRootSystem, FiniteRootSystem, RootKey, Vec,
+                      _int_combination, vec)
 
 Perm = tuple[int, ...]
 
 
 class FiniteWeylGroup:
-    """The finite Weyl group as permutations of the root list."""
+    """The finite Weyl group as permutations of the root list.
+
+    Every per-element table is built once, at construction: the reflection of
+    every root, and per element its inverse, length, lexicographically least
+    reduced word and integer point matrix.  ``elements`` lists the group in
+    breadth-first discovery order, ``shortlex`` sorted by (length, word).
+    """
 
     def __init__(self, rs: FiniteRootSystem):
         self.rs = rs
@@ -35,27 +44,56 @@ class FiniteWeylGroup:
         n = len(rs.roots)
         self.identity: Perm = tuple(range(n))
         self._index = {key: i for i, key in enumerate(rs.roots)}
-        self.simple: list[Perm] = []
-        for i in range(rs.rank):
-            si = rs.simple_root(i)
-            self.simple.append(tuple(self._index[rs.reflect_root(si, key)] for key in rs.roots))
+        self._reflection: dict[RootKey, Perm] = {
+            a: tuple(self._index[rs.reflect_root(a, key)] for key in rs.roots) for a in rs.roots
+        }
+        self.simple: list[Perm] = [self._reflection[rs.simple_root(i)] for i in range(rs.rank)]
         self.elements: list[Perm] = []
-        self._word: dict[Perm, tuple[int, ...]] = {}
         self._enumerate()
-        self._point_matrix: dict[Perm, list[Vec]] = {}
-        self._length: dict[Perm, int] = {}
+        r = range(self.rank)
+        negative = frozenset(i for i, key in enumerate(rs.roots) if not rs.is_positive_root(key))
+        counted = [self._index[k] for k in rs.indivisible_roots if rs.is_positive_root(k)]
+        self._length: dict[Perm, int] = {
+            w: sum(1 for i in counted if w[i] in negative) for w in self.elements
+        }
+        self._inverse: dict[Perm, Perm] = {w: _invert(w) for w in self.elements}
+        # Words and point matrices by induction on the length: w = s_i (s_i w)
+        # for the first left descent i.  On simple-coroot coordinates
+        # s_i x = x - <alpha_i, x> e_i, so the integer pairings make every
+        # point matrix integral.
+        simple_index = [self._index[rs.simple_root(i)] for i in r]
+        pairings = [[rs.pair_root_coroot(rs.simple_root(i), rs.simple_root(k)) for k in r] for i in r]
+        self._word: dict[Perm, tuple[int, ...]] = {self.identity: ()}
+        self._cols: dict[Perm, tuple[tuple[int, ...], ...]] = {
+            self.identity: tuple(tuple(int(k == j) for k in r) for j in r)
+        }
+        for w in self.elements[1:]:  # by length, so s_i w comes first
+            winv = self._inverse[w]
+            i = next(i for i in r if winv[simple_index[i]] in negative)
+            rest = self.compose(self.simple[i], w)
+            self._word[w] = (i,) + self._word[rest]
+            self._cols[w] = tuple(_simple_reflect(pairings[i], i, col) for col in self._cols[rest])
+        self.shortlex: tuple[Perm, ...] = tuple(
+            sorted(self.elements, key=lambda w: (self._length[w], self._word[w]))
+        )
+        self._longest = max(self.elements, key=self._length.__getitem__)
+        # row j of w's action: the nonzero (i, c) with (w x)_j = sum c x_i
+        self._point_rows: dict[Perm, tuple[tuple[tuple[int, int], ...], ...]] = {
+            w: tuple(tuple((i, col[j]) for i, col in enumerate(cols) if col[j]) for j in r)
+            for w, cols in self._cols.items()
+        }
 
     def _enumerate(self) -> None:
         frontier = [self.identity]
-        self._word[self.identity] = ()
+        seen = {self.identity}
         self.elements.append(self.identity)
         while frontier:
             nxt = []
             for w in frontier:
-                for i, s in enumerate(self.simple):
+                for s in self.simple:
                     ws = self.compose(w, s)  # w * s_i, appends a letter on the right
-                    if ws not in self._word:
-                        self._word[ws] = self._word[w] + (i,)
+                    if ws not in seen:
+                        seen.add(ws)
                         self.elements.append(ws)
                         nxt.append(ws)
             frontier = nxt
@@ -66,35 +104,17 @@ class FiniteWeylGroup:
         return tuple(u[v[i]] for i in range(len(v)))
 
     def inverse(self, w: Perm) -> Perm:
-        out = [0] * len(w)
-        for i, wi in enumerate(w):
-            out[wi] = i
-        return tuple(out)
+        return self._inverse[w]
 
     def act_root(self, w: Perm, key: RootKey) -> RootKey:
         return self.rs.roots[w[self._index[key]]]
 
     def length(self, w: Perm) -> int:
-        if w not in self._length:
-            rs = self.rs
-            self._length[w] = sum(
-                1 for key in rs.indivisible_roots
-                if rs.is_positive_root(key) and not rs.is_positive_root(self.act_root(w, key))
-            )
         return self._length[w]
 
     def word(self, w: Perm) -> tuple[int, ...]:
         """A lexicographically least reduced word (indices into the simple roots)."""
-        out = []
-        cur = w
-        while cur != self.identity:
-            i = next(
-                i for i in range(self.rank)
-                if not self.rs.is_positive_root(self.act_root(self.inverse(cur), self.rs.simple_root(i)))
-            )
-            out.append(i)
-            cur = self.compose(self.simple[i], cur)
-        return tuple(out)
+        return self._word[w]
 
     def from_word(self, word: Sequence[int]) -> Perm:
         w = self.identity
@@ -103,32 +123,30 @@ class FiniteWeylGroup:
         return w
 
     def longest_element(self) -> Perm:
-        return max(self.elements, key=self.length)
+        return self._longest
 
     def reflection(self, key: RootKey) -> Perm:
-        return tuple(self._index[self.rs.reflect_root(key, root)] for root in self.rs.roots)
+        return self._reflection[key]
 
-    def point_matrix(self, w: Perm) -> list[Vec]:
+    def point_matrix(self, w: Perm) -> tuple[tuple[int, ...], ...]:
         """Columns of the action of w on V in simple-coroot coordinates."""
-        if w not in self._point_matrix:
-            rs = self.rs
-            word = self.word(w)
-            cols = []
-            for i in range(self.rank):
-                # apply w = s_{i1} ... s_{ik} to the basis vector, leftmost letter outermost
-                cur = vec(tuple(1 if j == i else 0 for j in range(self.rank)))
-                for letter in reversed(word):
-                    cur = rs.reflect_point(rs.simple_root(letter), cur)
-                cols.append(cur)
-            self._point_matrix[w] = cols
-        return self._point_matrix[w]
+        return self._cols[w]
 
     def act_point(self, w: Perm, x: Vec) -> Vec:
-        cols = self.point_matrix(w)
-        return tuple(
-            sum((x[i] * cols[i][j] for i in range(self.rank)), Fraction(0))
-            for j in range(self.rank)
-        )
+        return tuple(_int_combination(row, x) for row in self._point_rows[w])
+
+
+def _simple_reflect(pairings: list[int], i: int, x: tuple[int, ...]) -> tuple[int, ...]:
+    """``s_i x = x - <alpha_i, x> e_i`` for integer simple-coroot coordinates x."""
+    c = sum(p * xk for p, xk in zip(pairings, x))
+    return x[:i] + (x[i] - c,) + x[i + 1:]
+
+
+def _invert(w: Perm) -> Perm:
+    out = [0] * len(w)
+    for i, wi in enumerate(w):
+        out[wi] = i
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -151,11 +169,15 @@ class AffineWeylGroup:
         self.rank = self.rs.rank
         self.finite = FiniteWeylGroup(self.rs)
         self.identity = AffineWeylElement(vec((0,) * self.rank), self.finite.identity)
-        self._simple_affine: list[AffineWeylElement] = []
-        for a in ars.delta:
-            w = self.finite.reflection(a.alpha)
-            mu = tuple(-Fraction(a.level) * c for c in self.rs.coroot_coords(a.alpha))
-            self._simple_affine.append(AffineWeylElement(vec(mu), w))
+        self._simple_affine = [self.reflection_of(a) for a in ars.delta]
+        # the alcove walk in integers: points scaled by a common denominator,
+        # which must also clear the translations of the simple reflections
+        self._walk_den = math.lcm(*(c.denominator for s in self._simple_affine for c in s.mu))
+        self._walk_steps = tuple(
+            (self.rs._point_terms[a.alpha], a.level, self.finite._point_rows[s.w],
+             tuple(int(c * self._walk_den) for c in s.mu), s.w)
+            for a, s in zip(ars.delta, self._simple_affine)
+        )
         self._word_cache: dict[AffineWeylElement, tuple[int, ...]] = {}
 
     # ----- elements -----
@@ -192,7 +214,7 @@ class AffineWeylGroup:
 
     def act_point(self, g: AffineWeylElement, x: Vec) -> Vec:
         wx = self.finite.act_point(g.w, x)
-        return tuple(a + b for a, b in zip(wx, g.mu))
+        return tuple(a + b if b else a for a, b in zip(wx, g.mu))
 
     def act_root(self, g: AffineWeylElement, a: AffineRoot) -> AffineRoot:
         # X^mu smashes the level: X^mu b = b - <db, mu>; the finite part permutes roots.
@@ -386,20 +408,27 @@ class AffineWeylGroup:
         return gens, sorted(elements, key=lambda g: (self.length(g), g.mu, g.w))
 
     def to_fundamental_domain(self, lam: Vec) -> tuple[Vec, AffineWeylElement]:
-        """The representative of lam in the closed fundamental alcove, with g: g lam = rep."""
+        """The representative of lam in the closed fundamental alcove, with g: g lam = rep.
+
+        Reflects in the first affine simple root that is negative at the current
+        point until none is, on integer numerators over a common denominator.
+        Only the finite part w of g is tracked; g = X^nu w with nu = rep - w lam.
+        """
         lam = vec(lam)
-        g = self.identity
-        cur = lam
+        den = math.lcm(self._walk_den, *(c.denominator for c in lam))
+        x = [c.numerator * (den // c.denominator) for c in lam]
+        scale = den // self._walk_den
+        w = self.finite.identity
         while True:
-            i = next(
-                (i for i, a in enumerate(self.ars.delta) if self.ars.evaluate(a, cur) < 0),
-                None,
-            )
-            if i is None:
-                return cur, g
-            s = self.simple_reflection(i)
-            cur = self.act_point(s, cur)
-            g = self.compose(s, g)
+            for terms, level, rows, shift, s in self._walk_steps:
+                if sum(p * x[j] for j, p in terms) + level * den < 0:
+                    break
+            else:
+                rep = tuple(Fraction(c, den) for c in x)
+                wlam = self.finite.act_point(w, lam)
+                return rep, AffineWeylElement(tuple(r - c for r, c in zip(rep, wlam)), w)
+            x = [sum(c * x[i] for i, c in row) + t * scale for row, t in zip(rows, shift)]
+            w = self.finite.compose(s, w)
 
     def witness(self, lam: Vec, lam0: Vec) -> AffineWeylElement | None:
         """Some w with w lam0 = lam, or None if lam is not in the orbit of lam0."""

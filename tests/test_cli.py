@@ -6,6 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from qdha import cli
+from qdha.algebra import NonTerminating, WindowExceeded
+from qdha.clans import IncompleteExploration
 from qdha.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -111,3 +114,38 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert "clans: 3" in result.stdout
+
+
+@pytest.mark.parametrize("exc", [
+    NotImplementedError("hyperplane cover implemented for rank <= 2"),
+    ArithmeticError("the two length formulas disagree"),
+    ZeroDivisionError("division by zero"),
+    WindowExceeded("weight needs witness length > 120"),
+    NonTerminating("normal-form peel did not shrink"),
+    IncompleteExploration("search produced infeasible sign vectors\nsecond line"),
+])
+def test_undecided_sweep_exit_code(monkeypatch, capsys, exc):
+    def raising_sweep(spec, ball, seed):
+        raise exc
+
+    monkeypatch.setitem(cli.CHECK_FUNCS, "kernel", raising_sweep)
+    code = main(["verify", "--instance", A1, "--check", "kernel"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_UNDECIDED == 3
+    assert captured.out == ""
+    # one line, whatever the exception's message looks like
+    assert captured.err == f"undecided: {type(exc).__name__}: {' '.join(str(exc).split())}\n"
+
+
+def test_a3_kernel_is_undecided(tmp_path, capsys):
+    # the hyperplane cover behind the kernel criterion stops at rank 2
+    inst = tmp_path / "a3.json"
+    inst.write_text(json.dumps({
+        "type": "A3", "lambda0": ["1/5", "1/7", "1/11"],
+        "omega": [{"root": {"alpha": alpha, "level": level}, "value": 1}
+                  for alpha, level in [([-1, -1, -1], 1), ([1, 0, 0], 0), ([0, 1, 0], 0), ([0, 0, 1], 0)]],
+    }))
+    code = main(["verify", "--instance", str(inst), "--check", "kernel"])
+    assert code == cli.EXIT_UNDECIDED
+    assert capsys.readouterr().err.endswith(
+        "undecided: NotImplementedError: hyperplane cover implemented for rank <= 2\n")

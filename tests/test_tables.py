@@ -1,0 +1,192 @@
+"""Frozen root-system and Weyl tables against independent computations."""
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from qdha.kz import coset_representatives
+from qdha.orderfun import torus_cosets, torus_point
+from qdha.rootsys import AffineRootSystem, FiniteRootSystem, affinise, build_finite, vec
+from qdha.weyl import AffineWeylGroup
+
+LABELS = ["A1", "A2", "A3", "B2", "C2", "G2"]
+
+
+def gram_inner(rs, a, b):
+    return sum((Fraction(a[i] * b[j]) * rs.gram[i][j]
+                for i in range(rs.rank) for j in range(rs.rank)), Fraction(0))
+
+
+def reference_reflect_point(rs, key, x):
+    """s_key(x) = x - <key, x> key^vee, every pairing from the Gram matrix."""
+    n2 = gram_inner(rs, key, key)
+    simple = [rs.simple_root(i) for i in range(rs.rank)]
+    pairing = sum((x[i] * 2 * gram_inner(rs, key, s) / gram_inner(rs, s, s)
+                   for i, s in enumerate(simple)), Fraction(0))
+    coroot = [Fraction(key[i]) * rs.gram[i][i] / n2 for i in range(rs.rank)]
+    return tuple(xi - pairing * ci for xi, ci in zip(x, coroot))
+
+
+def shortlex_words(fin):
+    """Length and lexicographically least reduced word of every element, by brute force."""
+    found = {}
+    length = 0
+    while len(found) < len(fin.elements):
+        for word in itertools.product(range(fin.rank), repeat=length):
+            found.setdefault(fin.from_word(word), word)
+        length += 1
+    return found
+
+
+def stepwise_fundamental_domain(W, lam):
+    """The alcove walk one affine simple reflection at a time, composing as it goes."""
+    g = W.identity
+    cur = vec(lam)
+    while True:
+        i = next((i for i, a in enumerate(W.ars.delta) if W.ars.evaluate(a, cur) < 0), None)
+        if i is None:
+            return cur, g
+        s = W.simple_reflection(i)
+        cur = W.act_point(s, cur)
+        g = W.compose(s, g)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_root_tables_against_gram(label):
+    rs = build_finite(label)
+    for a in rs.roots:
+        n2 = gram_inner(rs, a, a)
+        assert rs.norm2(a) == n2
+        assert rs.coroot_coords(a) == tuple(Fraction(a[i]) * rs.gram[i][i] / n2 for i in range(rs.rank))
+        for b in rs.roots:
+            assert rs.inner(a, b) == gram_inner(rs, a, b)
+            pairing = 2 * gram_inner(rs, a, b) / gram_inner(rs, b, b)
+            assert type(rs.pair_root_coroot(a, b)) is int
+            assert rs.pair_root_coroot(a, b) == pairing
+            assert rs.reflect_root(b, a) == tuple(ai - int(pairing) * bi for ai, bi in zip(a, b))
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_pair_root_point_against_gram(label):
+    rs = build_finite(label)
+    rng = random.Random(label)
+    for _ in range(20):
+        x = vec(Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(rs.rank))
+        for a in rs.roots:
+            expected = sum((x[i] * 2 * gram_inner(rs, a, rs.simple_root(i))
+                            / gram_inner(rs, rs.simple_root(i), rs.simple_root(i))
+                            for i in range(rs.rank)), Fraction(0))
+            assert rs.pair_root_point(a, x) == expected
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_reflection_permutations(label):
+    W = AffineWeylGroup(affinise(label))
+    rs, fin = W.rs, W.finite
+    for a in rs.roots:
+        perm = fin.reflection(a)
+        for i, b in enumerate(rs.roots):
+            coef = 2 * gram_inner(rs, a, b) / gram_inner(rs, a, a)
+            assert rs.roots[perm[i]] == tuple(bi - coef * ai for ai, bi in zip(a, b))
+    assert fin.simple == [fin.reflection(rs.simple_root(i)) for i in range(rs.rank)]
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_inverse_length_and_words(label):
+    fin = AffineWeylGroup(affinise(label)).finite
+    rs = fin.rs
+    words = shortlex_words(fin)
+    assert set(words) == set(fin.elements)
+    for w in fin.elements:
+        winv = fin.inverse(w)
+        assert fin.compose(w, winv) == fin.identity == fin.compose(winv, w)
+        assert fin.length(w) == len(words[w])
+        assert fin.length(w) == sum(
+            1 for a in rs.indivisible_roots
+            if rs.is_positive_root(a) and not rs.is_positive_root(fin.act_root(w, a))
+        )
+        assert fin.word(w) == words[w]
+    assert list(fin.shortlex) == sorted(fin.elements, key=lambda w: (len(words[w]), words[w]))
+    assert fin.longest_element() == fin.shortlex[-1]
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_integer_point_matrices_against_fraction_action(label):
+    fin = AffineWeylGroup(affinise(label)).finite
+    rs = fin.rs
+    rng = random.Random(label)
+    points = [vec(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    points += [vec(Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(rs.rank))
+               for _ in range(5)]
+    for w in fin.elements:
+        cols = fin.point_matrix(w)
+        assert all(type(c) is int for col in cols for c in col)
+        for x in points:
+            expected = x
+            for letter in reversed(fin.word(w)):
+                expected = reference_reflect_point(rs, rs.simple_root(letter), expected)
+            got = fin.act_point(w, x)
+            assert got == expected
+            assert all(type(c) is Fraction for c in got)
+
+
+def old_coset_representatives(group, base_point):
+    """The sort over all of W that the coset table replaces."""
+    fin = group.finite
+    base = torus_point(vec(base_point))
+    chosen = {}
+    for w in sorted(fin.elements, key=lambda w: (fin.length(w), fin.word(w))):
+        pt = torus_point(fin.act_point(w, base))
+        if pt not in chosen:
+            chosen[pt] = w
+    return {pt: chosen[pt] for pt in sorted(chosen)}
+
+
+def sample_points(rank, rng, count):
+    dens = [1, 2, 3, 4, 5, 6, 7, 12]
+    return [vec(Fraction(rng.randint(-40, 40), rng.choice(dens)) for _ in range(rank))
+            for _ in range(count)]
+
+
+WALL_POINTS = {
+    "A1": [(Fraction(1, 2),), (0,), (Fraction(3, 4),)],
+    "A2": [(Fraction(1, 7), Fraction(2, 7)), (0, 0), (Fraction(1, 3), Fraction(2, 3)),
+           (Fraction(1, 2), 0)],
+    "A3": [(Fraction(1, 5), Fraction(2, 5), Fraction(3, 5)), (0, 0, 0),
+           (Fraction(1, 2), 1, Fraction(1, 2))],
+    "B2": [(Fraction(1, 2), Fraction(1, 2)), (0, 0), (Fraction(1, 4), Fraction(1, 2))],
+    "C2": [(Fraction(1, 2), Fraction(1, 2)), (0, 0), (Fraction(1, 3), Fraction(1, 3))],
+    "G2": [(Fraction(1, 3), Fraction(1, 2)), (0, 0), (Fraction(1, 6), Fraction(1, 2))],
+}
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_coset_table_against_sort(label):
+    W = AffineWeylGroup(affinise(label))
+    rng = random.Random(label)
+    for base in [vec(p) for p in WALL_POINTS[label]] + sample_points(W.rank, rng, 4):
+        expected = old_coset_representatives(W, base)
+        assert torus_cosets(W, base) == expected
+        assert list(torus_cosets(W, base)) == list(expected)
+        assert coset_representatives(W, base) == list(expected.values())
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_integer_alcove_walk_against_stepwise(label):
+    W = AffineWeylGroup(affinise(label))
+    rng = random.Random(label)
+    for lam in [vec(p) for p in WALL_POINTS[label]] + sample_points(W.rank, rng, 40):
+        rep, g = W.to_fundamental_domain(lam)
+        assert (rep, g) == stepwise_fundamental_domain(W, lam)
+        assert W.act_point(g, lam) == rep
+        assert all(type(c) is Fraction for c in rep + g.mu)
+
+
+def test_integer_alcove_walk_nonreduced_bc1():
+    # the affine simple reflection a0 translates by half a coroot here
+    rs = FiniteRootSystem("BC1", [vec((1,))], extra_roots=[vec((2,))])
+    W = AffineWeylGroup(AffineRootSystem(rs))
+    rng = random.Random(1)
+    for lam in sample_points(1, rng, 40) + [vec((Fraction(1, 4),)), vec((0,))]:
+        assert W.to_fundamental_domain(lam) == stepwise_fundamental_domain(W, lam)
