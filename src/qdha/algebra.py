@@ -18,6 +18,10 @@ coefficient ``prod (-db)^{omega(b)}`` over the inversion set of g.  The normal
 form routine peels blocks by descending length using that triangularity; the
 result expresses an operator in the basis ``{f_g tau_g e(lambda)}`` with
 polynomial coefficients exactly when the operator belongs to the algebra.
+
+``OperatorAlgebra`` holds this calculus once.  ``Algebra`` runs it on the
+affine weight orbit of an order function; ``qdha.bqha.BAlgebra`` runs it on
+the torus orbit of a finite order function, with finite Weyl elements as basis.
 """
 from __future__ import annotations
 
@@ -31,6 +35,8 @@ from .rootsys import AffineRoot, RootKey, Vec, vec
 from .weyl import AffineWeylElement, AffineWeylGroup, Perm
 
 EntryKey = tuple[Vec, Vec, Perm]
+# a basis element: affine in the affine algebra, finite in the finite quotient
+Element = AffineWeylElement | Perm
 
 
 class NotInAlgebra(ValueError):
@@ -95,15 +101,19 @@ class RatOperator:
 
 @dataclass
 class NormalForm:
-    """An algebra element written as ``sum_g coeffs[g] tau_g e(source)``."""
+    """An algebra element written as ``sum_g coeffs[g] tau_g e(source)``.
+
+    The keys g are affine Weyl elements in the affine algebra and finite Weyl
+    group elements in the finite quotient.
+    """
 
     source: Vec
-    coeffs: dict[AffineWeylElement, Poly]
+    coeffs: dict[Element, Poly]
 
-    def support(self) -> list[AffineWeylElement]:
+    def support(self) -> list[Element]:
         return [g for g, f in self.coeffs.items() if not f.is_zero()]
 
-    def filtration_degree(self, group: AffineWeylGroup) -> int | None:
+    def filtration_degree(self, group) -> int | None:
         """Max length over the support; None stands for the degree of 0."""
         sup = self.support()
         if not sup:
@@ -114,26 +124,31 @@ class NormalForm:
         return not self.support()
 
 
-class Algebra:
-    """Operator context for a fixed order function.
+class OperatorAlgebra:
+    """The operator calculus shared by the affine algebra and its finite quotient.
 
-    ``length_cap`` bounds the witness length of any weight a computation may
-    touch; crossing it raises instead of truncating silently.
+    A subclass fixes its weights and its basis elements through these hooks:
+
+    * ``_weight(lam)``: lam normalised as a weight, or an error if it is none;
+    * ``_letter(i, lam)``: the root, order value and target of the i-th letter;
+    * ``_word(g)``, ``_twist(g)``, ``_length(g)``, ``_target(g, lam)``: the
+      canonical reduced word, finite twist, length and image ``g lam`` of a
+      basis element;
+    * ``element_of_entry(key)``: the basis element a block key stands for;
+    * ``inversion_orders(g, lam)``: the (root, order value) pairs of the
+      inversion set of g.
     """
 
-    def __init__(self, omega: OrderFunction, length_cap: int = 120):
-        self.omega = omega
-        self.group: AffineWeylGroup = omega.group
-        self.ars = self.group.ars
-        self.rs = self.group.rs
+    def __init__(self, group: AffineWeylGroup):
+        self.group = group
+        self.fin = group.finite
+        self.rs = group.rs
         self.rank = self.rs.rank
-        self.length_cap = length_cap
         self._images: dict[Perm, list[Poly]] = {}
-        self._witness: dict[Vec, AffineWeylElement] = {}
-        self._tau_elt: dict[tuple[AffineWeylElement, Vec], RatOperator] = {}
+        self._tau_elt: dict[tuple[Element, Vec], RatOperator] = {}
         self._root_poly: dict[RootKey, Poly] = {}
 
-    # ----- scalars, weights, actions -----
+    # ----- scalars and actions -----
 
     def root_poly(self, alpha: RootKey) -> Poly:
         if alpha not in self._root_poly:
@@ -145,22 +160,14 @@ class Algebra:
     def images(self, w: Perm) -> list[Poly]:
         """Variable images of the automorphism w (variables are fundamental weights)."""
         if w not in self._images:
-            word = self.group.finite.word(w)
             images = [Poly.variable(self.rank, i) for i in range(self.rank)]
-            for letter in reversed(word):
-                simple_imgs = self._simple_images(letter)
-                images = [img.substitute(simple_imgs) for img in images]
+            for letter in reversed(self.fin.word(w)):
+                # s_j(varpi_i) = varpi_i - delta_ij alpha_j
+                simple = [Poly.variable(self.rank, i) for i in range(self.rank)]
+                simple[letter] = simple[letter] - self.root_poly(self.rs.simple_root(letter))
+                images = [img.substitute(simple) for img in images]
             self._images[w] = images
         return self._images[w]
-
-    def _simple_images(self, j: int) -> list[Poly]:
-        # s_j(varpi_i) = varpi_i - delta_ij alpha_j
-        alpha = self.root_poly(self.rs.simple_root(j))
-        out = []
-        for i in range(self.rank):
-            v = Poly.variable(self.rank, i)
-            out.append(v - alpha if i == j else v)
-        return out
 
     def act_poly(self, w: Perm, f: Poly) -> Poly:
         return apply_linear(f, self.images(w))
@@ -168,76 +175,46 @@ class Algebra:
     def act_rat(self, w: Perm, r: RatFunc) -> RatFunc:
         return apply_linear_rat(r, self.images(w))
 
-    def witness(self, lam: Vec) -> AffineWeylElement:
-        lam = vec(lam)
-        if lam not in self._witness:
-            wit = self.group.witness(lam, self.omega.base_point)
-            if wit is None:
-                raise ValueError(f"{lam} is not in the weight orbit")
-            if self.group.length(wit) > self.length_cap:
-                raise WindowExceeded(f"weight {lam} needs witness length > {self.length_cap}")
-            self._witness[lam] = wit
-        return self._witness[lam]
-
-    def omega_value(self, lam: Vec, a: AffineRoot) -> int:
-        return self.omega.at(self.witness(lam), a)
-
-    def element_of_entry(self, key: EntryKey) -> AffineWeylElement:
-        """The unique affine element represented by a block key."""
-        src, tgt, u = key
-        usrc = self.group.finite.act_point(u, src)
-        mu = vec(tuple(t - s for t, s in zip(tgt, usrc)))
-        if not self.rs.in_coroot_lattice(mu):
-            raise ValueError(f"block {key} does not come from an affine Weyl element")
-        return AffineWeylElement(mu, u)
-
     # ----- operator constructors -----
 
     def zero(self) -> RatOperator:
         return RatOperator(())
 
     def idempotent(self, lam: Vec) -> RatOperator:
-        lam = vec(lam)
-        self.witness(lam)
-        one = RatFunc.from_poly(Poly.const(self.rank, 1))
-        return RatOperator.from_dict({(lam, lam, self.group.finite.identity): one})
+        return self.poly_mult(Poly.const(self.rank, 1), lam)
 
     def poly_mult(self, f: Poly, lam: Vec) -> RatOperator:
-        lam = vec(lam)
-        self.witness(lam)
-        return RatOperator.from_dict({(lam, lam, self.group.finite.identity): RatFunc.from_poly(f)})
+        lam = self._weight(lam)
+        return RatOperator.from_dict({(lam, lam, self.fin.identity): RatFunc.from_poly(f)})
 
-    def scalar(self, c, lam: Vec) -> RatOperator:
-        return self.poly_mult(Poly.const(self.rank, c), lam)
+    def two_case_generator(self, alpha: RootKey, m: int, src: Vec, tgt: Vec) -> RatOperator:
+        """The generator from src to tgt for the reflection in alpha with order value m:
+        ``(d alpha)^{-1} (s - 1)`` if m = -1, else ``(d alpha)^m s``."""
+        s = self.fin.reflection(alpha)
+        da = self.root_poly(alpha)
+        if m == -1:
+            if tgt != src:
+                raise ValueError("order value -1 where the reflection moves the weight")
+            inv = RatFunc(Poly.const(self.rank, 1), {da: 1})
+            return RatOperator.from_dict({
+                (src, src, s): inv,
+                (src, src, self.fin.identity): -inv,
+            })
+        return RatOperator.from_dict({(src, tgt, s): RatFunc.from_poly(da ** m)})
 
     def tau_letter(self, i: int, lam: Vec) -> RatOperator:
         """The generator tau_{a_i} e(lambda)."""
-        lam = vec(lam)
-        a = self.ars.delta[i]
-        m = self.omega_value(lam, a)
-        s = self.group.finite.reflection(a.alpha)
-        da = self.root_poly(a.alpha)
-        target = self.group.act_point(self.group.simple_reflection(i), lam)
-        if m == -1:
-            if target != lam:
-                raise ValueError("order value -1 away from a wall; order function invalid")
-            inv = RatFunc(Poly.const(self.rank, 1), {da: 1})
-            return RatOperator.from_dict({
-                (lam, lam, s): inv,
-                (lam, lam, self.group.finite.identity): -inv,
-            })
-        coeff = RatFunc.from_poly(da ** m)
-        return RatOperator.from_dict({(lam, target, s): coeff})
+        lam = self._weight(lam)
+        alpha, m, target = self._letter(i, lam)
+        return self.two_case_generator(alpha, m, lam, target)
 
     def mul(self, x: RatOperator, y: RatOperator) -> RatOperator:
         out: dict[EntryKey, RatFunc] = {}
-        xd = x.to_dict()
-        yd = y.to_dict()
-        for (s2, t2, u2), r2 in yd.items():
-            for (s1, t1, u1), r1 in xd.items():
+        for (s2, t2, u2), r2 in y.entries:
+            for (s1, t1, u1), r1 in x.entries:
                 if s1 != t2:
                     continue
-                key = (s2, t1, self.group.finite.compose(u1, u2))
+                key = (s2, t1, self.fin.compose(u1, u2))
                 term = r1 * self.act_rat(u1, r2)
                 out[key] = out[key] + term if key in out else term
         return RatOperator.from_dict(out)
@@ -253,21 +230,20 @@ class Algebra:
 
     def tau_word(self, word: Sequence[int], lam: Vec) -> RatOperator:
         """tau_{a_{word[0]}} ... tau_{a_{word[-1]}} e(lambda), rightmost letter first."""
-        lam = vec(lam)
+        lam = self._weight(lam)
         acc = self.idempotent(lam)
-        cur = lam
         for i in reversed(list(word)):
-            step = self.tau_letter(i, cur)
-            acc = self.mul(step, acc)
-            cur = self.group.act_point(self.group.simple_reflection(i), cur)
+            alpha, m, target = self._letter(i, lam)
+            acc = self.mul(self.two_case_generator(alpha, m, lam, target), acc)
+            lam = target
         return acc
 
-    def tau_element(self, g: AffineWeylElement, lam: Vec) -> RatOperator:
+    def tau_element(self, g: Element, lam: Vec) -> RatOperator:
         """tau_g e(lambda) along the canonical (lex-least) reduced word of g."""
-        lam = vec(lam)
+        lam = self._weight(lam)
         key = (g, lam)
         if key not in self._tau_elt:
-            self._tau_elt[key] = self.tau_word(self.group.reduced_word(g), lam)
+            self._tau_elt[key] = self.tau_word(self._word(g), lam)
         return self._tau_elt[key]
 
     def apply(self, x: RatOperator, lam: Vec, f: Poly) -> list[tuple[Vec, RatFunc]]:
@@ -280,38 +256,71 @@ class Algebra:
             out[tgt] = out[tgt] + val if tgt in out else val
         return sorted((k, v) for k, v in out.items() if not v.is_zero())
 
+    # ----- degrees -----
+
+    def tau_element_degree(self, g: Element, lam: Vec) -> int:
+        """Degree of tau_g e(lambda) along the canonical word, in the algebra grading.
+
+        Each letter contributes the order values of its root on the two sides
+        of its wall.
+        """
+        lam = self._weight(lam)
+        total = 0
+        for i in reversed(self._word(g)):
+            _, m, target = self._letter(i, lam)
+            total += m + self._letter(i, target)[1]
+            lam = target
+        return total
+
+    def normal_form_degree(self, nf: NormalForm) -> int | None:
+        """Top graded degree of a normal form (polynomial degree counts doubled)."""
+        degs = [
+            f.graded_degree() + self.tau_element_degree(g, nf.source)
+            for g, f in nf.coeffs.items() if not f.is_zero()
+        ]
+        return max(degs) if degs else None
+
+    def filtration_degree(self, nf: NormalForm) -> int | None:
+        sup = nf.support()
+        return max(map(self._length, sup)) if sup else None
+
     # ----- leading coefficients and normal forms -----
 
-    def leading_coefficient(self, g: AffineWeylElement, lam: Vec) -> RatFunc:
+    def leading_coefficient(self, g: Element, lam: Vec) -> RatFunc:
         """The coefficient of the block [g] inside tau_g e(lambda)."""
-        lam = vec(lam)
-        tgt = self.group.act_point(g, lam)
-        key = (lam, tgt, g.w)
-        d = self.tau_element(g, lam).to_dict()
-        if key not in d:
+        lam = self._weight(lam)
+        return self._leading_block(g, lam, (lam, self._target(g, lam), self._twist(g)))
+
+    def _leading_block(self, g: Element, lam: Vec, key: EntryKey) -> RatFunc:
+        block = self.tau_element(g, lam).to_dict().get(key)
+        if block is None:
             raise ArithmeticError(f"tau_{g} e({lam}) lost its leading block")
-        return d[key]
+        return block
 
-    def inversion_leading_coefficient(self, g: AffineWeylElement, lam: Vec) -> RatFunc:
-        """The closed form of the same coefficient: dw( prod (-db)^{omega(b)} ).
+    def inversion_product(self, pairs: Iterable[tuple[RootKey, int]]) -> RatFunc:
+        """``prod (-d beta)^m`` over (root beta, order value m) pairs."""
+        one = Poly.const(self.rank, 1)
+        acc = RatFunc.from_poly(one)
+        for beta, m in pairs:
+            db = -self.root_poly(beta)
+            acc = acc * (RatFunc.from_poly(db ** m) if m >= 0 else RatFunc(one, {db: -m}))
+        return acc
 
-        The product runs over the inversion set of g; it is the invertible
-        diagonal entry of the transition to the twist basis.
+    def inversion_leading_coefficient(self, g: Element, lam: Vec) -> RatFunc:
+        """The closed form of the leading coefficient: ``w( prod (-db)^{omega(b)} )``.
+
+        The product runs over the inversion set of g and w is the twist of g;
+        it is the invertible diagonal entry of the transition to the twist basis.
         """
-        lam = vec(lam)
-        acc = RatFunc.from_poly(Poly.const(self.rank, 1))
-        for b in self.group.inversion_set(g):
-            m = self.omega_value(lam, b)
-            db = -self.root_poly(b.alpha)
-            if m >= 0:
-                acc = acc * RatFunc.from_poly(db ** m)
-            else:
-                acc = acc * RatFunc(Poly.const(self.rank, 1), {db: -m})
-        num = self.act_poly(g.w, acc.num)
-        den = {self.act_poly(g.w, p): mult for p, mult in acc.den.values()}
-        return RatFunc(num, den)
+        acc = self.inversion_product(self.inversion_orders(g, self._weight(lam)))
+        w = self._twist(g)
+        return RatFunc(self.act_poly(w, acc.num),
+                       {self.act_poly(w, p): mult for p, mult in acc.den.values()})
 
-    def normal_form_rational(self, x: RatOperator) -> tuple[Vec, dict[AffineWeylElement, RatFunc]]:
+    def _basis_key(self, g: Element):
+        return (self._length(g), g)
+
+    def normal_form_rational(self, x: RatOperator) -> tuple[Vec, dict[Element, RatFunc]]:
         """Peel a single-source operator into the tau basis; coefficients may be rational.
 
         Blocks are peeled by descending element length: subtracting a peeled
@@ -324,23 +333,38 @@ class Algebra:
         if not sources:
             return vec((0,) * self.rank), {}
         src = sources[0]
-        remaining = x.to_dict()
-        coeffs: dict[AffineWeylElement, RatFunc] = {}
+        elts: dict[EntryKey, tuple[int, Element]] = {}
+
+        def block(key: EntryKey, value: RatFunc) -> list:
+            # [value, length, element]; each key's element is computed once per call
+            known = elts.get(key)
+            if known is None:
+                g = self.element_of_entry(key)
+                known = elts[key] = (self._length(g), g)
+            return [value, *known]
+
+        remaining = {key: block(key, r) for key, r in x.entries}
+        coeffs: dict[Element, RatFunc] = {}
         last_maxlen = None
         while remaining:
-            elts = {key: self.element_of_entry(key) for key in remaining}
-            maxlen = max(self.group.length(g) for g in elts.values())
+            maxlen = max(length for _, length, _ in remaining.values())
             if last_maxlen is not None and maxlen >= last_maxlen:
                 raise NonTerminating("normal-form peel did not shrink")
             last_maxlen = maxlen
-            for key in [k for k, g in elts.items() if self.group.length(g) == maxlen]:
-                g = elts[key]
-                fg = remaining[key] / self.leading_coefficient(g, src)
+            for key, entry in list(remaining.items()):
+                _, length, g = entry
+                if length < maxlen:
+                    continue
+                fg = entry[0] / self._leading_block(g, src, key)
                 coeffs[g] = coeffs.get(g, RatFunc.from_poly(Poly.zero(self.rank))) + fg
                 for k, v in self.tau_element(g, src).entries:
                     term = fg * v
-                    remaining[k] = (remaining[k] - term) if k in remaining else -term
-            remaining = {k: v for k, v in remaining.items() if not v.is_zero()}
+                    hit = remaining.get(k)
+                    if hit is None:
+                        remaining[k] = block(k, -term)
+                    else:
+                        hit[0] = hit[0] - term
+            remaining = {k: e for k, e in remaining.items() if not e[0].is_zero()}
         return src, {g: f for g, f in coeffs.items() if not f.is_zero()}
 
     def normal_form(self, x: RatOperator) -> NormalForm:
@@ -349,8 +373,7 @@ class Algebra:
         Raises NotInAlgebra when some coefficient keeps a denominator.
         """
         src, coeffs = self.normal_form_rational(x)
-        offenders = sorted((g for g, f in coeffs.items() if not f.is_poly()),
-                           key=lambda g: (self.group.length(g), g.mu, g.w))
+        offenders = sorted((g for g, f in coeffs.items() if not f.is_poly()), key=self._basis_key)
         if offenders:
             raise NotInAlgebra(
                 f"operator is not in the algebra at source {src}", offenders=offenders
@@ -359,15 +382,78 @@ class Algebra:
 
     def reconstruct(self, nf: NormalForm) -> RatOperator:
         out = self.zero()
-        for g, f in sorted(nf.coeffs.items(), key=lambda kv: (self.group.length(kv[0]), kv[0].mu, kv[0].w)):
-            out = out + self.mul(self.poly_mult(f, self.group.act_point(g, nf.source)),
+        for g in sorted(nf.coeffs, key=self._basis_key):
+            out = out + self.mul(self.poly_mult(nf.coeffs[g], self._target(g, nf.source)),
                                  self.tau_element(g, nf.source))
         return out
 
-    # ----- derived operations -----
 
-    def filtration_degree(self, nf: NormalForm) -> int | None:
-        return nf.filtration_degree(self.group)
+class Algebra(OperatorAlgebra):
+    """The quiver double Hecke algebra of an order function, on its affine weight orbit.
+
+    ``length_cap`` bounds the witness length of any weight a computation may
+    touch; crossing it raises instead of truncating silently.
+    """
+
+    def __init__(self, omega: OrderFunction, length_cap: int = 120):
+        super().__init__(omega.group)
+        self.omega = omega
+        self.ars = self.group.ars
+        self.length_cap = length_cap
+        self._witness: dict[Vec, AffineWeylElement] = {}
+
+    # ----- weights and basis elements -----
+
+    def witness(self, lam: Vec) -> AffineWeylElement:
+        lam = vec(lam)
+        if lam not in self._witness:
+            wit = self.group.witness(lam, self.omega.base_point)
+            if wit is None:
+                raise ValueError(f"{lam} is not in the weight orbit")
+            if self.group.length(wit) > self.length_cap:
+                raise WindowExceeded(f"weight {lam} needs witness length > {self.length_cap}")
+            self._witness[lam] = wit
+        return self._witness[lam]
+
+    def omega_value(self, lam: Vec, a: AffineRoot) -> int:
+        return self.omega.at(self.witness(lam), a)
+
+    def _weight(self, lam: Vec) -> Vec:
+        lam = vec(lam)
+        if lam not in self._witness:
+            self.witness(lam)
+        return lam
+
+    def _letter(self, i: int, lam: Vec) -> tuple[RootKey, int, Vec]:
+        a = self.ars.delta[i]
+        target = self.group.act_point(self.group.simple_reflection(i), lam)
+        return a.alpha, self.omega_value(lam, a), target
+
+    def _word(self, g: AffineWeylElement) -> tuple[int, ...]:
+        return self.group.reduced_word(g)
+
+    def _twist(self, g: AffineWeylElement) -> Perm:
+        return g.w
+
+    def _length(self, g: AffineWeylElement) -> int:
+        return self.group.length(g)
+
+    def _target(self, g: AffineWeylElement, lam: Vec) -> Vec:
+        return self.group.act_point(g, lam)
+
+    def element_of_entry(self, key: EntryKey) -> AffineWeylElement:
+        """The unique affine element represented by a block key."""
+        src, tgt, u = key
+        usrc = self.fin.act_point(u, src)
+        mu = vec(tuple(t - s for t, s in zip(tgt, usrc)))
+        if not self.rs.in_coroot_lattice(mu):
+            raise ValueError(f"block {key} does not come from an affine Weyl element")
+        return AffineWeylElement(mu, u)
+
+    def inversion_orders(self, g: AffineWeylElement, lam: Vec) -> list[tuple[RootKey, int]]:
+        return [(b.alpha, self.omega_value(lam, b)) for b in self.group.inversion_set(g)]
+
+    # ----- derived operations -----
 
     def commutation_defect(self, f: Poly, word: Sequence[int], lam: Vec) -> NormalForm:
         """Normal form of f tau_word - tau_word w^{-1}(f); degree < len(word)."""
@@ -415,28 +501,7 @@ class Algebra:
 
     def phi_square_exponent(self, i: int, lam: Vec) -> int:
         """n with phi_a^2 e(lambda) = ±(da)^n e(lambda)."""
-        a = self.ars.delta[i]
-        neg = AffineRoot(tuple(-c for c in a.alpha), -a.level)
-        wit = self.witness(vec(lam))
-        return max(self.omega.at(wit, a) + self.omega.at(wit, neg), 0)
-
-    def tau_element_degree(self, g: AffineWeylElement, lam: Vec) -> int:
-        """Degree of tau_g e(lambda) along the canonical word, in the algebra grading."""
-        lam = vec(lam)
-        total = 0
-        cur = lam
-        for i in reversed(self.group.reduced_word(g)):
-            total += self.omega.tau_degree(i, self.witness(cur))
-            cur = self.group.act_point(self.group.simple_reflection(i), cur)
-        return total
-
-    def normal_form_degree(self, nf: NormalForm) -> int | None:
-        """Top graded degree of a normal form (polynomial degree counts doubled)."""
-        degs = [
-            f.graded_degree() + self.tau_element_degree(g, nf.source)
-            for g, f in nf.coeffs.items() if not f.is_zero()
-        ]
-        return max(degs) if degs else None
+        return max(self.omega.tau_degree(i, self.witness(lam)), 0)
 
     # ----- centre -----
 

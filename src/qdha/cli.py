@@ -5,14 +5,12 @@ can be diffed byte for byte.  Exit codes: 0 pass, 1 verification failure,
 2 usage or parse error, 3 undecided: the computation stopped before a verdict
 (a case not implemented, an exact-arithmetic inconsistency, a weight window or
 exploration bound exceeded, a normal form that does not terminate), with a
-one-line reason on stderr.  The environment variable QDHA_THREADS caps worker
-parallelism; sweeps run sequentially, which respects any cap.
+one-line reason on stderr.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -26,6 +24,8 @@ from .kz import (
     clan_weight_character,
     e_gamma_weights,
     gamma_change,
+    integral,
+    integral_b_order_function,
     iso_check,
     kernel_clan_test,
     orbit_character,
@@ -33,7 +33,7 @@ from .kz import (
     two_rho_coroot,
 )
 from .modcat import classify_growth, gk_growth
-from .orderfun import from_ddaha_k, integral, integral_b_order_function, torus_orbit
+from .orderfun import from_ddaha_k, torus_orbit
 from .polyring import Poly, RatFunc
 from .rootsys import vec
 
@@ -44,15 +44,6 @@ EXIT_UNDECIDED = 3
 # raised when a computation cannot reach a verdict, as opposed to a failed check
 UNDECIDED = (NotImplementedError, ArithmeticError, WindowExceeded, NonTerminating,
              IncompleteExploration)
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("QDHA_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise SystemExit(f"QDHA_THREADS must be an integer, got {raw!r}") from exc
-    return max(cap, 1)
 
 
 def _report(check: str, spec: InstanceSpec, instances: int, failures: list) -> dict:
@@ -464,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _thread_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

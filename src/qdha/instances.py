@@ -25,8 +25,8 @@ from fractions import Fraction
 
 from .algebra import Algebra
 from .bqha import BAlgebra
-from .kz import GammaChoice, check_gamma, choose_gamma
-from .orderfun import OrderFunction, from_ddaha_h, integral_b_order_function
+from .kz import GammaChoice, check_gamma, choose_gamma, integral_b_order_function
+from .orderfun import OrderFunction, from_ddaha_h
 from .rootsys import AffineRoot, affinise, vec
 from .weyl import AffineWeylGroup
 

@@ -1,5 +1,8 @@
 """Idempotent truncation machinery: deep antidominant lifts and the finite quotient.
 
+The finite order function of the quotient is the integral of the order
+function along the deep lifts (``integral``).
+
 The section from the torus orbit back to the affine orbit is
 ``ell = w ell_0  ->  X^gamma w lambda_0`` for a translation gamma pairing at
 most ``-M`` with every positive root, where M exceeds the level radius of the
@@ -14,9 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rootsys import Vec, vec
+from .algebra import RatOperator
+from .clans import clan_of, enumerate_clans, wall_roots
+from .modcat import gk_growth
+from .orderfun import (BOrderFunction, InvalidOrderFunction, OrderFunction, torus_cosets,
+                       torus_orbit, torus_point)
+from .polyring import Poly, monomials
+from .rootsys import AffineRoot, RootKey, Vec, vec
 from .weyl import AffineWeylElement, AffineWeylGroup, Perm
-from .orderfun import OrderFunction, torus_cosets, torus_orbit, torus_point
 
 
 @dataclass(frozen=True)
@@ -116,6 +124,54 @@ def e_gamma_weights(omega: OrderFunction, gamma: Vec) -> list[Vec]:
     return sorted(pregamma_point(omega, gamma, ell) for ell in torus_orbit(omega.group, omega.base_point))
 
 
+# ----- the integral: the finite order function -----
+
+def integral(omega: OrderFunction, ell: Sequence, alpha: RootKey,
+             gamma: Vec | None = None) -> int:
+    """Sum of omega at the deep-antidominant lift over all affine roots with
+    differential alpha or 2 alpha; independent of the admissible lift."""
+    group = omega.group
+    rs = group.rs
+    if not rs.is_positive_root(alpha):
+        raise ValueError("alpha must be a positive indivisible root")
+    if gamma is None:
+        gamma = choose_gamma(omega).gamma
+    lam = pregamma_point(omega, gamma, ell)
+    wit = group.witness(lam, omega.base_point)
+    if wit is None:
+        raise InvalidOrderFunction("lifted point is not in the orbit")
+    winv = group.inverse(wit)
+    total = 0
+    radius = omega.support_level_radius()
+    for mult in (1, 2):
+        beta = tuple(mult * c for c in alpha)
+        if not rs.is_root(beta):
+            continue
+        # omega(w^{-1}(beta + k)) is nonzero only for |k + shift| <= radius
+        shift = group.act_root(winv, AffineRoot(beta, 0)).level
+        lo = 0 if rs.is_positive_root(beta) else 1
+        for k in range(max(lo, -radius - shift), radius - shift + 1):
+            a = AffineRoot(beta, k)
+            if not group.ars.is_root(a):
+                continue
+            total += omega.at(wit, a)
+    return total
+
+
+def integral_b_order_function(omega: OrderFunction, gamma: Vec | None = None) -> BOrderFunction:
+    """The full finite order function obtained by integrating omega."""
+    group = omega.group
+    rs = group.rs
+    table: dict[tuple[Vec, RootKey], int] = {}
+    indiv_pos = [a for a in rs.indivisible_roots if rs.is_positive_root(a)]
+    for ell in torus_orbit(group, omega.base_point):
+        for alpha in indiv_pos:
+            v = integral(omega, ell, alpha, gamma=gamma)
+            if v:
+                table[(ell, alpha)] = v
+    return BOrderFunction(group, omega.base_point, table)
+
+
 # ----- sigma operators and the idempotent subalgebra -----
 
 def sigma(alg, gamma: Vec, i: int, ell: Sequence):
@@ -126,35 +182,18 @@ def sigma(alg, gamma: Vec, i: int, ell: Sequence):
     its reflection.  Membership in the algebra is checked downstream via the
     normal form.
     """
-    from .algebra import RatOperator
-    from .orderfun import integral, torus_point
-    from .polyring import Poly, RatFunc
-
     group = alg.group
-    rs = group.rs
     omega = alg.omega
-    alpha = rs.simple_root(i)
+    alpha = group.rs.simple_root(i)
     m = integral(omega, ell, alpha, gamma=gamma)
     src = pregamma_point(omega, gamma, ell)
     s = group.finite.reflection(alpha)
     ell_t = torus_point(group.finite.act_point(s, torus_point(vec(ell))))
-    tgt = pregamma_point(omega, gamma, ell_t)
-    ap = alg.root_poly(alpha)
-    if m == -1:
-        if tgt != src:
-            raise ValueError("integral -1 at a point moved by the reflection")
-        inv = RatFunc(Poly.const(rs.rank, 1), {ap: 1})
-        return RatOperator.from_dict({
-            (src, src, s): inv,
-            (src, src, group.finite.identity): -inv,
-        })
-    return RatOperator.from_dict({(src, tgt, s): RatFunc.from_poly(ap ** m)})
+    return alg.two_case_generator(alpha, m, src, pregamma_point(omega, gamma, ell_t))
 
 
 def sigma_word(alg, gamma: Vec, word: Sequence[int], ell: Sequence):
     """Composition of sigma operators along a word of finite simple letters."""
-    from .orderfun import torus_point
-
     group = alg.group
     cur = torus_point(vec(ell))
     acc = alg.idempotent(pregamma_point(alg.omega, gamma, cur))
@@ -184,38 +223,15 @@ def product_formula_check(alg, gamma: Vec, w: Perm, ell: Sequence) -> ProductFor
 
     Left side: prod over the inversion set of the conjugated reflection word of
     (-db)^{omega(b)}.  Right side: prod over finite inversions of
-    (-beta)^{integral omega(beta)}.  Their quotient must be a constant whose
-    absolute value is a power of two.
+    (-beta)^{integral omega(beta)}.  Both are left untwisted.  Their quotient
+    must be a constant whose absolute value is a power of two.
     """
-    from .orderfun import integral, torus_point
-    from .polyring import Poly, RatFunc
-
-    group = alg.group
-    rs = group.rs
     omega = alg.omega
     ell = torus_point(vec(ell))
     lam = pregamma_point(omega, gamma, ell)
-    gw = pregamma_group(group, gamma, w)
-    lhs = RatFunc.from_poly(Poly.const(rs.rank, 1))
-    for b in group.inversion_set(gw):
-        m = alg.omega_value(lam, b)
-        nb = -alg.root_poly(b.alpha)
-        if m >= 0:
-            lhs = lhs * RatFunc.from_poly(nb ** m)
-        else:
-            lhs = lhs * RatFunc(Poly.const(rs.rank, 1), {nb: -m})
-    rhs = RatFunc.from_poly(Poly.const(rs.rank, 1))
-    for beta in rs.indivisible_roots:
-        if not rs.is_positive_root(beta):
-            continue
-        if rs.is_positive_root(group.finite.act_root(w, beta)):
-            continue
-        m = integral(omega, ell, beta, gamma=gamma)
-        nb = -alg.root_poly(beta)
-        if m >= 0:
-            rhs = rhs * RatFunc.from_poly(nb ** m)
-        else:
-            rhs = rhs * RatFunc(Poly.const(rs.rank, 1), {nb: -m})
+    lhs = alg.inversion_product(alg.inversion_orders(pregamma_group(alg.group, gamma, w), lam))
+    rhs = alg.inversion_product((beta, integral(omega, ell, beta, gamma=gamma))
+                                for beta in alg.fin.inversions(w))
     if rhs.is_zero() or lhs.is_zero():
         return ProductFormulaReport(w=w, ell=ell, scalar=Fraction(0), ok=False)
     quot = lhs / rhs
@@ -245,8 +261,6 @@ class IsoReport:
 
 def _transport_b_operator(alg, B, gamma: Vec, op):
     """Move a finite-orbit operator to the deep lifts, block by block."""
-    from .algebra import RatOperator
-
     omega = alg.omega
     out = {}
     for (src, tgt, u), r in op.entries:
@@ -260,9 +274,6 @@ def iso_check(alg, B, gamma: Vec, degree_bound: int, word_bound: int) -> IsoRepo
     idempotent subalgebra: products of up to ``word_bound`` generators match
     block-for-block after transport, and the sigma elements are triangular
     with constant leading coefficients over the tau basis."""
-    from .polyring import Poly
-    from .orderfun import torus_point
-
     group = alg.group
     rank = group.rs.rank
     orbit = B.orbit
@@ -270,8 +281,9 @@ def iso_check(alg, B, gamma: Vec, degree_bound: int, word_bound: int) -> IsoRepo
     for ell in orbit:
         for i in range(rank):
             gens.append(("tau", i, ell))
-        for m in _monomials_bounded(rank, degree_bound):
-            gens.append(("poly", Poly(rank, {m: Fraction(1)}), ell))
+        for m in monomials(rank, degree_bound // 2):
+            if any(m):
+                gens.append(("poly", Poly(rank, {m: Fraction(1)}), ell))
 
     _b_cache: dict = {}
     _a_cache: dict = {}
@@ -351,14 +363,6 @@ def iso_check(alg, B, gamma: Vec, degree_bound: int, word_bound: int) -> IsoRepo
     return IsoReport(generator_images=images, discrepancies=discrepancies, scalars=scalars)
 
 
-def _monomials_bounded(nvars: int, degree_bound: int):
-    maxdeg = degree_bound // 2
-    out = [()]
-    for _ in range(nvars):
-        out = [m + (e,) for m in out for e in range(maxdeg + 1)]
-    return sorted(m for m in out if 0 < sum(m) <= maxdeg)
-
-
 # ----- change of gamma -----
 
 @dataclass
@@ -392,8 +396,6 @@ def e_gamma_idempotent(alg, gamma: Vec):
 
 def gamma_change(alg, B, gamma: Vec, gamma2: Vec, degree_bound: int = 2) -> GammaChangeReport:
     """Check phi phi' = e and the conjugation factorisation on generators."""
-    from .polyring import Poly
-
     group = alg.group
     rank = group.rs.rank
     phi12 = gamma_change_intertwiner(alg, gamma, gamma2)
@@ -435,8 +437,6 @@ class KernelReport:
 
 def clan_weight_character(omega: OrderFunction, sign, bound: int) -> dict[Vec, int]:
     """The indicator character of a clan: weight w lambda_0 per alcove w^{-1} nu_0."""
-    from .clans import clan_of, wall_roots
-
     group = omega.group
     walls = wall_roots(omega)
     out: dict[Vec, int] = {}
@@ -491,9 +491,6 @@ def hyperplane_cover_count(points, rank: int) -> int:
 def kernel_clan_test(alg, gamma: Vec, character: dict, bound: int = 12,
                      growth_n: int = 60) -> KernelReport:
     """Decide kernel membership three ways and require agreement."""
-    from .clans import clan_of, enumerate_clans, wall_roots
-    from .modcat import gk_growth
-
     omega = alg.omega
     group = alg.group
     rank = group.rs.rank
@@ -508,11 +505,7 @@ def kernel_clan_test(alg, gamma: Vec, character: dict, bound: int = 12,
                 vanishes = False
                 break
     # hyperplane confinement: the cover count must stabilize between two windows
-    reach: dict[Vec, int] = {}
-    for g in group.ball(2 * bound):
-        pt = group.act_point(g, omega.base_point)
-        if pt not in reach:
-            reach[pt] = group.length(g)
+    reach = group.orbit_reach(omega.base_point, 2 * bound)
     far = 10 ** 9
     small = [pt for pt in char if reach.get(pt, far) <= bound]
     large = [pt for pt in char if reach.get(pt, far) <= 2 * bound]

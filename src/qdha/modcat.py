@@ -106,12 +106,7 @@ def gk_growth(group: AffineWeylGroup, character: Mapping[Vec, int], n_max: int) 
     char = {vec(k): int(v) for k, v in character.items() if int(v) != 0}
     if not char:
         return GrowthReport(counts=[0] * (n_max + 1), exponent=None, window=(0, n_max))
-    seed = min(char)
-    reach: dict[Vec, int] = {}
-    for g in group.ball(n_max):
-        pt = group.act_point(g, seed)
-        if pt not in reach:
-            reach[pt] = group.length(g)
+    reach = group.orbit_reach(min(char), n_max)
     counts = []
     for n in range(n_max + 1):
         counts.append(sum(c for pt, c in char.items() if pt in reach and reach[pt] <= n))

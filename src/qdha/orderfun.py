@@ -9,7 +9,7 @@ Its finite shadow lives on the torus orbit: for a point ``ell = exp(lambda)``
 (a point of E taken modulo the coroot lattice) and an indivisible positive
 root, integrating the order function over all affine roots with a fixed
 differential gives the finite order function driving the finite quotient
-algebra.  Both extraction recipes from deformation parameters ``h`` are exact:
+algebra (``qdha.kz.integral``, which reads the deep lifts).  Both extraction recipes from deformation parameters ``h`` are exact:
 the affine one reads off orders of vanishing of ``(z - h_a)/z`` at rational
 points, the finite one reduces to congruences of exponents modulo 1.
 """
@@ -259,51 +259,3 @@ def from_ddaha_k(group: AffineWeylGroup, h, base_point: Sequence) -> BOrderFunct
             if order:
                 bof_table[(ell, alpha)] = order
     return BOrderFunction(group, base_point, bof_table)
-
-
-def integral(omega: OrderFunction, ell: Sequence, alpha: RootKey,
-             gamma: Vec | None = None) -> int:
-    """Sum of omega at the deep-antidominant lift over all affine roots with
-    differential alpha or 2 alpha; independent of the admissible lift."""
-    from .kz import choose_gamma, pregamma_point  # local import to avoid a cycle
-
-    group = omega.group
-    rs = group.rs
-    if not rs.is_positive_root(alpha):
-        raise ValueError("alpha must be a positive indivisible root")
-    if gamma is None:
-        gamma = choose_gamma(omega).gamma
-    lam = pregamma_point(omega, gamma, ell)
-    wit = group.witness(lam, omega.base_point)
-    if wit is None:
-        raise InvalidOrderFunction("lifted point is not in the orbit")
-    winv = group.inverse(wit)
-    total = 0
-    radius = omega.support_level_radius()
-    for mult in (1, 2):
-        beta = tuple(mult * c for c in alpha)
-        if not rs.is_root(beta):
-            continue
-        # omega(w^{-1}(beta + k)) is nonzero only for |k + shift| <= radius
-        shift = group.act_root(winv, AffineRoot(beta, 0)).level
-        lo = 0 if rs.is_positive_root(beta) else 1
-        for k in range(max(lo, -radius - shift), radius - shift + 1):
-            a = AffineRoot(beta, k)
-            if not group.ars.is_root(a):
-                continue
-            total += omega.at(wit, a)
-    return total
-
-
-def integral_b_order_function(omega: OrderFunction, gamma: Vec | None = None) -> BOrderFunction:
-    """The full finite order function obtained by integrating omega."""
-    group = omega.group
-    rs = group.rs
-    table: dict[tuple[Vec, RootKey], int] = {}
-    indiv_pos = [a for a in rs.indivisible_roots if rs.is_positive_root(a)]
-    for ell in torus_orbit(group, omega.base_point):
-        for alpha in indiv_pos:
-            v = integral(omega, ell, alpha, gamma=gamma)
-            if v:
-                table[(ell, alpha)] = v
-    return BOrderFunction(group, omega.base_point, table)

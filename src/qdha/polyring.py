@@ -374,6 +374,14 @@ class RatFunc:
         return f"({self.num!r}) / ({self.den_poly()!r})"
 
 
+def monomials(nvars: int, max_degree: int) -> list[Monomial]:
+    """All exponent vectors of total degree <= max_degree, sorted."""
+    out = [()]
+    for _ in range(nvars):
+        out = [m + (e,) for m in out for e in range(max_degree + 1)]
+    return sorted(m for m in out if sum(m) <= max_degree)
+
+
 def apply_linear(f: Poly, images: Sequence[Poly]) -> Poly:
     """Apply the ring automorphism determined by variable images to f."""
     return f.substitute(images)

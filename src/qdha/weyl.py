@@ -52,10 +52,9 @@ class FiniteWeylGroup:
         self._enumerate()
         r = range(self.rank)
         negative = frozenset(i for i, key in enumerate(rs.roots) if not rs.is_positive_root(key))
-        counted = [self._index[k] for k in rs.indivisible_roots if rs.is_positive_root(k)]
-        self._length: dict[Perm, int] = {
-            w: sum(1 for i in counted if w[i] in negative) for w in self.elements
-        }
+        self._negative = negative
+        self._counted = [self._index[k] for k in rs.indivisible_roots if rs.is_positive_root(k)]
+        self._length: dict[Perm, int] = {w: len(self.inversions(w)) for w in self.elements}
         self._inverse: dict[Perm, Perm] = {w: _invert(w) for w in self.elements}
         # Words and point matrices by induction on the length: w = s_i (s_i w)
         # for the first left descent i.  On simple-coroot coordinates
@@ -112,6 +111,10 @@ class FiniteWeylGroup:
     def length(self, w: Perm) -> int:
         return self._length[w]
 
+    def inversions(self, w: Perm) -> list[RootKey]:
+        """The positive indivisible roots that w sends to negative roots, in root order."""
+        return [self.rs.roots[i] for i in self._counted if w[i] in self._negative]
+
     def word(self, w: Perm) -> tuple[int, ...]:
         """A lexicographically least reduced word (indices into the simple roots)."""
         return self._word[w]
@@ -149,7 +152,7 @@ def _invert(w: Perm) -> Perm:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class AffineWeylElement:
     """The element ``X^mu * w`` with mu in coroot coordinates and w a root permutation."""
 
@@ -473,3 +476,10 @@ class AffineWeylGroup:
             if pt not in out:
                 out[pt] = g
         return out
+
+    def orbit_reach(self, lam0: Vec, length_bound: int) -> dict[Vec, int]:
+        """All distinct w lam0 with l(w) <= bound, each with its least such length.
+
+        The lengths are those ``ball`` recorded, so no length formula runs.
+        """
+        return {pt: self._ball_seen[g] for pt, g in self.orbit_window(lam0, length_bound).items()}

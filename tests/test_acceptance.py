@@ -15,6 +15,7 @@ from qdha.kz import (
     clan_weight_character,
     e_gamma_weights,
     gamma_change,
+    integral_b_order_function,
     iso_check,
     kernel_clan_test,
     orbit_character,
@@ -27,7 +28,6 @@ from qdha.orderfun import (
     OrderFunction,
     from_ddaha_h,
     from_ddaha_k,
-    integral_b_order_function,
 )
 from qdha.polyring import Poly, RatFunc
 from qdha.rootsys import affinise, vec

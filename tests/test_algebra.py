@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from qdha.algebra import Algebra, NotInAlgebra, RatOperator
-from qdha.orderfun import OrderFunction
+from qdha.bqha import BAlgebra
+from qdha.kz import integral_b_order_function
+from qdha.orderfun import OrderFunction, torus_point
 from qdha.polyring import Poly, RatFunc
 from qdha.rootsys import AffineRoot, affinise, vec
 from qdha.weyl import AffineWeylGroup
@@ -318,10 +320,15 @@ def test_g2_operator_smoke():
         assert A.reconstruct(nf) == op
 
 
-def test_invalid_block_rejected():
-    # a block whose weights are not connected by an affine element is refused
+@pytest.mark.parametrize("finite", [False, True], ids=["affine", "finite"])
+def test_invalid_block_rejected(finite):
+    # a block whose target is not its twist applied to its source is refused:
+    # no affine element connects the weights, or the torus points disagree
     A = a2_generic_algebra()
     lam = A.omega.base_point
+    if finite:
+        A = BAlgebra(integral_b_order_function(A.omega))
+        lam = torus_point(lam)
     other = vec((lam[0] + Fraction(1, 2), lam[1]))
     bad = RatOperator.from_dict({
         (lam, other, A.group.finite.identity): RatFunc.from_poly(Poly.const(2, 1)),

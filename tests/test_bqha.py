@@ -6,7 +6,8 @@ import pytest
 
 from qdha.algebra import NotInAlgebra, RatOperator
 from qdha.bqha import BAlgebra, gram_rank_at_point
-from qdha.orderfun import BOrderFunction, OrderFunction, integral_b_order_function, torus_point
+from qdha.kz import integral_b_order_function
+from qdha.orderfun import BOrderFunction, OrderFunction, torus_point
 from qdha.polyring import Poly, RatFunc
 from qdha.rootsys import affinise, vec
 from qdha.weyl import AffineWeylGroup

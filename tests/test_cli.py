@@ -98,15 +98,6 @@ def test_example_a1(capsys):
     assert data["projective_exponent"] == 1
 
 
-def test_thread_cap_env(monkeypatch, capsys):
-    monkeypatch.setenv("QDHA_THREADS", "4")
-    code, _ = run_main(["describe", "--instance", A1], capsys)
-    assert code == 0
-    monkeypatch.setenv("QDHA_THREADS", "zebra")
-    with pytest.raises(SystemExit):
-        main(["describe", "--instance", A1])
-
-
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "qdha", "describe", "--instance", A1],

@@ -9,6 +9,7 @@ from qdha.kz import (
     coset_representatives,
     e_gamma_weights,
     gamma_change,
+    integral_b_order_function,
     iso_check,
     kernel_clan_test,
     orbit_character,
@@ -18,7 +19,7 @@ from qdha.kz import (
     sigma,
     skewed_gamma,
 )
-from qdha.orderfun import OrderFunction, integral_b_order_function, torus_orbit, torus_point
+from qdha.orderfun import OrderFunction, torus_orbit, torus_point
 from qdha.polyring import Poly
 from qdha.rootsys import affinise, vec
 from qdha.weyl import AffineWeylGroup
@@ -233,7 +234,7 @@ def test_sigma_with_integral_minus_one_kills_invariants():
     alg, gamma = nil_flavour_setup()
     W = alg.group
     ell0 = torus_point(alg.omega.base_point)
-    from qdha.orderfun import integral
+    from qdha.kz import integral
     assert integral(alg.omega, ell0, W.rs.simple_root(0), gamma=gamma) == -1
     op = sigma(alg, gamma, 0, ell0)
     lam = pregamma_point(alg.omega, gamma, ell0)

@@ -9,12 +9,10 @@ from qdha.orderfun import (
     OrderFunction,
     from_ddaha_h,
     from_ddaha_k,
-    integral,
-    integral_b_order_function,
     torus_orbit,
     torus_point,
 )
-from qdha.kz import choose_gamma, skewed_gamma
+from qdha.kz import choose_gamma, integral, integral_b_order_function, skewed_gamma
 from qdha.rootsys import AffineRoot, affinise, vec
 from qdha.weyl import AffineWeylGroup
 

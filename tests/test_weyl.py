@@ -65,6 +65,7 @@ def test_length_formula_equals_inversions_on_ball(label):
     W = group(label)
     for g in W.ball(4):
         assert W.length_formula(g) == W.length_inversions(g)
+        assert W._ball_seen[g] == W.length_formula(g)
 
 
 def test_length_formula_equals_inversions_random_a2():
