@@ -145,7 +145,8 @@ class OperatorAlgebra:
         self.rs = group.rs
         self.rank = self.rs.rank
         self._images: dict[Perm, list[Poly]] = {}
-        self._tau_elt: dict[tuple[Element, Vec], RatOperator] = {}
+        # tau_g e(lambda) with its leading block and that block's inverse (None if absent)
+        self._tau_elt: dict[tuple[Element, Vec], tuple[RatOperator, RatFunc | None, RatFunc | None]] = {}
         self._root_poly: dict[RootKey, Poly] = {}
 
     # ----- scalars and actions -----
@@ -240,11 +241,18 @@ class OperatorAlgebra:
 
     def tau_element(self, g: Element, lam: Vec) -> RatOperator:
         """tau_g e(lambda) along the canonical (lex-least) reduced word of g."""
+        return self._tau(g, lam)[0]
+
+    def _tau(self, g: Element, lam: Vec) -> tuple[RatOperator, RatFunc | None, RatFunc | None]:
         lam = self._weight(lam)
         key = (g, lam)
-        if key not in self._tau_elt:
-            self._tau_elt[key] = self.tau_word(self._word(g), lam)
-        return self._tau_elt[key]
+        hit = self._tau_elt.get(key)
+        if hit is None:
+            op = self.tau_word(self._word(g), lam)
+            lead_key = (lam, self._target(g, lam), self._twist(g))
+            lead = next((r for k, r in op.entries if k == lead_key), None)
+            hit = self._tau_elt[key] = (op, lead, None if lead is None else lead.inverse())
+        return hit
 
     def apply(self, x: RatOperator, lam: Vec, f: Poly) -> list[tuple[Vec, RatFunc]]:
         """Apply x to the vector with f in slot lambda; returns (weight, value) pairs."""
@@ -288,14 +296,14 @@ class OperatorAlgebra:
 
     def leading_coefficient(self, g: Element, lam: Vec) -> RatFunc:
         """The coefficient of the block [g] inside tau_g e(lambda)."""
-        lam = self._weight(lam)
-        return self._leading_block(g, lam, (lam, self._target(g, lam), self._twist(g)))
+        return self._leading_block(g, lam)[1]
 
-    def _leading_block(self, g: Element, lam: Vec, key: EntryKey) -> RatFunc:
-        block = self.tau_element(g, lam).to_dict().get(key)
-        if block is None:
+    def _leading_block(self, g: Element, lam: Vec) -> tuple[RatOperator, RatFunc, RatFunc]:
+        """tau_g e(lambda), its leading block and the block's inverse."""
+        op, lead, inv = self._tau(g, lam)
+        if lead is None:
             raise ArithmeticError(f"tau_{g} e({lam}) lost its leading block")
-        return block
+        return op, lead, inv
 
     def inversion_product(self, pairs: Iterable[tuple[RootKey, int]]) -> RatFunc:
         """``prod (-d beta)^m`` over (root beta, order value m) pairs."""
@@ -351,13 +359,14 @@ class OperatorAlgebra:
             if last_maxlen is not None and maxlen >= last_maxlen:
                 raise NonTerminating("normal-form peel did not shrink")
             last_maxlen = maxlen
-            for key, entry in list(remaining.items()):
+            for entry in list(remaining.values()):
                 _, length, g = entry
                 if length < maxlen:
                     continue
-                fg = entry[0] / self._leading_block(g, src, key)
-                coeffs[g] = coeffs.get(g, RatFunc.from_poly(Poly.zero(self.rank))) + fg
-                for k, v in self.tau_element(g, src).entries:
+                op, _, inv = self._leading_block(g, src)
+                fg = entry[0] * inv
+                coeffs[g] = coeffs[g] + fg if g in coeffs else fg
+                for k, v in op.entries:
                     term = fg * v
                     hit = remaining.get(k)
                     if hit is None:
@@ -407,7 +416,7 @@ class Algebra(OperatorAlgebra):
     def witness(self, lam: Vec) -> AffineWeylElement:
         lam = vec(lam)
         if lam not in self._witness:
-            wit = self.group.witness(lam, self.omega.base_point)
+            wit = self.omega.witness(lam)
             if wit is None:
                 raise ValueError(f"{lam} is not in the weight orbit")
             if self.group.length(wit) > self.length_cap:

@@ -12,6 +12,11 @@ reduced word), applies the Demazure composition of the point stabilizer to
 land in the invariant ring, pulls back along the chosen orbit representative,
 and sums over the orbit.  Together with the multiplication it gives an exact
 Gram pairing whose rank witnesses the Frobenius property.
+
+The Gram matrix uses left Pol-linearity of the normal form: every block of
+``tau_w e(ell)`` ends at ``w ell``, so ``nf(m tau_w e(ell) y) = m nf(tau_w e(ell) y)``
+for a polynomial m, and one product and one normal form serve every monomial
+of a spanning group ``(ell, w)``.
 """
 from __future__ import annotations
 
@@ -32,6 +37,8 @@ class BAlgebra(OperatorAlgebra):
         super().__init__(bof.group)
         self.bof = bof
         self.orbit = bof.orbit()
+        # the stabilizer Demazure word of every orbit point, for theta_trace
+        self.theta_words = {ell: tuple(self.stabilizer_longest_word(ell)) for ell in self.orbit}
 
     # ----- points and basis elements -----
 
@@ -133,28 +140,40 @@ class BAlgebra(OperatorAlgebra):
         return word
 
     def theta_trace(self, ell: Vec, f: Poly) -> Poly:
-        """The Demazure composition for the stabilizer's longest element."""
+        """The Demazure composition for the stabilizer's longest element at an orbit point."""
         out = f
-        for alpha in self.stabilizer_longest_word(ell):
+        for alpha in self.theta_words[ell]:
             out = self.demazure_for_root(alpha, out)
         return out
 
-    def frobenius_trace(self, x: RatOperator) -> Poly:
-        """The trace of x: the stabilizer Demazure image of the top coefficient,
-        pulled back to the base point and summed over the orbit."""
+    def top_coefficients(self, x: RatOperator) -> dict[Vec, Poly]:
+        """The nonzero tau_{w0} coefficients of x, one per source, in source order.
+
+        Each source part runs the full peel, so an x outside the algebra
+        raises NotInAlgebra.
+        """
         w0 = self.fin.longest_element()
-        total = Poly.zero(self.rank)
         by_source: dict[Vec, dict[EntryKey, RatFunc]] = {}
         for k, v in x.entries:
             by_source.setdefault(k[0], {})[k] = v
+        out = {}
         for src in sorted(by_source):
-            nf = self.normal_form(RatOperator.from_dict(by_source[src]))
-            f = nf.coeffs.get(w0)
-            if f is None or f.is_zero():
-                continue
-            val = self.theta_trace(src, f)
-            rep = self.bof.cosets[torus_point(src)]
-            total = total + self.act_poly(self.fin.inverse(rep), val)
+            f = self.normal_form(RatOperator.from_dict(by_source[src])).coeffs.get(w0)
+            if f is not None and not f.is_zero():
+                out[torus_point(src)] = f
+        return out
+
+    def coefficient_trace(self, ell: Vec, f: Poly) -> Poly:
+        """The trace of ``f tau_{w0} e(ell)``: the stabilizer Demazure image of f,
+        pulled back to the base point along the orbit representative of ell."""
+        rep = self.bof.cosets[ell]
+        return self.act_poly(self.fin.inverse(rep), self.theta_trace(ell, f))
+
+    def frobenius_trace(self, x: RatOperator) -> Poly:
+        """The trace of x: the coefficient traces of its sources, summed over the orbit."""
+        total = Poly.zero(self.rank)
+        for ell, f in self.top_coefficients(x).items():
+            total = total + self.coefficient_trace(ell, f)
         return total
 
     def spanning_set(self, degree_bound: int) -> list[tuple[Vec, Perm, Poly]]:
@@ -170,20 +189,32 @@ class BAlgebra(OperatorAlgebra):
         return out
 
     def gram_matrix(self, degree_bound: int) -> tuple[list[tuple[Vec, Perm, Poly]], list[list[Poly]]]:
-        """The exact trace-pairing matrix on the bounded spanning set."""
+        """The exact trace-pairing matrix on the bounded spanning set.
+
+        Entry (i, j) is ``tr(x_i y_j)`` with ``x_i = m_i tau_{w_i} e(ell_i)``.
+        The rows of one group (ell, w) share ``z = tau_w e(ell) y_j``: by left
+        Pol-linearity the entry is the coefficient trace of ``m_i f``, with f
+        the tau_{w0} coefficient of z.
+        """
         span = self.spanning_set(degree_bound)
-        ops = [self.mul(self.poly_mult(m, self.act_ell(w, ell)), self.tau_element(w, ell))
-               for (ell, w, m) in span]
+        targets = [self.act_ell(w, ell) for ell, w, _ in span]
+        ops = [self.mul(self.poly_mult(m, tgt), self.tau_element(w, ell))
+               for (ell, w, m), tgt in zip(span, targets)]
+        groups: dict[tuple[Vec, Perm], list[int]] = {}
+        for i, (ell, w, _) in enumerate(span):
+            groups.setdefault((ell, w), []).append(i)
         n = len(span)
         zero = Poly.zero(self.rank)
         matrix = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            ell_i = span[i][0]
+        for (ell, w), rows in groups.items():
+            head = self.tau_element(w, ell)
             for j in range(n):
                 # x_i y_j is zero unless the target of y_j matches the source of x_i
-                if self.act_ell(span[j][1], span[j][0]) != ell_i:
+                if targets[j] != ell:
                     continue
-                matrix[i][j] = self.frobenius_trace(self.mul(ops[i], ops[j]))
+                for src, f in self.top_coefficients(self.mul(head, ops[j])).items():
+                    for i in rows:
+                        matrix[i][j] = self.coefficient_trace(src, span[i][2] * f)
         return span, matrix
 
     def expected_gram_rank(self) -> int:
@@ -192,8 +223,44 @@ class BAlgebra(OperatorAlgebra):
 
 
 def gram_rank_at_point(matrix: list[list[Poly]], point: Sequence[Fraction]) -> int:
-    """Exact rank of the evaluated Gram matrix; a lower bound for the generic rank."""
-    rows = [[entry.evaluate(point) for entry in row] for row in matrix]
+    """Exact rank of the evaluated Gram matrix; a lower bound for the generic rank.
+
+    The rank is summed over the connected blocks of the nonzero pattern (rows
+    and columns joined by their nonzero entries).  The Gram pairing vanishes
+    unless a column's target is the row's source, so the matrix is
+    block-diagonal up to a permutation, one block or more per orbit point.
+    """
+    n = len(matrix)
+    ncols = n and len(matrix[0])
+    # union-find over the rows 0..n-1 and the columns n..n+ncols-1
+    parent = list(range(n + ncols))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    values: dict[tuple[int, int], Fraction] = {}
+    for r, row in enumerate(matrix):
+        for c, entry in enumerate(row):
+            if entry.is_zero():
+                continue
+            x = entry.evaluate(point)
+            if x != 0:
+                values[r, c] = x
+                parent[find(r)] = find(n + c)
+    blocks: dict[int, tuple[list[int], list[int]]] = {}
+    for r in range(n):
+        blocks.setdefault(find(r), ([], []))[0].append(r)
+    for c in range(ncols):
+        blocks.setdefault(find(n + c), ([], []))[1].append(c)
+    return sum(_rank([[values.get((r, c), 0) for c in cols] for r in block_rows])
+               for block_rows, cols in blocks.values())
+
+
+def _rank(rows: list[list[Fraction]]) -> int:
+    """Exact rank by Gauss-Jordan elimination; reduces ``rows`` in place."""
     n = len(rows)
     rank = 0
     col = 0

@@ -137,7 +137,7 @@ def integral(omega: OrderFunction, ell: Sequence, alpha: RootKey,
     if gamma is None:
         gamma = choose_gamma(omega).gamma
     lam = pregamma_point(omega, gamma, ell)
-    wit = group.witness(lam, omega.base_point)
+    wit = omega.witness(lam)
     if wit is None:
         raise InvalidOrderFunction("lifted point is not in the orbit")
     winv = group.inverse(wit)

@@ -20,12 +20,18 @@ from .weyl import AffineWeylElement, AffineWeylGroup
 
 def elements_mapping(group: AffineWeylGroup, lam: Vec, target: Vec, base: Vec) -> list[AffineWeylElement]:
     """All g with g lam = target, via one witness and the stabilizer of lam."""
-    w1 = group.witness(vec(target), base)
-    w0 = group.witness(vec(lam), base)
+    walk = group.to_fundamental_domain(vec(base))
+    return _elements_between(group, vec(lam), group.witness_from(lam, walk),
+                             group.witness_from(target, walk))
+
+
+def _elements_between(group: AffineWeylGroup, lam: Vec, w0: AffineWeylElement | None,
+                      w1: AffineWeylElement | None) -> list[AffineWeylElement]:
+    """All g with g lam = w1 w0^{-1} lam, given witnesses w0, w1 from a common base."""
     if w1 is None or w0 is None:
         raise ValueError("weights outside the orbit")
     g0 = group.compose(w1, group.inverse(w0))
-    _, stab = group.stabilizer(vec(lam))
+    _, stab = group.stabilizer(lam)
     return sorted(
         {group.compose(g0, h) for h in stab},
         key=lambda g: (group.length(g), g.mu, g.w),
@@ -59,14 +65,15 @@ def graded_dim_hom(alg: Algebra, lam: Vec, target: Vec, truncation: int,
     group = alg.group
     base = alg.omega.base_point
     lam, target = vec(lam), vec(target)
-    if group.witness(target, base) is None or group.witness(lam, base) is None:
+    w0, w1 = alg.omega.witness(lam), alg.omega.witness(target)
+    if w1 is None or w0 is None:
         return {}
     out: dict[int, int] = {}
     if quotient:
         poincare = stabilizer_poincare(group, base)
     else:
         poincare = _free_series(alg.rank, truncation)
-    for g in elements_mapping(group, lam, target, base):
+    for g in _elements_between(group, lam, w0, w1):
         d0 = alg.tau_element_degree(g, lam)
         for d, c in poincare.items():
             deg = d0 + d

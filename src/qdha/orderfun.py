@@ -82,6 +82,8 @@ class OrderFunction:
         }
         self.validate()
         self.cosets = torus_cosets(group, self.base_point)
+        # the base point's walk to the fundamental alcove, for every witness
+        self.base_walk = group.to_fundamental_domain(self.base_point)
 
     # ----- validation -----
 
@@ -112,9 +114,13 @@ class OrderFunction:
         """omega_{w lambda0}(a) = omega(w^{-1} a)."""
         return self.value(self.group.act_root(self.group.inverse(witness), a))
 
+    def witness(self, lam: Sequence) -> AffineWeylElement | None:
+        """Some w with w lambda0 = lam, or None if lam is not in the orbit."""
+        return self.group.witness_from(vec(lam), self.base_walk)
+
     def at_point(self, lam: Sequence, a: AffineRoot) -> int:
         lam = vec(lam)
-        w = self.group.witness(lam, self.base_point)
+        w = self.witness(lam)
         if w is None:
             raise InvalidOrderFunction(f"{lam} is not in the orbit of {self.base_point}")
         return self.at(w, a)

@@ -435,8 +435,12 @@ class AffineWeylGroup:
 
     def witness(self, lam: Vec, lam0: Vec) -> AffineWeylElement | None:
         """Some w with w lam0 = lam, or None if lam is not in the orbit of lam0."""
+        return self.witness_from(lam, self.to_fundamental_domain(vec(lam0)))
+
+    def witness_from(self, lam: Vec, walk0: tuple[Vec, AffineWeylElement]) -> AffineWeylElement | None:
+        """``witness(lam, lam0)`` given ``walk0 = to_fundamental_domain(lam0)``, walked once."""
         rep1, g1 = self.to_fundamental_domain(vec(lam))
-        rep0, g0 = self.to_fundamental_domain(vec(lam0))
+        rep0, g0 = walk0
         if rep1 != rep0:
             return None
         return self.compose(self.inverse(g1), g0)

@@ -337,6 +337,29 @@ def test_invalid_block_rejected(finite):
         A.normal_form(bad)
 
 
+@pytest.mark.parametrize("finite", [False, True], ids=["affine", "finite"])
+def test_lost_leading_block_raises(finite, monkeypatch):
+    # a tau element without its leading block cannot be peeled against
+    def make():
+        A = a2_generic_algebra()
+        return BAlgebra(integral_b_order_function(A.omega)) if finite else A
+
+    A = make()
+    lam = A._weight(A.bof.base_point if finite else A.omega.base_point)
+    g = A.group.finite.simple[0] if finite else A.group.simple_reflection(0)
+    x = A.tau_element(g, lam)
+    broken = make()
+    tau_word = broken.tau_word
+    lead = (lam, A._target(g, lam), A._twist(g))
+    monkeypatch.setattr(broken, "tau_word", lambda word, mu: RatOperator(
+        tuple((k, v) for k, v in tau_word(word, mu).entries if k != lead)))
+    with pytest.raises(ArithmeticError, match="lost its leading block"):
+        broken.leading_coefficient(g, lam)
+    with pytest.raises(ArithmeticError, match="lost its leading block"):
+        broken.normal_form(x)
+    assert A.normal_form(x).coeffs == {g: Poly.const(2, 1)}
+
+
 def test_leading_coefficient_matches_inversion_product():
     # the block of tau_g at g itself equals the twisted product of
     # (-root)^(order value) over the inversion set of g

@@ -6,6 +6,7 @@ import pytest
 
 from qdha.algebra import NotInAlgebra, RatOperator
 from qdha.bqha import BAlgebra, gram_rank_at_point
+from qdha.instances import c2_generic, instance_from_data
 from qdha.kz import integral_b_order_function
 from qdha.orderfun import BOrderFunction, OrderFunction, torus_point
 from qdha.polyring import Poly, RatFunc
@@ -32,6 +33,39 @@ def zero_b_algebra(label="A2"):
     W = AffineWeylGroup(affinise(label))
     lam0 = vec(tuple(Fraction(1, p) for p in (5, 7, 11, 13)[: W.rs.rank]))
     return BAlgebra(BOrderFunction(W, lam0, {}))
+
+
+def a2_wall_lite():
+    """A2 at the wall point (1/7, 2/7) with order -1 on +-alpha_1 only."""
+    return instance_from_data({
+        "type": "A2",
+        "lambda0": ["1/7", "2/7"],
+        "omega": [
+            {"root": {"alpha": [1, 0], "level": 0}, "value": -1},
+            {"root": {"alpha": [-1, 0], "level": 0}, "value": -1},
+        ],
+    }).b_algebra()
+
+
+def spanning_ops(B, span):
+    """The operators m tau_w e(ell) of a spanning set."""
+    return [B.mul(B.poly_mult(m, B.act_ell(w, ell)), B.tau_element(w, ell)) for ell, w, m in span]
+
+
+def dense_rank(rows):
+    """Exact rank of a rational matrix by plain row reduction (the reference)."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 def global_tau(B, i):
@@ -206,11 +240,111 @@ def test_gram_rank_rank1_example_full():
 def test_gram_zero_row_sanity():
     B = rank1_b_algebra()
     span, matrix = B.gram_matrix(2)
-    # tr(0 * y) = 0: the zero operator pairs to zero with everything
-    zero_row = [B.frobenius_trace(B.mul(B.zero(), op)) for op in []]
-    assert zero_row == []
+    # tr(0 * y) = 0: the zero operator pairs to zero with every spanning element
+    zero_row = [B.frobenius_trace(B.mul(B.zero(), op)) for op in spanning_ops(B, span)]
+    assert len(zero_row) == len(span)
+    assert all(t.is_zero() for t in zero_row)
     # and no spanning element pairs nontrivially with an incomposable one
     for i, (ell_i, w_i, m_i) in enumerate(span):
         for j, (ell_j, w_j, m_j) in enumerate(span):
             if B.act_ell(w_j, ell_j) != ell_i:
                 assert matrix[i][j].is_zero()
+
+
+@pytest.mark.parametrize("make", [rank1_b_algebra, a2_wall_lite], ids=["rank1", "a2_wall_lite"])
+def test_gram_matrix_equals_pairwise_traces(make):
+    # the reference: one product and one trace per pair (i, j)
+    B = make()
+    span, matrix = B.gram_matrix(4)
+    ops = spanning_ops(B, span)
+    for i, x in enumerate(ops):
+        assert [B.frobenius_trace(B.mul(x, y)) for y in ops] == matrix[i]
+
+
+def test_gram_matrix_one_product_per_group_and_column(monkeypatch):
+    B = a2_wall_lite()
+    B.gram_matrix(4)  # fill the tau element cache
+    products, normal_forms = [], []
+    mul, normal_form = B.mul, B.normal_form
+    monkeypatch.setattr(B, "mul", lambda x, y: products.append(mul(x, y)) or products[-1])
+    monkeypatch.setattr(B, "normal_form", lambda x: normal_forms.append(x) or normal_form(x))
+    span, _ = B.gram_matrix(4)
+    # 108 spanning operators, then 3 orbit points x 6 elements, each against
+    # the 36 columns ending at its point; the pairwise formula needs 108 * 36
+    assert len(span) == 108
+    assert len(products) == 108 + 648
+    # 72 products vanish (order -1 on the wall); a zero product has nothing to peel
+    assert sum(1 for z in products[108:] if z.is_zero()) == 72
+    assert len(normal_forms) == 648 - 72
+
+
+def test_normal_form_left_pol_linear():
+    c2 = c2_generic().b_algebra()
+    for B in (a2_wall_lite(), c2):
+        w0 = B.fin.longest_element()
+        for ell in B.orbit[:2]:
+            z = B.mul(B.tau_element(w0, B.act_ell(w0, ell)),
+                      B.mul(B.poly_mult(Poly.variable(B.rank, 0), ell), B.tau_element(w0, ell)))
+            nf = B.normal_form(z)
+            for m in (Poly.variable(B.rank, 1), Poly.const(B.rank, 3) - Poly.variable(B.rank, 0) ** 2):
+                scaled = B.normal_form(B.mul(B.poly_mult(m, ell), z))
+                assert scaled.coeffs == {g: m * f for g, f in nf.coeffs.items()}
+    # on C2, alpha_1 + alpha_2 is the coordinate x1: a monomial can cancel a
+    # root denominator, so m z can lie in the algebra while z does not
+    ell = c2.orbit[0]
+    x1 = Poly.variable(2, 1)
+    assert c2.root_poly((1, 1)) == x1
+    s = c2.fin.reflection((1, 0))
+    z = RatOperator.from_dict({
+        (ell, c2.act_ell(s, ell), s): RatFunc(Poly.variable(2, 0), {x1: 1}),
+    })
+    with pytest.raises(NotInAlgebra):
+        c2.normal_form(z)
+    _, rational = c2.normal_form_rational(z)
+    scaled = c2.normal_form(c2.mul(c2.poly_mult(x1, c2.act_ell(s, ell)), z))
+    assert {g: RatFunc.from_poly(f) for g, f in scaled.coeffs.items()} == {
+        g: RatFunc.from_poly(x1) * f for g, f in rational.items()}
+
+
+def test_gram_rank_by_blocks_equals_dense_rank():
+    rng = random.Random(31)
+
+    def const(c):
+        return Poly.const(2, c)
+
+    # three blocks, the middle one of rank 1 < 2, and a zero row and column
+    blocks = [[[2, 1], [1, 1]], [[1, 2], [2, 4]], [[3]]]
+    size = sum(len(b) for b in blocks) + 1
+    dense = [[Fraction(0)] * size for _ in range(size)]
+    at = 0
+    for b in blocks:
+        for r, row in enumerate(b):
+            for c, x in enumerate(row):
+                dense[at + r][at + c] = Fraction(x)
+        at += len(b)
+    rows, cols = list(range(size)), list(range(size))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    permuted = [[dense[r][c] for c in cols] for r in rows]
+    matrix = [[const(x) for x in row] for row in permuted]
+    assert dense_rank(permuted) == 4
+    assert gram_rank_at_point(matrix, (Fraction(1, 3), Fraction(2, 3))) == 4
+    zero = [[Poly.zero(2)] * 4 for _ in range(4)]
+    assert gram_rank_at_point(zero, (Fraction(1), Fraction(1))) == dense_rank([[0] * 4] * 4) == 0
+    assert gram_rank_at_point([], (Fraction(1), Fraction(1))) == 0
+
+
+def test_gram_rank_by_blocks_on_gram_matrix():
+    B = a2_wall_lite()
+    _, matrix = B.gram_matrix(4)
+    point = (Fraction(3, 5), Fraction(5, 7))
+    values = [[entry.evaluate(point) for entry in row] for row in matrix]
+    assert gram_rank_at_point(matrix, point) == dense_rank(values)
+
+
+def test_theta_words_frozen_per_orbit_point():
+    B = a2_wall_lite()
+    assert set(B.theta_words) == set(B.orbit)
+    for ell in B.orbit:
+        assert list(B.theta_words[ell]) == B.stabilizer_longest_word(ell)
+    assert all(len(word) == 1 for word in B.theta_words.values())

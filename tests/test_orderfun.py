@@ -71,6 +71,25 @@ def test_omega_witness_independence():
                 assert omega.at(wit, a) == omega.at(wit2, a)
 
 
+def test_witness_reuses_the_base_walk(monkeypatch):
+    W = group("A2")
+    lam0 = vec((Fraction(1, 7), Fraction(2, 7)))
+    omega = OrderFunction(W, lam0, {AffineRoot((1, 0), 0): -1, AffineRoot((-1, 0), 0): -1})
+    assert omega.base_walk == W.to_fundamental_domain(lam0)
+    walked = []
+    walk = W.to_fundamental_domain
+    monkeypatch.setattr(W, "to_fundamental_domain", lambda lam: walked.append(lam) or walk(lam))
+    window = sorted(W.orbit_window(lam0, 3))
+    wits = [omega.witness(lam) for lam in window]
+    off_orbit = vec((Fraction(1, 2), Fraction(1, 2)))
+    assert omega.witness(off_orbit) is None
+    # one walk per call, never of the base point
+    assert walked == window + [off_orbit]
+    for lam, wit in zip(window, wits):
+        assert W.act_point(wit, lam0) == lam
+        assert wit == W.witness(lam, lam0)
+
+
 def test_validation_rejects_minus_one_off_wall():
     W = group("A1")
     lam0 = vec((Fraction(1, 4),))
