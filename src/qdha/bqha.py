@@ -36,17 +36,18 @@ class BAlgebra(OperatorAlgebra):
     def __init__(self, bof: BOrderFunction):
         super().__init__(bof.group)
         self.bof = bof
-        self.orbit = bof.orbit()
+        self.torus = bof.torus
+        self.orbit = bof.torus.points
         # the stabilizer Demazure word of every orbit point, for theta_trace
         self.theta_words = {ell: tuple(self.stabilizer_longest_word(ell)) for ell in self.orbit}
 
     # ----- points and basis elements -----
 
     def act_ell(self, w: Perm, ell: Vec) -> Vec:
-        return torus_point(self.fin.act_point(w, ell))
+        return self.torus.act(w, ell)
 
     def _weight(self, ell: Vec) -> Vec:
-        return torus_point(vec(ell))
+        return self.torus.point(ell)
 
     def _letter(self, i: int, ell: Vec) -> tuple[RootKey, int, Vec]:
         alpha = self.rs.simple_root(i)
@@ -104,23 +105,16 @@ class BAlgebra(OperatorAlgebra):
 
     def stabilizer_longest_word(self, ell: Vec) -> list[RootKey]:
         """A reduced word (in stabilizer simple roots) for the stabilizer's longest element."""
+        ell = self.torus.point(ell)
         simple = self.stabilizer_simple_system(ell)
         if not simple:
             return []
-        # greedy: repeatedly strip a descent of the longest element
-        elems = {self.fin.identity}
-        frontier = [self.fin.identity]
+        # E modulo the coroot lattice is the torus of the simply connected
+        # group, so the stabilizer of ell is generated by its reflections
+        # (Steinberg); read it off the orbit table
+        elems = [w for w in self.fin.elements if self.torus.act(w, ell) == ell]
         refl = {a: self.fin.reflection(a) for a in simple}
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for a in simple:
-                    h = self.fin.compose(refl[a], g)
-                    if h not in elems:
-                        elems.add(h)
-                        nxt.append(h)
-            frontier = nxt
-        sub_pos = [b for b in self.stabilizer_roots(torus_point(vec(ell)))]
+        sub_pos = self.stabilizer_roots(ell)
 
         def sub_inversions(g):
             return sum(
@@ -166,7 +160,7 @@ class BAlgebra(OperatorAlgebra):
     def coefficient_trace(self, ell: Vec, f: Poly) -> Poly:
         """The trace of ``f tau_{w0} e(ell)``: the stabilizer Demazure image of f,
         pulled back to the base point along the orbit representative of ell."""
-        rep = self.bof.cosets[ell]
+        rep = self.torus.cosets[ell]
         return self.act_poly(self.fin.inverse(rep), self.theta_trace(ell, f))
 
     def frobenius_trace(self, x: RatOperator) -> Poly:

@@ -10,12 +10,11 @@ an error rather than a silent gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import fm
 from .orderfun import OrderFunction
-from .rootsys import AffineRoot, Vec, vec
+from .rootsys import AffineRoot, Vec
 from .weyl import AffineWeylElement, AffineWeylGroup
 
 Sign = tuple[int, ...]  # entries ±1, one per wall
@@ -31,19 +30,9 @@ def wall_roots(omega: OrderFunction) -> list[AffineRoot]:
     return sorted(walls)
 
 
-def fundamental_alcove_point(group: AffineWeylGroup) -> Vec:
-    """An exact interior point of the fundamental alcove: rho^vee / h."""
-    rs = group.rs
-    h = rs.coxeter_number
-    total = [Fraction(0)] * rs.rank
-    for cw in rs.fundamental_coweights:
-        total = [t + c for t, c in zip(total, cw)]
-    return vec(tuple(t / h for t in total))
-
-
 def alcove_point(group: AffineWeylGroup, w: AffineWeylElement) -> Vec:
     """Interior sample point of the alcove w^{-1}(fundamental alcove)."""
-    return group.act_point(group.inverse(w), fundamental_alcove_point(group))
+    return group.act_point(group.inverse(w), group.alcove_point)
 
 
 def sign_vector_at(omega: OrderFunction, walls: Sequence[AffineRoot], x: Vec) -> Sign:

@@ -21,7 +21,7 @@ from .bqha import gram_rank_at_point
 from .clans import IncompleteExploration, enumerate_clans
 from .instances import InstanceSpec, load_instance, rank1_quarter
 from .kz import (
-    clan_weight_character,
+    clan_characters,
     e_gamma_weights,
     gamma_change,
     integral,
@@ -33,7 +33,7 @@ from .kz import (
     two_rho_coroot,
 )
 from .modcat import classify_growth, gk_growth
-from .orderfun import from_ddaha_k, torus_orbit
+from .orderfun import from_ddaha_k
 from .polyring import Poly, RatFunc
 from .rootsys import vec
 
@@ -138,7 +138,7 @@ def check_integral(spec: InstanceSpec, ball: int, seed: int) -> dict:
     g2 = vec(tuple(c * 2 - r for c, r in zip(g1, two_rho_coroot(W))))
     failures = []
     count = 0
-    for ell in torus_orbit(W, omega.base_point):
+    for ell in omega.torus.points:
         for alpha in W.rs.indivisible_roots:
             if not W.rs.is_positive_root(alpha):
                 continue
@@ -215,22 +215,21 @@ def check_frobenius(spec: InstanceSpec, ball: int, seed: int) -> dict:
 
 def check_kernel(spec: InstanceSpec, ball: int, seed: int) -> dict:
     alg = spec.algebra()
-    gamma = spec.gamma_choice.gamma
     dec = enumerate_clans(spec.omega)
     rank = spec.group.rs.rank
     char_bound = 80 if rank == 1 else 30
     growth_n = 60 if rank == 1 else 24
     failures = []
     count = 0
+    chars = clan_characters(spec.omega, char_bound)
     for sign in dec.clans:
-        char = clan_weight_character(spec.omega, sign, char_bound)
-        rep = kernel_clan_test(alg, gamma, char, bound=6, growth_n=growth_n)
+        rep = kernel_clan_test(alg, dec, chars.get(sign, {}), bound=6, growth_n=growth_n)
         count += 1
         if not rep.consistent():
             failures.append({"clan": list(sign), "reason": "criteria disagree"})
         if rep.in_kernel == dec.generic[sign]:
             failures.append({"clan": list(sign), "reason": "kernel flag vs genericity"})
-    rep = kernel_clan_test(alg, gamma, orbit_character(spec.omega, char_bound),
+    rep = kernel_clan_test(alg, dec, orbit_character(spec.omega, char_bound),
                            bound=6, growth_n=growth_n)
     count += 1
     if not rep.consistent() or rep.in_kernel:
@@ -375,7 +374,7 @@ def cmd_example_a1(as_json: bool) -> int:
 
     bof = integral_b_order_function(spec.omega, gamma=gamma)
     alpha = W.rs.simple_root(0)
-    omega_vals = {str(ell): bof.value(vec(ell), alpha) for ell in bof.orbit()}
+    omega_vals = {str(ell): bof.value(ell, alpha) for ell in bof.torus.points}
     if set(omega_vals.values()) != {1}:
         failures.append("integral values")
 
@@ -386,11 +385,12 @@ def cmd_example_a1(as_json: bool) -> int:
     growth = {}
     kernel_flags = {}
     bounded = next(s for s in dec.clans if not dec.generic[s])
+    chars = clan_characters(spec.omega, 80)
     for name, sign in [("bounded", bounded)] + [
         (f"generic{k}", s) for k, s in enumerate(dec.generic_clans())
     ]:
-        char = clan_weight_character(spec.omega, sign, 80)
-        rep = kernel_clan_test(alg, gamma, char, bound=12, growth_n=60)
+        char = chars.get(sign, {})
+        rep = kernel_clan_test(alg, dec, char, bound=12, growth_n=60)
         exp, _ = classify_growth(gk_growth(W, char, 60), 1)
         growth[name] = exp
         kernel_flags[name] = rep.in_kernel

@@ -9,7 +9,7 @@ most ``-M`` with every positive root, where M exceeds the level radius of the
 order function's support.  Conjugation by ``X^gamma`` sections the finite Weyl
 group into the affine one.  Coset representatives for the stabilizer of ell_0
 are chosen deterministically (minimal length, then lexicographically least
-word), which fixes the idempotent weight set exactly.
+word; ``TorusOrbit.cosets``), which fixes the idempotent weight set exactly.
 """
 from __future__ import annotations
 
@@ -18,10 +18,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import RatOperator
-from .clans import clan_of, enumerate_clans, wall_roots
+from .clans import ClanDecomposition, Sign, clan_of, wall_roots
 from .modcat import gk_growth
-from .orderfun import (BOrderFunction, InvalidOrderFunction, OrderFunction, torus_cosets,
-                       torus_orbit, torus_point)
+from .orderfun import BOrderFunction, InvalidOrderFunction, OrderFunction
 from .polyring import Poly, monomials
 from .rootsys import AffineRoot, RootKey, Vec, vec
 from .weyl import AffineWeylElement, AffineWeylGroup, Perm
@@ -95,15 +94,6 @@ def skewed_gamma(omega: OrderFunction, i: int, factor: int = 64) -> Vec:
     return gamma
 
 
-def coset_representatives(group: AffineWeylGroup, base_point: Vec) -> list[Perm]:
-    """Deterministic representatives of W_R / W_{ell_0}, one per torus orbit point.
-
-    Each representative is the minimal-length (then lex-least-word) finite
-    element sending ell_0 to its orbit point.
-    """
-    return list(torus_cosets(group, base_point).values())
-
-
 def pregamma_group(group: AffineWeylGroup, gamma: Vec, w: Perm) -> AffineWeylElement:
     """The section of the finite Weyl group: w -> X^gamma w X^{-gamma}."""
     xg = group.translation(gamma)
@@ -112,16 +102,13 @@ def pregamma_group(group: AffineWeylGroup, gamma: Vec, w: Perm) -> AffineWeylEle
 
 def pregamma_point(omega: OrderFunction, gamma: Vec, ell: Sequence) -> Vec:
     """The lift X^gamma w lambda_0 of a torus orbit point, w its chosen representative."""
-    w = omega.cosets.get(torus_point(vec(ell)))
-    if w is None:
-        raise ValueError(f"{ell} is not in the torus orbit of {omega.base_point}")
-    pt = omega.group.finite.act_point(w, omega.base_point)
+    pt = omega.torus.lifts[omega.torus.point(ell)]
     return vec(tuple(p + g for p, g in zip(pt, gamma)))
 
 
 def e_gamma_weights(omega: OrderFunction, gamma: Vec) -> list[Vec]:
     """The idempotent weight set: the lifts of the whole torus orbit, sorted."""
-    return sorted(pregamma_point(omega, gamma, ell) for ell in torus_orbit(omega.group, omega.base_point))
+    return sorted(pregamma_point(omega, gamma, ell) for ell in omega.torus.points)
 
 
 # ----- the integral: the finite order function -----
@@ -164,7 +151,7 @@ def integral_b_order_function(omega: OrderFunction, gamma: Vec | None = None) ->
     rs = group.rs
     table: dict[tuple[Vec, RootKey], int] = {}
     indiv_pos = [a for a in rs.indivisible_roots if rs.is_positive_root(a)]
-    for ell in torus_orbit(group, omega.base_point):
+    for ell in omega.torus.points:
         for alpha in indiv_pos:
             v = integral(omega, ell, alpha, gamma=gamma)
             if v:
@@ -187,19 +174,18 @@ def sigma(alg, gamma: Vec, i: int, ell: Sequence):
     alpha = group.rs.simple_root(i)
     m = integral(omega, ell, alpha, gamma=gamma)
     src = pregamma_point(omega, gamma, ell)
-    s = group.finite.reflection(alpha)
-    ell_t = torus_point(group.finite.act_point(s, torus_point(vec(ell))))
+    ell_t = omega.torus.act(group.finite.simple[i], omega.torus.point(ell))
     return alg.two_case_generator(alpha, m, src, pregamma_point(omega, gamma, ell_t))
 
 
 def sigma_word(alg, gamma: Vec, word: Sequence[int], ell: Sequence):
     """Composition of sigma operators along a word of finite simple letters."""
-    group = alg.group
-    cur = torus_point(vec(ell))
+    torus = alg.omega.torus
+    cur = torus.point(ell)
     acc = alg.idempotent(pregamma_point(alg.omega, gamma, cur))
     for i in reversed(list(word)):
         acc = alg.mul(sigma(alg, gamma, i, cur), acc)
-        cur = torus_point(group.finite.act_point(group.finite.reflection(group.rs.simple_root(i)), cur))
+        cur = torus.act(alg.group.finite.simple[i], cur)
     return acc
 
 
@@ -227,7 +213,7 @@ def product_formula_check(alg, gamma: Vec, w: Perm, ell: Sequence) -> ProductFor
     must be a constant whose absolute value is a power of two.
     """
     omega = alg.omega
-    ell = torus_point(vec(ell))
+    ell = omega.torus.point(ell)
     lam = pregamma_point(omega, gamma, ell)
     lhs = alg.inversion_product(alg.inversion_orders(pregamma_group(alg.group, gamma, w), lam))
     rhs = alg.inversion_product((beta, integral(omega, ell, beta, gamma=gamma))
@@ -275,6 +261,7 @@ def iso_check(alg, B, gamma: Vec, degree_bound: int, word_bound: int) -> IsoRepo
     block-for-block after transport, and the sigma elements are triangular
     with constant leading coefficients over the tau basis."""
     group = alg.group
+    torus = alg.omega.torus
     rank = group.rs.rank
     orbit = B.orbit
     gens = []
@@ -309,8 +296,7 @@ def iso_check(alg, B, gamma: Vec, degree_bound: int, word_bound: int) -> IsoRepo
     def gen_target(g):
         kind, data, ell = g
         if kind == "tau":
-            s = group.finite.reflection(group.rs.simple_root(data))
-            return torus_point(group.finite.act_point(s, ell))
+            return torus.act(group.finite.simple[data], ell)
         return ell
 
     discrepancies = []
@@ -351,8 +337,7 @@ def iso_check(alg, B, gamma: Vec, degree_bound: int, word_bound: int) -> IsoRepo
             top = max(coeffs, key=lambda g: (group.length(g), g.mu, g.w))
             expected = alg.element_of_entry(
                 (pregamma_point(alg.omega, gamma, ell),
-                 pregamma_point(alg.omega, gamma,
-                                torus_point(group.finite.act_point(w, torus_point(vec(ell))))),
+                 pregamma_point(alg.omega, gamma, torus.act(w, ell)),
                  w)
             )
             lead = coeffs[top]
@@ -381,7 +366,7 @@ def gamma_change_intertwiner(alg, gamma: Vec, gamma2: Vec):
     group = alg.group
     diff = vec(tuple(a - b for a, b in zip(gamma, gamma2)))
     out = alg.zero()
-    for ell in torus_orbit(group, omega.base_point):
+    for ell in omega.torus.points:
         src = pregamma_point(omega, gamma2, ell)
         out = out + alg.tau_element(group.translation(diff), src)
     return out
@@ -435,14 +420,15 @@ class KernelReport:
                 == self.growth_small)
 
 
-def clan_weight_character(omega: OrderFunction, sign, bound: int) -> dict[Vec, int]:
-    """The indicator character of a clan: weight w lambda_0 per alcove w^{-1} nu_0."""
+def clan_characters(omega: OrderFunction, bound: int) -> dict[Sign, dict[Vec, int]]:
+    """The indicator character of every clan met within the length bound:
+    weight w lambda_0 per alcove w^{-1} nu_0.  A clan with no such alcove
+    has no entry."""
     group = omega.group
     walls = wall_roots(omega)
-    out: dict[Vec, int] = {}
+    out: dict[Sign, dict[Vec, int]] = {}
     for g in group.ball(bound):
-        if clan_of(omega, g, walls) == sign:
-            out[group.act_point(g, omega.base_point)] = 1
+        out.setdefault(clan_of(omega, g, walls), {})[group.act_point(g, omega.base_point)] = 1
     return out
 
 
@@ -488,14 +474,14 @@ def hyperplane_cover_count(points, rank: int) -> int:
     return count
 
 
-def kernel_clan_test(alg, gamma: Vec, character: dict, bound: int = 12,
+def kernel_clan_test(alg, dec: ClanDecomposition, character: dict, bound: int = 12,
                      growth_n: int = 60) -> KernelReport:
-    """Decide kernel membership three ways and require agreement."""
+    """Decide kernel membership three ways and require agreement; dec is the
+    clan decomposition of the algebra's order function."""
     omega = alg.omega
     group = alg.group
     rank = group.rs.rank
     char = {vec(k): int(v) for k, v in character.items() if int(v) != 0}
-    dec = enumerate_clans(omega)
     walls = dec.walls
     generic = set(dec.generic_clans())
     vanishes = True

@@ -10,6 +10,7 @@ the tail of those counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import log
 from typing import Mapping
 
@@ -114,9 +115,12 @@ def gk_growth(group: AffineWeylGroup, character: Mapping[Vec, int], n_max: int) 
     if not char:
         return GrowthReport(counts=[0] * (n_max + 1), exponent=None, window=(0, n_max))
     reach = group.orbit_reach(min(char), n_max)
-    counts = []
-    for n in range(n_max + 1):
-        counts.append(sum(c for pt, c in char.items() if pt in reach and reach[pt] <= n))
+    # the character by least reaching length, then its running sum
+    by_length = [0] * (n_max + 1)
+    for pt, c in char.items():
+        if pt in reach:
+            by_length[reach[pt]] += c
+    counts = list(accumulate(by_length))
     lo = max(2, n_max // 2)
     pts = [(log(n), log(counts[n])) for n in range(lo, n_max + 1) if counts[n] > 0]
     if len(pts) < 2:

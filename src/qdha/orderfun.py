@@ -9,9 +9,11 @@ Its finite shadow lives on the torus orbit: for a point ``ell = exp(lambda)``
 (a point of E taken modulo the coroot lattice) and an indivisible positive
 root, integrating the order function over all affine roots with a fixed
 differential gives the finite order function driving the finite quotient
-algebra (``qdha.kz.integral``, which reads the deep lifts).  Both extraction recipes from deformation parameters ``h`` are exact:
-the affine one reads off orders of vanishing of ``(z - h_a)/z`` at rational
-points, the finite one reduces to congruences of exponents modulo 1.
+algebra (``qdha.kz.integral``, which reads the deep lifts).  The orbit itself
+is tabulated once, by ``TorusOrbit``.  Both extraction recipes from
+deformation parameters ``h`` are exact: the affine one reads off orders of
+vanishing of ``(z - h_a)/z`` at rational points, the finite one reduces to
+congruences of exponents modulo 1.
 """
 from __future__ import annotations
 
@@ -35,34 +37,53 @@ def torus_point(x: Vec) -> Vec:
     return tuple(c - (c.numerator // c.denominator) for c in map(Fraction, x))
 
 
-def torus_orbit(group: AffineWeylGroup, base: Vec) -> list[Vec]:
-    """The finite Weyl orbit of a torus point, as canonical representatives."""
-    seen = {torus_point(base)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for pt in frontier:
-            for w in group.finite.simple:
-                img = torus_point(group.finite.act_point(w, pt))
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return sorted(seen)
+class TorusOrbit:
+    """The finite Weyl orbit of the torus point of ``base``, tabulated once.
 
+    * ``points``: the canonical torus points of the orbit, sorted;
+    * ``cosets``: per point, the shortest finite element sending the base
+      there, the lexicographically least word breaking ties; keys in point
+      order;
+    * ``lifts``: per point, the unreduced ``w base`` for that element w;
+    * ``act(w, ell)``: the canonical point of ``w ell``, read from a table
+      over W x orbit.
 
-def torus_cosets(group: AffineWeylGroup, base: Vec) -> dict[Vec, Perm]:
-    """One finite element per torus orbit point of base, keyed by the point.
-
-    Each is the shortest element sending the torus point of base to its key,
-    the lexicographically least word breaking ties; keys come sorted.
+    Nothing changes after construction.
     """
-    base = torus_point(vec(base))
-    fin = group.finite
-    chosen: dict[Vec, Perm] = {}
-    for w in fin.shortlex:
-        chosen.setdefault(torus_point(fin.act_point(w, base)), w)
-    return dict(sorted(chosen.items()))
+
+    def __init__(self, group: AffineWeylGroup, base: Sequence):
+        fin = group.finite
+        self.base = vec(base)
+        image: dict[Perm, Vec] = {}
+        cosets: dict[Vec, Perm] = {}
+        lifts: dict[Vec, Vec] = {}
+        for w in fin.shortlex:
+            lam = fin.act_point(w, self.base)
+            ell = image[w] = torus_point(lam)
+            if ell not in cosets:
+                cosets[ell] = w
+                lifts[ell] = lam
+        self.points: tuple[Vec, ...] = tuple(sorted(cosets))
+        self.cosets: dict[Vec, Perm] = {ell: cosets[ell] for ell in self.points}
+        self.lifts: dict[Vec, Vec] = {ell: lifts[ell] for ell in self.points}
+        # w (v base) = (w v) base
+        self._act: dict[tuple[Perm, Vec], Vec] = {
+            (w, ell): image[fin.compose(w, v)] for w in fin.elements for ell, v in self.cosets.items()
+        }
+
+    def point(self, x: Sequence) -> Vec:
+        """The canonical torus point of x, which must lie in the orbit."""
+        ell = torus_point(vec(x))
+        if ell not in self.cosets:
+            raise ValueError(f"{ell} is not in the torus orbit of {self.base}")
+        return ell
+
+    def act(self, w: Perm, ell: Vec) -> Vec:
+        """The canonical point of ``w ell`` for an orbit point ell."""
+        try:
+            return self._act[w, ell]
+        except KeyError:
+            raise ValueError(f"{ell} is not in the torus orbit of {self.base}") from None
 
 
 class OrderFunction:
@@ -81,7 +102,7 @@ class OrderFunction:
             a: int(v) for a, v in sorted(support.items()) if int(v) != 0
         }
         self.validate()
-        self.cosets = torus_cosets(group, self.base_point)
+        self.torus = TorusOrbit(group, self.base_point)
         # the base point's walk to the fundamental alcove, for every witness
         self.base_walk = group.to_fundamental_domain(self.base_point)
 
@@ -118,13 +139,6 @@ class OrderFunction:
         """Some w with w lambda0 = lam, or None if lam is not in the orbit."""
         return self.group.witness_from(vec(lam), self.base_walk)
 
-    def at_point(self, lam: Sequence, a: AffineRoot) -> int:
-        lam = vec(lam)
-        w = self.witness(lam)
-        if w is None:
-            raise InvalidOrderFunction(f"{lam} is not in the orbit of {self.base_point}")
-        return self.at(w, a)
-
     def support_level_radius(self) -> int:
         if not self.support:
             return 0
@@ -140,12 +154,6 @@ class OrderFunction:
 
     def __repr__(self) -> str:
         return f"OrderFunction(base={self.base_point}, support={self.support})"
-
-
-def omega_at(omega: OrderFunction, witness: AffineWeylElement, a: AffineRoot) -> int:
-    if not omega.ars.is_positive(a):
-        raise ValueError(f"{a} is not a positive affine root")
-    return omega.at(witness, a)
 
 
 def _orbit_parameter(h, rs, alpha: RootKey) -> Fraction:
@@ -191,20 +199,12 @@ class BOrderFunction:
         self.group = group
         self.rs = group.rs
         self.base_point = vec(base_point)
-        self.base_torus = torus_point(self.base_point)
         self.table = {k: int(v) for k, v in table.items()}
-        self._orbit_set = frozenset(torus_orbit(group, self.base_torus))
+        self.torus = TorusOrbit(group, self.base_point)
         self.validate()
-        self.cosets = torus_cosets(group, self.base_point)
-
-    def orbit(self) -> list[Vec]:
-        return torus_orbit(self.group, self.base_torus)
 
     def value(self, ell: Vec, alpha: RootKey) -> int:
-        pt = torus_point(ell)
-        if pt not in self._orbit_set:
-            raise KeyError(f"{ell} is not in the torus orbit of the base point")
-        return self.table.get((pt, alpha), 0)
+        return self.table.get((self.torus.point(ell), alpha), 0)
 
     def validate(self) -> None:
         rs = self.rs
@@ -225,7 +225,7 @@ class BOrderFunction:
             for w in fin.elements:
                 walpha = fin.act_root(w, alpha)
                 if rs.is_positive_root(walpha):
-                    key = (torus_point(fin.act_point(w, ell)), walpha)
+                    key = (self.torus.act(w, ell), walpha)
                     if key in self.table and self.table[key] != v:
                         raise InvalidOrderFunction(f"not equivariant at {(ell, alpha)} vs {key}")
 
@@ -246,7 +246,7 @@ def from_ddaha_k(group: AffineWeylGroup, h, base_point: Sequence) -> BOrderFunct
         return (x - y).denominator == 1
 
     indiv_pos = [a for a in rs.indivisible_roots if rs.is_positive_root(a)]
-    for ell in torus_orbit(group, base_point):
+    for ell in TorusOrbit(group, base_point).points:
         for alpha in indiv_pos:
             yexp = rs.pair_root_point(alpha, ell)            # Y^alpha(ell) = e(yexp)
             halpha = _orbit_parameter(h, rs, alpha)          # v_alpha^2 = e(h_alpha)

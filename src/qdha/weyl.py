@@ -159,9 +159,6 @@ class AffineWeylElement:
     mu: Vec
     w: Perm
 
-    def is_translation(self) -> bool:
-        return all(i == wi for i, wi in enumerate(self.w))
-
 
 class AffineWeylGroup:
     """Operations for the affine (and extended affine) Weyl group of an affinisation."""
@@ -182,6 +179,9 @@ class AffineWeylGroup:
             for a, s in zip(ars.delta, self._simple_affine)
         )
         self._word_cache: dict[AffineWeylElement, tuple[int, ...]] = {}
+        # an exact interior point of the fundamental alcove: rho^vee / h
+        rho = [sum(c) for c in zip(*self.rs.fundamental_coweights)]
+        self.alcove_point: Vec = vec(Fraction(t) / self.rs.coxeter_number for t in rho)
 
     # ----- elements -----
 
@@ -226,9 +226,6 @@ class AffineWeylGroup:
         if shift.denominator != 1:
             raise ValueError("translation does not preserve the affine root lattice")
         return AffineRoot(beta, a.level - int(shift))
-
-    def finite_part(self, g: AffineWeylElement) -> Perm:
-        return g.w
 
     # ----- lengths -----
 

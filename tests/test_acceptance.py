@@ -12,7 +12,7 @@ from qdha.bqha import gram_rank_at_point
 from qdha.clans import enumerate_clans
 from qdha.instances import a2_generic, a2_wall, c2_generic, rank1_quarter
 from qdha.kz import (
-    clan_weight_character,
+    clan_characters,
     e_gamma_weights,
     gamma_change,
     integral_b_order_function,
@@ -69,7 +69,7 @@ def test_criterion_1_rank1_reproduction():
 
     bof = integral_b_order_function(spec.omega, gamma=gamma)
     alpha = W.rs.simple_root(0)
-    ok &= all(bof.value(ell, alpha) == 1 for ell in bof.orbit())
+    ok &= all(bof.value(ell, alpha) == 1 for ell in bof.torus.points)
 
     iso = iso_check(alg, B, gamma, degree_bound=2, word_bound=3)
     ok &= iso.ok()
@@ -285,22 +285,21 @@ def test_criterion_9_kernel_criterion():
     spec = rank1_quarter()
     alg = spec.algebra()
     W = spec.group
-    gamma = spec.gamma_choice.gamma
     dec = enumerate_clans(spec.omega)
     ok = True
     exps = {}
     # bounded clan: in the kernel, exponent 0
     bounded = next(s for s in dec.clans if not dec.generic[s])
-    char0 = clan_weight_character(spec.omega, bounded, 220)
-    rep0 = kernel_clan_test(alg, gamma, char0, bound=12, growth_n=200)
+    char0 = clan_characters(spec.omega, 220)[bounded]
+    rep0 = kernel_clan_test(alg, dec, char0, bound=12, growth_n=200)
     g0 = gk_growth(W, char0, 200)
     ok &= rep0.consistent() and rep0.in_kernel
     ok &= abs(g0.exponent - 0) <= 0.1
     exps["bounded"] = g0.exponent
     # the two unbounded clans: not in the kernel, exponent 1
     for k, sign in enumerate(dec.generic_clans()):
-        char = clan_weight_character(spec.omega, sign, 220)
-        rep = kernel_clan_test(alg, gamma, char, bound=12, growth_n=200)
+        char = clan_characters(spec.omega, 220)[sign]
+        rep = kernel_clan_test(alg, dec, char, bound=12, growth_n=200)
         g = gk_growth(W, char, 200)
         ok &= rep.consistent() and not rep.in_kernel
         ok &= abs(g.exponent - 1) <= 0.1

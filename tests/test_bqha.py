@@ -165,7 +165,7 @@ def test_trace_of_idempotent_vanishes():
 def test_trace_of_top_basis_element_trivial_stabilizer():
     B = rank1_b_algebra()
     w0 = B.fin.longest_element()
-    ell0 = B.bof.base_torus
+    ell0 = torus_point(B.bof.base_point)
     assert B.frobenius_trace(B.tau_element(w0, ell0)) == Poly.const(1, 1)
     f = Poly.variable(1, 0) ** 2
     x = B.mul(B.poly_mult(f, B.act_ell(w0, ell0)), B.tau_element(w0, ell0))

@@ -7,7 +7,6 @@ from qdha.clans import (
     alcove_point,
     clan_of,
     enumerate_clans,
-    fundamental_alcove_point,
     generic_reference_elements,
     sign_vector_feasible,
     wall_roots,
@@ -36,7 +35,7 @@ def a2_omega(support_on_delta=True):
 def test_fundamental_point_is_interior():
     for label in ["A1", "A2", "C2", "G2"]:
         W = AffineWeylGroup(affinise(label))
-        x = fundamental_alcove_point(W)
+        x = W.alcove_point
         for a in W.ars.delta:
             assert W.ars.evaluate(a, x) > 0
 

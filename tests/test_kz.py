@@ -5,8 +5,7 @@ from qdha.algebra import Algebra
 from qdha.bqha import BAlgebra
 from qdha.kz import (
     choose_gamma,
-    clan_weight_character,
-    coset_representatives,
+    clan_characters,
     e_gamma_weights,
     gamma_change,
     integral_b_order_function,
@@ -19,7 +18,7 @@ from qdha.kz import (
     sigma,
     skewed_gamma,
 )
-from qdha.orderfun import OrderFunction, torus_orbit, torus_point
+from qdha.orderfun import OrderFunction, TorusOrbit, torus_point
 from qdha.polyring import Poly
 from qdha.rootsys import affinise, vec
 from qdha.weyl import AffineWeylGroup
@@ -77,7 +76,7 @@ def test_pregamma_identity_on_group():
 def test_e_gamma_size_counts_cosets():
     alg, B, gamma = a2_setup()
     assert len(e_gamma_weights(alg.omega, gamma)) == 6
-    assert len(coset_representatives(alg.group, alg.omega.base_point)) == 6
+    assert len(TorusOrbit(alg.group, alg.omega.base_point).cosets) == 6
 
 
 def test_sigma_rank1_matches_five_letter_product():
@@ -196,25 +195,39 @@ def test_kernel_criteria_rank1_characters():
     nongeneric = [s for s in dec.clans if not dec.generic[s]]
     assert nongeneric == [(1, 1)]
     # the bounded-clan character: in the kernel, growth exponent 0
-    char0 = clan_weight_character(alg.omega, (1, 1), 60)
-    rep0 = kernel_clan_test(alg, gamma, char0, bound=12, growth_n=60)
+    char0 = clan_characters(alg.omega, 60)[(1, 1)]
+    rep0 = kernel_clan_test(alg, dec, char0, bound=12, growth_n=60)
     assert rep0.consistent() and rep0.in_kernel
     assert abs(rep0.growth_exponent - 0) <= 0.1
     # the two unbounded-clan characters: not in the kernel, exponent 1
     for sign in dec.generic_clans():
-        char = clan_weight_character(alg.omega, sign, 80)
-        rep = kernel_clan_test(alg, gamma, char, bound=12, growth_n=60)
+        char = clan_characters(alg.omega, 80)[sign]
+        rep = kernel_clan_test(alg, dec, char, bound=12, growth_n=60)
         assert rep.consistent() and not rep.in_kernel
         assert abs(rep.growth_exponent - 1) <= 0.1
     # zero character: vacuously in the kernel
-    repz = kernel_clan_test(alg, gamma, {}, bound=8, growth_n=30)
+    repz = kernel_clan_test(alg, dec, {}, bound=8, growth_n=30)
     assert repz.consistent() and repz.in_kernel
+
+
+def test_clan_characters_against_one_clan_at_a_time():
+    alg, B, gamma = a2_setup()
+    from qdha.clans import clan_of, enumerate_clans
+    omega, W = alg.omega, alg.group
+    dec = enumerate_clans(omega)
+    chars = clan_characters(omega, 10)
+    assert set(chars) <= set(dec.clans)
+    for sign in dec.clans:
+        expected = {W.act_point(g, omega.base_point): 1 for g in W.ball(10)
+                    if clan_of(omega, g, dec.walls) == sign}
+        assert chars.get(sign, {}) == expected
 
 
 def test_kernel_projective_character_not_in_kernel():
     alg, B, gamma = rank1_setup()
+    from qdha.clans import enumerate_clans
     char = orbit_character(alg.omega, 80)
-    rep = kernel_clan_test(alg, gamma, char, bound=12, growth_n=60)
+    rep = kernel_clan_test(alg, enumerate_clans(alg.omega), char, bound=12, growth_n=60)
     assert rep.consistent() and not rep.in_kernel
     assert abs(rep.growth_exponent - 1) <= 0.1
 
@@ -246,4 +259,4 @@ def test_sigma_with_integral_minus_one_kills_invariants():
 def test_e_gamma_singleton_for_full_stabilizer():
     alg, gamma = nil_flavour_setup()
     assert len(e_gamma_weights(alg.omega, gamma)) == 1
-    assert len(torus_orbit(alg.group, alg.omega.base_point)) == 1
+    assert len(alg.omega.torus.points) == 1

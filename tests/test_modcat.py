@@ -10,7 +10,7 @@ from qdha.modcat import (
     parabolic_decomposition_check,
     stabilizer_poincare,
 )
-from qdha.kz import clan_weight_character, orbit_character
+from qdha.kz import clan_characters, orbit_character
 from qdha.clans import enumerate_clans
 from qdha.orderfun import OrderFunction
 from qdha.rootsys import affinise, vec
@@ -93,7 +93,7 @@ def test_gk_growth_clan_character_exponent_one():
     A = rank1_algebra()
     dec = enumerate_clans(A.omega)
     plus = next(s for s in dec.generic_clans())
-    char = clan_weight_character(A.omega, plus, 80)
+    char = clan_characters(A.omega, 80)[plus]
     rep = gk_growth(A.group, char, 60)
     exp, small = classify_growth(rep, 1)
     assert exp == 1
@@ -115,6 +115,18 @@ def test_gk_growth_full_orbit_matches_rank():
     rep2 = gk_growth(W2, char2, 40)
     exp2, small2 = classify_growth(rep2, 2)
     assert exp2 == 2 and not small2
+
+
+def test_gk_growth_counts_against_direct_scan():
+    # D(n) sums the character over the weights reached within length n
+    W = AffineWeylGroup(affinise("A2"))
+    om = OrderFunction(W, vec((Fraction(1, 5), Fraction(1, 7))), {a: 1 for a in W.ars.delta})
+    for char in clan_characters(om, 12).values():
+        char = {pt: 1 + k % 3 for k, pt in enumerate(char)}
+        reach = W.orbit_reach(min(char), 10)
+        expected = [sum(c for pt, c in char.items() if pt in reach and reach[pt] <= n)
+                    for n in range(11)]
+        assert gk_growth(W, char, 10).counts == expected
 
 
 def test_parabolic_check_rank1():

@@ -9,7 +9,6 @@ from qdha.orderfun import (
     OrderFunction,
     from_ddaha_h,
     from_ddaha_k,
-    torus_orbit,
     torus_point,
 )
 from qdha.kz import choose_gamma, integral, integral_b_order_function, skewed_gamma
@@ -172,7 +171,7 @@ def test_integral_gamma_independent():
     alpha = W.rs.simple_root(0)
     g1 = choose_gamma(omega).gamma
     g2 = vec(tuple(3 * c for c in g1))
-    for ell in torus_orbit(W, omega.base_point):
+    for ell in omega.torus.points:
         assert integral(omega, ell, alpha, gamma=g1) == integral(omega, ell, alpha, gamma=g2)
     W2 = group("A2")
     lam0 = vec((Fraction(1, 5), Fraction(1, 7)))
@@ -180,7 +179,7 @@ def test_integral_gamma_independent():
     om2 = OrderFunction(W2, lam0, sup)
     g1 = choose_gamma(om2).gamma
     g2 = vec(tuple(2 * c for c in g1))
-    for ell in torus_orbit(W2, lam0):
+    for ell in om2.torus.points:
         for alpha in W2.rs.positive_roots:
             assert integral(om2, ell, alpha, gamma=g1) == integral(om2, ell, alpha, gamma=g2)
 

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from qdha.kz import coset_representatives
-from qdha.orderfun import torus_cosets, torus_point
+from qdha.bqha import BAlgebra
+from qdha.orderfun import BOrderFunction, TorusOrbit, torus_point
+from qdha.polyring import Poly
 from qdha.rootsys import AffineRootSystem, FiniteRootSystem, affinise, build_finite, vec
 from qdha.weyl import AffineWeylGroup
 
@@ -167,9 +168,100 @@ def test_coset_table_against_sort(label):
     rng = random.Random(label)
     for base in [vec(p) for p in WALL_POINTS[label]] + sample_points(W.rank, rng, 4):
         expected = old_coset_representatives(W, base)
-        assert torus_cosets(W, base) == expected
-        assert list(torus_cosets(W, base)) == list(expected)
-        assert coset_representatives(W, base) == list(expected.values())
+        assert TorusOrbit(W, base).cosets == expected
+        assert list(TorusOrbit(W, base).cosets) == list(expected)
+
+
+def old_torus_orbit(group, base):
+    """The breadth-first search over simple reflections that the orbit table replaces."""
+    seen = {torus_point(vec(base))}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for pt in frontier:
+            for s in group.finite.simple:
+                img = torus_point(group.finite.act_point(s, pt))
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return sorted(seen)
+
+
+def reflection_closure(fin, roots):
+    """The subgroup of W generated by the reflections in the given roots."""
+    gens = [fin.reflection(a) for a in roots]
+    elems = {fin.identity}
+    frontier = [fin.identity]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in gens:
+                h = fin.compose(s, g)
+                if h not in elems:
+                    elems.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return elems
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_torus_orbit_table_against_direct_action(label):
+    W = AffineWeylGroup(affinise(label))
+    fin = W.finite
+    rng = random.Random(label)
+    for base in [vec(p) for p in WALL_POINTS[label]] + sample_points(W.rank, rng, 4):
+        orbit = TorusOrbit(W, base)
+        assert list(orbit.points) == old_torus_orbit(W, base)
+        assert list(orbit.cosets) == list(orbit.lifts) == list(orbit.points)
+        for ell, w in orbit.cosets.items():
+            assert orbit.lifts[ell] == fin.act_point(w, base)
+            assert torus_point(orbit.lifts[ell]) == ell
+        for w in fin.elements:
+            for ell in orbit.points:
+                assert orbit.act(w, ell) == torus_point(fin.act_point(w, ell))
+
+
+def torus_grid(rank, max_den):
+    """Every point of [0, 1)^rank whose coordinates have denominators <= max_den."""
+    coords = sorted({Fraction(k, d) for d in range(1, max_den + 1) for k in range(d)})
+    return [vec(p) for p in itertools.product(coords, repeat=rank)]
+
+
+@pytest.mark.parametrize("label,max_den", [("A1", 6), ("A2", 6), ("B2", 6), ("C2", 6),
+                                           ("G2", 6), ("A3", 3)])
+def test_torus_stabilizer_generated_by_reflections(label, max_den):
+    # E modulo the coroot lattice is the torus of the simply connected group,
+    # where a point stabilizer is generated by the reflections fixing it
+    W = AffineWeylGroup(affinise(label))
+    fin, rs = W.finite, W.rs
+    for ell in torus_grid(W.rank, max_den):
+        orbit = TorusOrbit(W, ell)
+        table = {w for w in fin.elements if orbit.act(w, ell) == ell}
+        roots = [a for a in rs.positive_roots if rs.pair_root_point(a, ell).denominator == 1]
+        assert table == reflection_closure(fin, roots)
+        assert len(orbit.points) * len(table) == len(fin.elements)
+        # the trace's Demazure word is reduced for the stabilizer's longest element
+        word = BAlgebra(BOrderFunction(W, ell, {})).theta_words[ell]
+        g = fin.identity
+        for a in word:
+            g = fin.compose(g, fin.reflection(a))
+        inverted = [b for b in roots if not rs.is_positive_root(fin.act_root(g, b))]
+        assert g in table
+        assert len(word) == len(inverted) == len(roots)
+
+
+def test_finite_quotient_rejects_points_outside_the_orbit():
+    W = AffineWeylGroup(affinise("A2"))
+    lam0 = vec((Fraction(1, 5), Fraction(1, 7)))
+    B = BAlgebra(BOrderFunction(W, lam0, {}))
+    one = Poly.const(2, 1)
+    assert B.poly_mult(one, vec((Fraction(6, 5), Fraction(-6, 7)))).entries
+    for outside in [vec((Fraction(1, 2), 0)), vec((Fraction(1, 7), Fraction(1, 5)))]:
+        with pytest.raises(ValueError, match="not in the torus orbit"):
+            B.poly_mult(one, outside)
+        with pytest.raises(ValueError, match="not in the torus orbit"):
+            B.torus.act(W.finite.identity, outside)
 
 
 @pytest.mark.parametrize("label", LABELS)
