@@ -182,8 +182,10 @@ class BAlgebra(OperatorAlgebra):
                         out.append((ell, w, Poly(self.rank, {m: Fraction(1)})))
         return out
 
-    def gram_matrix(self, degree_bound: int) -> tuple[list[tuple[Vec, Perm, Poly]], list[list[Poly]]]:
-        """The exact trace-pairing matrix on the bounded spanning set.
+    def gram_matrix(self, degree_bound: int) -> tuple[list[tuple[Vec, Perm, Poly]],
+                                                      dict[tuple[int, int], Poly]]:
+        """The exact trace-pairing matrix on the bounded spanning set, as its
+        nonzero entries keyed by (row, column).
 
         Entry (i, j) is ``tr(x_i y_j)`` with ``x_i = m_i tau_{w_i} e(ell_i)``.
         The rows of one group (ell, w) share ``z = tau_w e(ell) y_j``: by left
@@ -198,8 +200,7 @@ class BAlgebra(OperatorAlgebra):
         for i, (ell, w, _) in enumerate(span):
             groups.setdefault((ell, w), []).append(i)
         n = len(span)
-        zero = Poly.zero(self.rank)
-        matrix = [[zero] * n for _ in range(n)]
+        matrix: dict[tuple[int, int], Poly] = {}
         for (ell, w), rows in groups.items():
             head = self.tau_element(w, ell)
             for j in range(n):
@@ -208,7 +209,9 @@ class BAlgebra(OperatorAlgebra):
                     continue
                 for src, f in self.top_coefficients(self.mul(head, ops[j])).items():
                     for i in rows:
-                        matrix[i][j] = self.coefficient_trace(src, span[i][2] * f)
+                        entry = self.coefficient_trace(src, span[i][2] * f)
+                        if not entry.is_zero():
+                            matrix[i, j] = entry
         return span, matrix
 
     def expected_gram_rank(self) -> int:
@@ -216,41 +219,39 @@ class BAlgebra(OperatorAlgebra):
         return len(self.orbit) * len(self.fin.elements) * len(stab)
 
 
-def gram_rank_at_point(matrix: list[list[Poly]], point: Sequence[Fraction]) -> int:
+def gram_rank_at_point(matrix: dict[tuple[int, int], Poly], point: Sequence[Fraction]) -> int:
     """Exact rank of the evaluated Gram matrix; a lower bound for the generic rank.
 
-    The rank is summed over the connected blocks of the nonzero pattern (rows
-    and columns joined by their nonzero entries).  The Gram pairing vanishes
-    unless a column's target is the row's source, so the matrix is
-    block-diagonal up to a permutation, one block or more per orbit point.
+    ``matrix`` maps (row, column) to the nonzero entries; a row or column
+    without one adds nothing to the rank.  The rank is summed over the
+    connected blocks of the nonzero pattern (rows and columns joined by their
+    nonzero entries).  The Gram pairing vanishes unless a column's target is
+    the row's source, so the matrix is block-diagonal up to a permutation, one
+    block or more per orbit point.
     """
-    n = len(matrix)
-    ncols = n and len(matrix[0])
-    # union-find over the rows 0..n-1 and the columns n..n+ncols-1
-    parent = list(range(n + ncols))
+    # union-find over the rows r >= 0 and the columns c, as the nodes -1 - c
+    parent: dict[int, int] = {}
 
     def find(a: int) -> int:
+        parent.setdefault(a, a)
         while parent[a] != a:
             parent[a] = parent[parent[a]]
             a = parent[a]
         return a
 
     values: dict[tuple[int, int], Fraction] = {}
-    for r, row in enumerate(matrix):
-        for c, entry in enumerate(row):
-            if entry.is_zero():
-                continue
-            x = entry.evaluate(point)
-            if x != 0:
-                values[r, c] = x
-                parent[find(r)] = find(n + c)
-    blocks: dict[int, tuple[list[int], list[int]]] = {}
-    for r in range(n):
-        blocks.setdefault(find(r), ([], []))[0].append(r)
-    for c in range(ncols):
-        blocks.setdefault(find(n + c), ([], []))[1].append(c)
-    return sum(_rank([[values.get((r, c), 0) for c in cols] for r in block_rows])
-               for block_rows, cols in blocks.values())
+    for (r, c), entry in matrix.items():
+        x = entry.evaluate(point)
+        if x != 0:
+            values[r, c] = x
+            parent[find(r)] = find(-1 - c)
+    blocks: dict[int, tuple[set[int], set[int]]] = {}
+    for r, c in values:
+        rows, cols = blocks.setdefault(find(r), (set(), set()))
+        rows.add(r)
+        cols.add(c)
+    return sum(_rank([[values.get((r, c), 0) for c in sorted(cols)] for r in sorted(rows)])
+               for rows, cols in blocks.values())
 
 
 def _rank(rows: list[list[Fraction]]) -> int:

@@ -219,18 +219,20 @@ def check_kernel(spec: InstanceSpec, ball: int, seed: int) -> dict:
     rank = spec.group.rs.rank
     char_bound = 80 if rank == 1 else 30
     growth_n = 60 if rank == 1 else 24
+    bound = 6
     failures = []
     count = 0
     chars = clan_characters(spec.omega, char_bound)
+    reach = spec.group.orbit_reach(spec.omega.base_point, 2 * bound)
     for sign in dec.clans:
-        rep = kernel_clan_test(alg, dec, chars.get(sign, {}), bound=6, growth_n=growth_n)
+        rep = kernel_clan_test(alg, dec, chars.get(sign, {}), reach, bound=bound, growth_n=growth_n)
         count += 1
         if not rep.consistent():
             failures.append({"clan": list(sign), "reason": "criteria disagree"})
         if rep.in_kernel == dec.generic[sign]:
             failures.append({"clan": list(sign), "reason": "kernel flag vs genericity"})
-    rep = kernel_clan_test(alg, dec, orbit_character(spec.omega, char_bound),
-                           bound=6, growth_n=growth_n)
+    rep = kernel_clan_test(alg, dec, orbit_character(spec.omega, char_bound), reach,
+                           bound=bound, growth_n=growth_n)
     count += 1
     if not rep.consistent() or rep.in_kernel:
         failures.append({"clan": "full", "reason": "projective character must not vanish"})
@@ -386,11 +388,12 @@ def cmd_example_a1(as_json: bool) -> int:
     kernel_flags = {}
     bounded = next(s for s in dec.clans if not dec.generic[s])
     chars = clan_characters(spec.omega, 80)
+    reach = W.orbit_reach(spec.omega.base_point, 2 * 12)
     for name, sign in [("bounded", bounded)] + [
         (f"generic{k}", s) for k, s in enumerate(dec.generic_clans())
     ]:
         char = chars.get(sign, {})
-        rep = kernel_clan_test(alg, dec, char, bound=12, growth_n=60)
+        rep = kernel_clan_test(alg, dec, char, reach, bound=12, growth_n=60)
         exp, _ = classify_growth(gk_growth(W, char, 60), 1)
         growth[name] = exp
         kernel_flags[name] = rep.in_kernel

@@ -474,10 +474,12 @@ def hyperplane_cover_count(points, rank: int) -> int:
     return count
 
 
-def kernel_clan_test(alg, dec: ClanDecomposition, character: dict, bound: int = 12,
-                     growth_n: int = 60) -> KernelReport:
+def kernel_clan_test(alg, dec: ClanDecomposition, character: dict, reach: dict[Vec, int],
+                     bound: int = 12, growth_n: int = 60) -> KernelReport:
     """Decide kernel membership three ways and require agreement; dec is the
-    clan decomposition of the algebra's order function."""
+    clan decomposition of the algebra's order function and reach is
+    ``group.orbit_reach(base_point, 2 * bound)``, shared by every character
+    a sweep tests."""
     omega = alg.omega
     group = alg.group
     rank = group.rs.rank
@@ -491,7 +493,6 @@ def kernel_clan_test(alg, dec: ClanDecomposition, character: dict, bound: int = 
                 vanishes = False
                 break
     # hyperplane confinement: the cover count must stabilize between two windows
-    reach = group.orbit_reach(omega.base_point, 2 * bound)
     far = 10 ** 9
     small = [pt for pt in char if reach.get(pt, far) <= bound]
     large = [pt for pt in char if reach.get(pt, far) <= 2 * bound]

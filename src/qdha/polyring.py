@@ -1,119 +1,200 @@
 """Sparse multivariate polynomials and rational functions over Q.
 
-Polynomials are maps from exponent vectors to rationals; the grading gives each
-linear coordinate degree 2.  Rational functions keep their denominator as a
-multiset of normalized factors, so reduction is a sequence of exact
-divisibility tests rather than a general gcd.  Equality of rational functions
-is decided by cross multiplication, which is independent of how far the
-factored form happens to be reduced.
+A polynomial is stored as integer numerators, one per exponent vector, over
+one positive integer denominator, as FLINT's ``fmpq_poly`` does.  The form is
+canonical: no numerator is zero and the denominator and all numerators have
+gcd 1, so equal polynomials have equal representations and ``==`` and
+``hash`` are structural.  Internal results skip validation and never re-wrap
+a coefficient: ``_canonical`` divides out the gcd, and ``_make`` takes a form
+already known to be in lowest terms.  The grading gives each linear
+coordinate degree 2.
+
+Rational functions keep their denominator as a multiset of primitive integer
+factors with positive leading coefficient, so reduction is a sequence of
+exact divisibility tests rather than a general gcd.  By Gauss's lemma a
+primitive factor divides an integer polynomial over Q exactly when it divides
+it over Z, so the test is integer division in graded lex order that stops at
+the first term leaving a remainder.  Equality of rational functions is decided
+by cross multiplication, which is independent of how far the factored form
+happens to be reduced.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from math import gcd
+from math import gcd, lcm
+from operator import add, sub
 from typing import Mapping, Sequence
 
 Monomial = tuple[int, ...]
+IntTerms = dict[Monomial, int]
 
 
 def _grlex_key(m: Monomial) -> tuple:
     return (sum(m), m)
 
 
-class Poly:
-    """A polynomial in ``nvars`` variables with exact rational coefficients."""
+def _make(nvars: int, numer: IntTerms, denom: int) -> "Poly":
+    """The trusted constructor: ``numer / denom`` must already be canonical."""
+    p = object.__new__(Poly)
+    p.nvars = nvars
+    p.numer = numer
+    p.denom = denom
+    return p
 
-    __slots__ = ("nvars", "coeffs")
+
+def _canonical(nvars: int, numer: IntTerms, denom: int) -> "Poly":
+    """``numer / denom`` with the gcd divided out; numer has no zero terms."""
+    if denom != 1 and numer:
+        g = gcd(denom, *numer.values())
+        if g != 1:
+            numer = {m: c // g for m, c in numer.items()}
+            denom //= g
+    elif not numer:
+        denom = 1
+    return _make(nvars, numer, denom)
+
+
+def _int_mul(a: IntTerms, b: IntTerms) -> IntTerms:
+    """Product of two integer polynomials, without zero terms."""
+    if len(b) == 1:
+        (mb, cb), = b.items()
+        return {tuple(map(add, m, mb)): c * cb for m, c in a.items()}
+    out: IntTerms = {}
+    get = out.get
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            out[m] = get(m, 0) + c1 * c2
+    if 0 in out.values():
+        out = {m: c for m, c in out.items() if c}
+    return out
+
+
+class Poly:
+    """A polynomial in ``nvars`` variables with exact rational coefficients.
+
+    ``numer`` maps exponent vectors to integer numerators over the positive
+    integer ``denom``; a Poly is never mutated.
+    """
+
+    __slots__ = ("nvars", "numer", "denom")
 
     def __init__(self, nvars: int, coeffs: Mapping[Monomial, Fraction] | None = None):
+        fracs = [(tuple(m), Fraction(c)) for m, c in coeffs.items()] if coeffs else []
+        # over the lcm of the reduced denominators, the numerators are coprime to it
+        denom = lcm(*(c.denominator for _, c in fracs)) if fracs else 1
+        numer = {m: c.numerator * (denom // c.denominator) for m, c in fracs if c}
         self.nvars = nvars
-        cleaned = {}
-        if coeffs:
-            for m, c in coeffs.items():
-                c = Fraction(c)
-                if c != 0:
-                    cleaned[tuple(m)] = c
-        self.coeffs: dict[Monomial, Fraction] = cleaned
+        self.numer = numer
+        self.denom = denom
 
     # ----- constructors -----
 
     @staticmethod
     def zero(nvars: int) -> "Poly":
-        return Poly(nvars)
+        return _make(nvars, {}, 1)
 
     @staticmethod
     def const(nvars: int, c) -> "Poly":
-        return Poly(nvars, {(0,) * nvars: Fraction(c)})
+        c = Fraction(c)
+        if not c:
+            return _make(nvars, {}, 1)
+        return _make(nvars, {(0,) * nvars: c.numerator}, c.denominator)
 
     @staticmethod
     def variable(nvars: int, i: int) -> "Poly":
         m = tuple(1 if j == i else 0 for j in range(nvars))
-        return Poly(nvars, {m: Fraction(1)})
+        return _make(nvars, {m: 1}, 1)
 
     @staticmethod
     def linear(coeffs: Sequence) -> "Poly":
         n = len(coeffs)
-        return Poly(n, {tuple(1 if j == i else 0 for j in range(n)): Fraction(c)
-                        for i, c in enumerate(coeffs) if Fraction(c) != 0})
+        return Poly(n, {tuple(1 if j == i else 0 for j in range(n)): c
+                        for i, c in enumerate(coeffs)})
 
     # ----- basic structure -----
 
+    @property
+    def coeffs(self) -> dict[Monomial, Fraction]:
+        """The coefficients as a fresh map to ``Fraction``; empty exactly for zero."""
+        return {m: Fraction(c, self.denom) for m, c in self.numer.items()}
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.numer
 
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.coeffs)
+        return not any(any(m) for m in self.numer)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.coeffs.get((0,) * self.nvars, Fraction(0))
+        return Fraction(self.numer.get((0,) * self.nvars, 0), self.denom)
 
     def total_degree(self) -> int:
-        if not self.coeffs:
+        if not self.numer:
             return -1
-        return max(sum(m) for m in self.coeffs)
+        return max(sum(m) for m in self.numer)
 
     def graded_degree(self) -> int:
         """Degree in the grading where each variable has degree 2."""
-        return 2 * self.total_degree() if self.coeffs else -1
-
-    def leading(self) -> tuple[Monomial, Fraction]:
-        """Leading term for graded lexicographic order."""
-        m = max(self.coeffs, key=_grlex_key)
-        return m, self.coeffs[m]
+        return 2 * self.total_degree() if self.numer else -1
 
     def items_sorted(self):
         return sorted(self.coeffs.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
 
     # ----- arithmetic -----
 
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """``self + sign * other``."""
+        a, b = self.numer, other.numer
+        da, db = self.denom, other.denom
+        if da == db:
+            out = dict(a)
+            denom = da
+        else:
+            denom = lcm(da, db)
+            fa = denom // da
+            out = {m: c * fa for m, c in a.items()}
+            sign *= denom // db
+        get = out.get
+        for m, c in b.items():
+            v = get(m, 0) + sign * c
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+        return _canonical(self.nvars, out, denom)
+
     def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Poly(self.nvars, out)
+        if not other.numer:
+            return self
+        if not self.numer:
+            return other
+        return self._combine(other, 1)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {m: -c for m, c in self.coeffs.items()})
+        return _make(self.nvars, {m: -c for m, c in self.numer.items()}, self.denom)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        if not other.numer:
+            return self
+        return self._combine(other, -1)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Poly(self.nvars, out)
+        if not self.numer or not other.numer:
+            return _make(self.nvars, {}, 1)
+        a, b = self.numer, other.numer
+        if len(a) < len(b):
+            a, b = b, a
+        return _canonical(self.nvars, _int_mul(a, b), self.denom * other.denom)
 
     def scale(self, c) -> "Poly":
         c = Fraction(c)
         if c == 0:
             return Poly.zero(self.nvars)
-        return Poly(self.nvars, {m: c * v for m, v in self.coeffs.items()})
+        n = c.numerator
+        return _canonical(self.nvars, {m: n * v for m, v in self.numer.items()},
+                          self.denom * c.denominator)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -124,37 +205,58 @@ class Poly:
         return out
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.nvars == other.nvars and self.coeffs == other.coeffs
+        return (isinstance(other, Poly) and self.nvars == other.nvars
+                and self.denom == other.denom and self.numer == other.numer)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.coeffs.items())))
+        return hash((self.nvars, self.denom, frozenset(self.numer.items())))
 
     # ----- substitution and evaluation -----
 
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
         """Ring map sending variable i to ``images[i]``."""
-        out = Poly.zero(images[0].nvars if images else self.nvars)
-        for m, c in self.coeffs.items():
-            term = Poly.const(out.nvars, c)
+        nvars = images[0].nvars if images else self.nvars
+        if not self.numer:
+            return _make(nvars, {}, 1)
+        # images[i] = ints[i] / d over one common denominator d; a term of
+        # degree k is scaled by d^(top - k) so that all share d^top
+        d = lcm(*(img.denom for img in images))
+        ints = [{m: c * (d // img.denom) for m, c in img.numer.items()} if img.denom != d
+                else img.numer for img in images]
+        one = {(0,) * nvars: 1}
+        powers: list[list[IntTerms]] = [[one] for _ in images]
+        top = self.total_degree()
+        out: IntTerms = {}
+        get = out.get
+        for m, c in self.numer.items():
+            term = one
             for i, e in enumerate(m):
-                for _ in range(e):
-                    term = term * images[i]
-            out = out + term
-        return out
+                if e:
+                    pw = powers[i]
+                    while len(pw) <= e:
+                        pw.append(_int_mul(pw[-1], ints[i]))
+                    term = pw[e] if term is one else _int_mul(term, pw[e])
+            if d != 1:
+                c *= d ** (top - sum(m))
+            for tm, tc in term.items():
+                out[tm] = get(tm, 0) + c * tc
+        if 0 in out.values():
+            out = {m: c for m, c in out.items() if c}
+        return _canonical(nvars, out, self.denom * d ** top)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         total = Fraction(0)
-        for m, c in self.coeffs.items():
-            v = c
+        for m, c in self.numer.items():
+            v = Fraction(c)
             for x, e in zip(point, m):
                 v *= Fraction(x) ** e
             total += v
-        return total
+        return total / self.denom
 
     # ----- printing -----
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.numer:
             return "0"
         parts = []
         for m, c in self.items_sorted():
@@ -173,6 +275,54 @@ class Poly:
         return s.replace("+ -", "- ")
 
 
+def _divide(f: IntTerms, g: IntTerms, exact: bool):
+    """Divide the integer polynomial f by g in graded lex order.
+
+    Returns ``(s, q, r)`` with integer polynomials q, r and a positive integer
+    s such that ``s f = q g + r`` and no term of r is divisible by the leading
+    term of g; s grows only when a leading coefficient is not divisible by the
+    one of g.  With ``exact`` set, returns None at the first term that would go
+    to r or need s > 1.  For a primitive g that happens exactly when g does
+    not divide f, since then the quotient has integer coefficients.
+    """
+    lg = max(g, key=_grlex_key)
+    cg = g[lg]
+    tail = [(m, c) for m, c in g.items() if m != lg]
+    work = dict(f)
+    q: IntTerms = {}
+    r: IntTerms = {}
+    s = 1
+    while work:
+        m = max(work, key=_grlex_key)
+        shift = tuple(map(sub, m, lg))
+        if min(shift) < 0:
+            if exact:
+                return None
+            r[m] = work.pop(m)
+            continue
+        c = work.pop(m)
+        t, rem = divmod(c, cg)
+        if rem:
+            if exact:
+                return None
+            k = abs(cg) // gcd(c, cg)
+            work = {wm: wc * k for wm, wc in work.items()}
+            q = {qm: qc * k for qm, qc in q.items()}
+            r = {rm: rc * k for rm, rc in r.items()}
+            s *= k
+            t = c * k // cg
+        q[shift] = t
+        get = work.get
+        for gm, gc in tail:
+            wm = tuple(map(add, shift, gm))
+            v = get(wm, 0) - t * gc
+            if v:
+                work[wm] = v
+            else:
+                del work[wm]
+    return s, q, r
+
+
 def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     """Division with remainder by the single divisor ``g`` in graded lex order.
 
@@ -181,34 +331,24 @@ def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     """
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    q = Poly.zero(f.nvars)
-    r = Poly.zero(f.nvars)
-    lg, cg = g.leading()
-    work = f
-    while not work.is_zero():
-        m, c = work.leading()
-        if all(a >= b for a, b in zip(m, lg)):
-            t = Poly(f.nvars, {tuple(a - b for a, b in zip(m, lg)): c / cg})
-            q = q + t
-            work = work - t * g
-        else:
-            t = Poly(f.nvars, {m: c})
-            r = r + t
-            work = work - t
-    return q, r
+    s, q, r = _divide(f.numer, g.numer, False)
+    # s F = q G + r with f = F / df and g = G / dg, so f = (q dg / (s df)) g + r / (s df)
+    den = s * f.denom
+    dg = g.denom
+    return (_canonical(f.nvars, {m: c * dg for m, c in q.items()}, den),
+            _canonical(f.nvars, r, den))
 
 
 def poly_divides(g: Poly, f: Poly) -> bool:
     return poly_divmod(f, g)[1].is_zero()
 
 
-def poly_content(f: Poly) -> Fraction:
-    """Positive rational c such that f/c has coprime integer coefficients."""
-    if f.is_zero():
-        return Fraction(1)
-    nums = [abs(c.numerator) for c in f.coeffs.values()]
-    dens = [c.denominator for c in f.coeffs.values()]
-    return Fraction(reduce(gcd, nums), reduce(lambda a, b: a * b // gcd(a, b), dens))
+def _exact_quotient(f: Poly, p: Poly) -> Poly | None:
+    """f / p for a primitive integer polynomial p, or None when p does not divide f."""
+    res = _divide(f.numer, p.numer, True)
+    # the integer quotient has the content of f (Gauss's lemma), so it stays
+    # in lowest terms over f's denominator
+    return None if res is None else _make(f.nvars, res[1], f.denom)
 
 
 def normalize_factor(f: Poly) -> tuple[Poly, Fraction]:
@@ -218,30 +358,39 @@ def normalize_factor(f: Poly) -> tuple[Poly, Fraction]:
     """
     if f.is_zero():
         raise ValueError("cannot normalize the zero polynomial")
-    c = poly_content(f)
-    _, lead = f.leading()
-    if lead < 0:
-        c = -c
-    return f.scale(Fraction(1) / c), c
+    content = gcd(*f.numer.values())
+    if f.numer[max(f.numer, key=_grlex_key)] < 0:
+        content = -content
+    if content == 1 and f.denom == 1:
+        return f, Fraction(1)
+    return (_make(f.nvars, {m: c // content for m, c in f.numer.items()}, 1),
+            Fraction(content, f.denom))
 
 
-def _poly_key(f: Poly) -> tuple:
-    return (f.nvars, tuple(sorted(f.coeffs.items())))
+def _ratfunc(num: Poly, den: dict[Poly, tuple[Poly, int]]) -> "RatFunc":
+    """The trusted constructor: den holds normalized factors with positive
+    multiplicities, keyed by the factor itself; the result is reduced."""
+    out = object.__new__(RatFunc)
+    out.num = num
+    out.den = den
+    if den:
+        out._reduce()
+    return out
 
 
 class RatFunc:
     """A rational function num / prod(factors), with factors kept normalized.
 
     The factored denominator makes reduction exact and cheap for the operator
-    calculus, where denominators are products of linear root forms.  Equality
-    is by cross multiplication.
+    calculus, where denominators are products of linear root forms.  ``den``
+    maps each normalized factor to ``(factor, multiplicity)``.  Equality is by
+    cross multiplication; rational functions are not hashable.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Mapping[Poly, int] | None = None):
-        self.num = num
-        factors: dict[tuple, tuple[Poly, int]] = {}
+        factors: dict[Poly, tuple[Poly, int]] = {}
         scalar = Fraction(1)
         if den:
             for p, mult in den.items():
@@ -256,47 +405,47 @@ class RatFunc:
                     continue
                 nf, c = normalize_factor(p)
                 scalar *= c ** mult
-                key = _poly_key(nf)
-                if key in factors:
-                    factors[key] = (nf, factors[key][1] + mult)
-                else:
-                    factors[key] = (nf, mult)
+                hit = factors.get(nf)
+                factors[nf] = (nf, hit[1] + mult if hit else mult)
         if scalar != 1:
             num = num.scale(Fraction(1) / scalar)
-        self.den: dict[tuple, tuple[Poly, int]] = factors
         self.num = num
+        self.den = factors
         self._reduce()
 
     def _reduce(self) -> None:
-        if self.num.is_zero():
+        num = self.num
+        if not num.numer:
             self.den = {}
             return
-        for key in list(self.den):
-            p, mult = self.den[key]
-            while mult > 0:
-                q, r = poly_divmod(self.num, p)
-                if not r.is_zero():
+        den = self.den
+        for key, (p, mult) in list(den.items()):
+            left = mult
+            while left:
+                q = _exact_quotient(num, p)
+                if q is None:
                     break
-                self.num = q
-                mult -= 1
-            if mult == 0:
-                del self.den[key]
-            else:
-                self.den[key] = (p, mult)
+                num = q
+                left -= 1
+            if not left:
+                del den[key]
+            elif left != mult:
+                den[key] = (p, left)
+        self.num = num
 
     # ----- constructors -----
 
     @staticmethod
     def from_poly(p: Poly) -> "RatFunc":
-        return RatFunc(p)
+        return _ratfunc(p, {})
 
     @staticmethod
     def const(nvars: int, c) -> "RatFunc":
-        return RatFunc(Poly.const(nvars, c))
+        return _ratfunc(Poly.const(nvars, c), {})
 
     def den_poly(self) -> Poly:
         out = Poly.const(self.num.nvars, 1)
-        for p, mult in sorted(self.den.values(), key=lambda pm: _poly_key(pm[0])):
+        for p, mult in self.den.values():
             for _ in range(mult):
                 out = out * p
         return out
@@ -320,21 +469,24 @@ class RatFunc:
     # ----- arithmetic -----
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        merged: dict[tuple, tuple[Poly, int]] = {}
-        for key, (p, m) in list(self.den.items()) + list(other.den.items()):
-            if key in merged:
-                merged[key] = (p, max(merged[key][1], m))
-            else:
+        if self.den == other.den:
+            return _ratfunc(self.num + other.num, dict(self.den))
+        merged = dict(self.den)
+        for key, (p, m) in other.den.items():
+            hit = merged.get(key)
+            if hit is None or hit[1] < m:
                 merged[key] = (p, m)
+
         def complement(own):
             out = Poly.const(self.num.nvars, 1)
             for key, (p, m) in merged.items():
-                extra = m - own.get(key, (p, 0))[1]
-                for _ in range(extra):
+                hit = own.get(key)
+                for _ in range(m - hit[1] if hit else m):
                     out = out * p
             return out
+
         num = self.num * complement(self.den) + other.num * complement(other.den)
-        return RatFunc(num, {p: m for p, m in merged.values()})
+        return _ratfunc(num, merged)
 
     def __neg__(self) -> "RatFunc":
         out = RatFunc.__new__(RatFunc)
@@ -346,10 +498,11 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        den: dict[Poly, int] = {}
-        for p, m in list(self.den.values()) + list(other.den.values()):
-            den[p] = den.get(p, 0) + m
-        return RatFunc(self.num * other.num, den)
+        den = dict(self.den)
+        for key, (p, m) in other.den.items():
+            hit = den.get(key)
+            den[key] = (p, hit[1] + m) if hit else (p, m)
+        return _ratfunc(self.num * other.num, den)
 
     def inverse(self) -> "RatFunc":
         if self.is_zero():
@@ -362,11 +515,11 @@ class RatFunc:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFunc):
             return NotImplemented
+        if self.den == other.den:
+            return self.num == other.num
         return (self.num * other.den_poly()) == (other.num * self.den_poly())
 
-    def __hash__(self):
-        # Hash only structural invariants that survive reduction differences.
-        return hash(self.num.nvars)
+    __hash__ = None
 
     def __repr__(self) -> str:
         if self.is_poly():
@@ -402,7 +555,8 @@ def demazure(f: Poly, alpha: Poly, reflected: Poly) -> Poly:
     ``reflected`` must be the reflection of f in the wall of the linear form
     ``alpha``, so that the numerator vanishes on the wall.
     """
-    q, r = poly_divmod(reflected - f, alpha)
-    if not r.is_zero():
+    prim, scalar = normalize_factor(alpha)
+    q = _exact_quotient(reflected - f, prim)
+    if q is None:
         raise ArithmeticError("divided difference left a remainder; reflection data inconsistent")
-    return q
+    return q.scale(1 / scalar)

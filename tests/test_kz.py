@@ -196,17 +196,19 @@ def test_kernel_criteria_rank1_characters():
     assert nongeneric == [(1, 1)]
     # the bounded-clan character: in the kernel, growth exponent 0
     char0 = clan_characters(alg.omega, 60)[(1, 1)]
-    rep0 = kernel_clan_test(alg, dec, char0, bound=12, growth_n=60)
+    reach = alg.group.orbit_reach(alg.omega.base_point, 2 * 12)
+    rep0 = kernel_clan_test(alg, dec, char0, reach, bound=12, growth_n=60)
     assert rep0.consistent() and rep0.in_kernel
     assert abs(rep0.growth_exponent - 0) <= 0.1
     # the two unbounded-clan characters: not in the kernel, exponent 1
     for sign in dec.generic_clans():
         char = clan_characters(alg.omega, 80)[sign]
-        rep = kernel_clan_test(alg, dec, char, bound=12, growth_n=60)
+        rep = kernel_clan_test(alg, dec, char, reach, bound=12, growth_n=60)
         assert rep.consistent() and not rep.in_kernel
         assert abs(rep.growth_exponent - 1) <= 0.1
     # zero character: vacuously in the kernel
-    repz = kernel_clan_test(alg, dec, {}, bound=8, growth_n=30)
+    repz = kernel_clan_test(alg, dec, {}, alg.group.orbit_reach(alg.omega.base_point, 2 * 8),
+                            bound=8, growth_n=30)
     assert repz.consistent() and repz.in_kernel
 
 
@@ -227,7 +229,8 @@ def test_kernel_projective_character_not_in_kernel():
     alg, B, gamma = rank1_setup()
     from qdha.clans import enumerate_clans
     char = orbit_character(alg.omega, 80)
-    rep = kernel_clan_test(alg, enumerate_clans(alg.omega), char, bound=12, growth_n=60)
+    reach = alg.group.orbit_reach(alg.omega.base_point, 2 * 12)
+    rep = kernel_clan_test(alg, enumerate_clans(alg.omega), char, reach, bound=12, growth_n=60)
     assert rep.consistent() and not rep.in_kernel
     assert abs(rep.growth_exponent - 1) <= 0.1
 

@@ -1,6 +1,7 @@
 """Polynomial and rational-function arithmetic, Weyl substitution, divided differences."""
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -42,6 +43,15 @@ def test_poly_divmod_exact_and_inexact():
     q, r = poly_divmod(f + Poly.const(2, 1), x + y)
     assert not r.is_zero()
     assert poly_divides(x + y, f)
+    # a leading coefficient that the divisor's does not divide: 2x + y does not
+    # divide x^2, but does divide (2x + y)(x - y)/3
+    g = x.scale(2) + y
+    q, r = poly_divmod(x * x, g)
+    assert not r.is_zero() and q * g + r == x * x
+    assert not RatFunc(x * x, {g: 1}).is_poly()
+    third = Fraction(1, 3)
+    assert RatFunc((g * (x - y)).scale(third), {g: 1}).as_poly() == (x - y).scale(third)
+    assert demazure(Poly.zero(2), g.scale(Fraction(1, 2)), g * x) == x.scale(2)
 
 
 def test_weyl_act_identity_and_rank1_sign_flip():
@@ -198,3 +208,143 @@ def test_ratfunc_scalar_normalization():
     r = RatFunc(x.scale(3), {x.scale(6): 1})
     assert r.is_poly()
     assert r.as_poly() == Poly.const(1, Fraction(1, 2))
+
+
+# ----- oracle tests against sympy (hypothesis and sympy are test-only) -----
+
+def _oracle():
+    """The hypothesis package, its strategies and sympy; skips without them."""
+    return (pytest.importorskip("hypothesis"), pytest.importorskip("hypothesis.strategies"),
+            pytest.importorskip("sympy"))
+
+
+def _settings(hyp, examples=60):
+    return hyp.settings(max_examples=examples, deadline=None, database=None, derandomize=True)
+
+
+def _poly_strategy(st, nvars, max_exp=3, max_terms=4):
+    mono = st.tuples(*[st.integers(0, max_exp)] * nvars)
+    coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    return st.dictionaries(mono, coeff, max_size=max_terms).map(lambda c: Poly(nvars, c))
+
+
+def _to_sympy(sympy, f: Poly):
+    xs = sympy.symbols(f"x0:{f.nvars}")
+    return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*[x ** e for x, e in zip(xs, m)])
+                       for m, c in f.coeffs.items()])
+
+
+def _same(sympy, f: Poly, expr) -> bool:
+    """f equals expr, and f is in canonical form (lowest terms, no zero term)."""
+    canonical = f.denom > 0 and all(f.numer.values()) and gcd(f.denom, *f.numer.values()) == 1
+    return canonical and sympy.expand(_to_sympy(sympy, f) - expr) == 0
+
+
+def _ratfunc_sympy(sympy, r: RatFunc):
+    return _to_sympy(sympy, r.num) / _to_sympy(sympy, r.den_poly())
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_poly_ring_operations_match_sympy(nvars):
+    hyp, st, sympy = _oracle()
+    poly = _poly_strategy(st, nvars)
+    scalar = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))
+
+    @_settings(hyp)
+    @hyp.given(poly, poly, scalar, st.lists(_poly_strategy(st, nvars, 1, 3), min_size=nvars,
+                                            max_size=nvars))
+    def check(f, g, c, images):
+        F, G = _to_sympy(sympy, f), _to_sympy(sympy, g)
+        assert _same(sympy, f + g, F + G)
+        assert _same(sympy, f - g, F - G)
+        assert _same(sympy, f * g, F * G)
+        assert _same(sympy, f.scale(c), F * sympy.Rational(c.numerator, c.denominator))
+        xs = sympy.symbols(f"x0:{nvars}")
+        subs = dict(zip(xs, (_to_sympy(sympy, img) for img in images)))
+        assert _same(sympy, f.substitute(images), F.subs(subs, simultaneous=True))
+        point = [Fraction(2 * k + 1, 3 * k + 4) for k in range(nvars)]
+        value = F.subs(dict(zip(xs, (sympy.Rational(x.numerator, x.denominator) for x in point))))
+        assert f.evaluate(point) == Fraction(int(sympy.numer(value)), int(sympy.denom(value)))
+
+    check()
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_exact_quotient_matches_sympy(nvars):
+    hyp, st, sympy = _oracle()
+    poly = _poly_strategy(st, nvars)
+
+    @_settings(hyp)
+    @hyp.given(poly, poly, poly)
+    def check(p, g, noise):
+        hyp.assume(not g.is_zero())
+        xs = sympy.symbols(f"x0:{nvars}")
+        G = _to_sympy(sympy, g)
+        # an exact multiple: the quotient comes back, through divmod and RatFunc
+        q, r = poly_divmod(p * g, g)
+        assert q == p and not r.coeffs
+        reduced = RatFunc(p * g, {g: 1})
+        assert reduced.is_poly() and reduced.as_poly() == p
+        # any dividend: the remainder is empty exactly when g divides it
+        f = p * g + noise
+        q, r = poly_divmod(f, g)
+        assert q * g + r == f
+        _, sympy_rem = sympy.div(_to_sympy(sympy, f), G, *xs)
+        assert (not r.coeffs) == (sympy.expand(sympy_rem) == 0)
+        assert poly_divides(g, f) == (not r.coeffs)
+        assert RatFunc(f, {g: 1}).is_poly() == (not r.coeffs)
+
+    check()
+
+
+def test_equal_values_from_different_routes_are_equal_and_hash_equal():
+    hyp, st, sympy = _oracle()
+    x = Poly.variable(2, 0)
+    y = Poly.variable(2, 1)
+    lhs, rhs = (x + y) * (x - y), x * x - y * y
+    assert lhs == rhs and hash(lhs) == hash(rhs)
+    assert (lhs.numer, lhs.denom) == (rhs.numer, rhs.denom)
+
+    @_settings(hyp)
+    @hyp.given(_poly_strategy(st, 2), st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)))
+    def check(f, c):
+        thirds = f.scale(Fraction(1, 3)).scale(3)
+        assert thirds == f and hash(thirds) == hash(f)
+        there_and_back = f.scale(c).scale(1 / c)
+        assert there_and_back == f and hash(there_and_back) == hash(f)
+        assert (f + f.scale(-1)).is_zero() and (f + f.scale(-1)) == Poly.zero(2)
+        assert f == Poly(2, f.coeffs)
+
+    check()
+
+
+def test_ratfunc_equality_and_is_poly_match_sympy_cancel():
+    hyp, st, sympy = _oracle()
+    num = _poly_strategy(st, 2, max_exp=2, max_terms=3)
+    factor = _poly_strategy(st, 2, max_exp=1, max_terms=3).filter(lambda f: not f.is_zero())
+
+    @_settings(hyp, examples=40)
+    @hyp.given(num, factor, factor, factor, st.integers(0, 2), st.booleans())
+    def check(n, g, h, k, mult, cancel_g):
+        if cancel_g:
+            n = n * g
+        den = {g: 1}
+        den[h] = den.get(h, 0) + mult
+        a = RatFunc(n, den)
+        a_expr = _to_sympy(sympy, n) / (_to_sympy(sympy, g) * _to_sympy(sympy, h) ** mult)
+        assert sympy.cancel(_ratfunc_sympy(sympy, a) - a_expr) == 0
+        assert a.is_poly() == (not sympy.denom(sympy.cancel(a_expr)).free_symbols)
+        # the same value by another route: num and denominator times k
+        b = RatFunc(n * k, {k: 1}) * RatFunc.const(2, 1) / RatFunc(g * h ** mult)
+        assert a == b
+        c = a + RatFunc.from_poly(k)
+        assert (a == c) == (sympy.cancel(_ratfunc_sympy(sympy, a) - _ratfunc_sympy(sympy, c)) == 0)
+        assert (c - a) == RatFunc.from_poly(k)
+
+    check()
+
+
+def test_ratfunc_is_not_hashable():
+    with pytest.raises(TypeError):
+        hash(RatFunc.const(1, 1))
