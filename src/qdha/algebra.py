@@ -323,7 +323,7 @@ class OperatorAlgebra:
         acc = self.inversion_product(self.inversion_orders(g, self._weight(lam)))
         w = self._twist(g)
         return RatFunc(self.act_poly(w, acc.num),
-                       {self.act_poly(w, p): mult for p, mult in acc.den.values()})
+                       {self.act_poly(w, p): mult for p, mult in acc.den.items()})
 
     def _basis_key(self, g: Element):
         return (self._length(g), g)

@@ -263,7 +263,7 @@ def check_product(spec: InstanceSpec, ball: int, seed: int) -> dict:
     for w in spec.group.finite.elements:
         for ell in B.orbit:
             count += 1
-            rep = product_formula_check(alg, gamma, w, ell)
+            rep = product_formula_check(alg, B, gamma, w, ell)
             if not rep.ok:
                 failures.append({"w": list(spec.group.finite.word(w)),
                                  "ell": [str(c) for c in ell], "scalar": str(rep.scalar)})
@@ -374,9 +374,8 @@ def cmd_example_a1(as_json: bool) -> int:
     if not product_ok:
         failures.append("five-letter products")
 
-    bof = integral_b_order_function(spec.omega, gamma=gamma)
     alpha = W.rs.simple_root(0)
-    omega_vals = {str(ell): bof.value(ell, alpha) for ell in bof.torus.points}
+    omega_vals = {str(ell): B.bof.value(ell, alpha) for ell in B.orbit}
     if set(omega_vals.values()) != {1}:
         failures.append("integral values")
 

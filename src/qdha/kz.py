@@ -1,7 +1,10 @@
 """Idempotent truncation machinery: deep antidominant lifts and the finite quotient.
 
 The finite order function of the quotient is the integral of the order
-function along the deep lifts (``integral``).
+function along the deep lifts (``integral``), computed once per instance by
+``integral_b_order_function``.  Every affine image of a finite-quotient
+operator is its ``lift``: the same blocks, moved to the deep lifts of their
+source and target points.
 
 The section from the torus orbit back to the affine orbit is
 ``ell = w ell_0  ->  X^gamma w lambda_0`` for a translation gamma pairing at
@@ -159,39 +162,19 @@ def integral_b_order_function(omega: OrderFunction, gamma: Vec | None = None) ->
     return BOrderFunction(group, omega.base_point, table)
 
 
-# ----- sigma operators and the idempotent subalgebra -----
+# ----- lifts of finite-quotient operators -----
 
-def sigma(alg, gamma: Vec, i: int, ell: Sequence):
-    """sigma_alpha e(lift of ell) for the i-th finite simple root.
+def lift(omega: OrderFunction, gamma: Vec, op: RatOperator) -> RatOperator:
+    """Move a finite-quotient operator to the deep lifts, block by block.
 
-    The exponent is the integral of the order function at ell; the operator is
-    the usual two-case one, but placed between the deep lifts of ell and of
-    its reflection.  Membership in the algebra is checked downstream via the
-    normal form.
+    A block from ell to ell' with twist u becomes the block with the same
+    coefficient from X^gamma w lambda_0 to X^gamma w' lambda_0, so lifting is
+    multiplicative and every affine image of a finite element is a lift.
     """
-    group = alg.group
-    omega = alg.omega
-    alpha = group.rs.simple_root(i)
-    m = integral(omega, ell, alpha, gamma=gamma)
-    src = pregamma_point(omega, gamma, ell)
-    ell_t = omega.torus.act(group.finite.simple[i], omega.torus.point(ell))
-    return alg.two_case_generator(alpha, m, src, pregamma_point(omega, gamma, ell_t))
-
-
-def sigma_word(alg, gamma: Vec, word: Sequence[int], ell: Sequence):
-    """Composition of sigma operators along a word of finite simple letters."""
-    torus = alg.omega.torus
-    cur = torus.point(ell)
-    acc = alg.idempotent(pregamma_point(alg.omega, gamma, cur))
-    for i in reversed(list(word)):
-        acc = alg.mul(sigma(alg, gamma, i, cur), acc)
-        cur = torus.act(alg.group.finite.simple[i], cur)
-    return acc
-
-
-def sigma_element(alg, gamma: Vec, w: Perm, ell: Sequence):
-    """sigma_w along the canonical finite reduced word of w."""
-    return sigma_word(alg, gamma, alg.group.finite.word(w), ell)
+    return RatOperator.from_dict({
+        (pregamma_point(omega, gamma, src), pregamma_point(omega, gamma, tgt), u): r
+        for (src, tgt, u), r in op.entries
+    })
 
 
 # ----- the product formula -----
@@ -204,20 +187,20 @@ class ProductFormulaReport:
     ok: bool
 
 
-def product_formula_check(alg, gamma: Vec, w: Perm, ell: Sequence) -> ProductFormulaReport:
+def product_formula_check(alg, B, gamma: Vec, w: Perm, ell: Sequence) -> ProductFormulaReport:
     """Compare the affine inversion product with the finite one, up to ±2^k.
 
     Left side: prod over the inversion set of the conjugated reflection word of
     (-db)^{omega(b)}.  Right side: prod over finite inversions of
-    (-beta)^{integral omega(beta)}.  Both are left untwisted.  Their quotient
-    must be a constant whose absolute value is a power of two.
+    (-beta)^{integral omega(beta)}, read from the finite order function of B.
+    Both are left untwisted.  Their quotient must be a constant whose absolute
+    value is a power of two.
     """
     omega = alg.omega
     ell = omega.torus.point(ell)
     lam = pregamma_point(omega, gamma, ell)
     lhs = alg.inversion_product(alg.inversion_orders(pregamma_group(alg.group, gamma, w), lam))
-    rhs = alg.inversion_product((beta, integral(omega, ell, beta, gamma=gamma))
-                                for beta in alg.fin.inversions(w))
+    rhs = B.inversion_product(B.inversion_orders(w, ell))
     if rhs.is_zero() or lhs.is_zero():
         return ProductFormulaReport(w=w, ell=ell, scalar=Fraction(0), ok=False)
     quot = lhs / rhs
@@ -245,87 +228,49 @@ class IsoReport:
         return not self.discrepancies
 
 
-def _transport_b_operator(alg, B, gamma: Vec, op):
-    """Move a finite-orbit operator to the deep lifts, block by block."""
-    omega = alg.omega
-    out = {}
-    for (src, tgt, u), r in op.entries:
-        key = (pregamma_point(omega, gamma, src), pregamma_point(omega, gamma, tgt), u)
-        out[key] = r
-    return RatOperator.from_dict(out)
-
-
 def iso_check(alg, B, gamma: Vec, degree_bound: int, word_bound: int) -> IsoReport:
     """Verify the generator correspondence of the finite quotient inside the
-    idempotent subalgebra: products of up to ``word_bound`` generators match
-    block-for-block after transport, and the sigma elements are triangular
-    with constant leading coefficients over the tau basis."""
+    idempotent subalgebra: products of 2 to ``word_bound`` lifted generators
+    match the lifts of the finite products block for block, and the lifts of
+    the finite tau basis are triangular with constant leading coefficients
+    over the affine tau basis."""
+    omega = alg.omega
     group = alg.group
-    torus = alg.omega.torus
+    torus = omega.torus
     rank = group.rs.rank
     orbit = B.orbit
-    gens = []
+    # generator -> (finite operator, its target point on the orbit)
+    gens = {}
     for ell in orbit:
         for i in range(rank):
-            gens.append(("tau", i, ell))
+            gens[("tau", i, ell)] = (B.tau_letter(i, ell),
+                                     torus.act(group.finite.simple[i], ell))
         for m in monomials(rank, degree_bound // 2):
             if any(m):
-                gens.append(("poly", Poly(rank, {m: Fraction(1)}), ell))
-
-    _b_cache: dict = {}
-    _a_cache: dict = {}
-
-    def b_gen(g):
-        if g not in _b_cache:
-            kind, data, ell = g
-            _b_cache[g] = B.tau_letter(data, ell) if kind == "tau" else B.poly_mult(data, ell)
-        return _b_cache[g]
-
-    def a_gen(g):
-        if g not in _a_cache:
-            kind, data, ell = g
-            if kind == "tau":
-                _a_cache[g] = sigma(alg, gamma, data, ell)
-            else:
-                _a_cache[g] = alg.poly_mult(data, pregamma_point(alg.omega, gamma, ell))
-        return _a_cache[g]
-
-    def gen_source(g):
-        return g[2]
-
-    def gen_target(g):
-        kind, data, ell = g
-        if kind == "tau":
-            return torus.act(group.finite.simple[data], ell)
-        return ell
+                f = Poly(rank, {m: Fraction(1)})
+                gens[("poly", f, ell)] = (B.poly_mult(f, ell), ell)
+    lifted = {g: lift(omega, gamma, x) for g, (x, _) in gens.items()}
 
     discrepancies = []
-    images = [(g, a_gen(g).entries) for g in gens]
-    # grow composable words and compare the two sides on every one
+    images = [(g, a.entries) for g, a in lifted.items()]
+    # grow composable words, prepending each generator whose source (the
+    # last part of its key) is the target of the word's first letter, and
+    # compare the two sides on every one
     words: list[list] = [[g] for g in gens]
-    for word in words:
-        if _transport_b_operator(alg, B, gamma, b_gen(word[0])) != a_gen(word[0]):
-            discrepancies.append(tuple(word))
     for _ in range(word_bound - 1):
-        longer = []
+        words = [[g] + word for word in words for g in gens if g[2] == gens[word[0]][1]]
         for word in words:
-            tgt = gen_target(word[0])
-            for g in gens:
-                if gen_source(g) == tgt:
-                    longer.append([g] + word)
-        words = longer
-        for word in words:
-            b_side = b_gen(word[-1])
-            a_side = a_gen(word[-1])
+            b_side = gens[word[-1]][0]
+            a_side = lifted[word[-1]]
             for g in reversed(word[:-1]):
-                b_side = B.mul(b_gen(g), b_side)
-                a_side = alg.mul(a_gen(g), a_side)
-            if _transport_b_operator(alg, B, gamma, b_side) != a_side:
+                b_side = B.mul(gens[g][0], b_side)
+                a_side = alg.mul(lifted[g], a_side)
+            if lift(omega, gamma, b_side) != a_side:
                 discrepancies.append(tuple(word))
     scalars = {}
     for ell in orbit:
         for w in sorted(group.finite.elements, key=lambda u: (group.finite.length(u), u)):
-            op = sigma_element(alg, gamma, w, ell)
+            op = lift(omega, gamma, B.tau_element(w, ell))
             src, coeffs = alg.normal_form_rational(op)
             bad = [g for g, f in coeffs.items() if not f.is_poly()]
             if bad:
@@ -336,8 +281,8 @@ def iso_check(alg, B, gamma: Vec, degree_bound: int, word_bound: int) -> IsoRepo
                 continue
             top = max(coeffs, key=lambda g: (group.length(g), g.mu, g.w))
             expected = alg.element_of_entry(
-                (pregamma_point(alg.omega, gamma, ell),
-                 pregamma_point(alg.omega, gamma, torus.act(w, ell)),
+                (pregamma_point(omega, gamma, ell),
+                 pregamma_point(omega, gamma, torus.act(w, ell)),
                  w)
             )
             lead = coeffs[top]
@@ -379,28 +324,27 @@ def e_gamma_idempotent(alg, gamma: Vec):
     return out
 
 
-def gamma_change(alg, B, gamma: Vec, gamma2: Vec, degree_bound: int = 2) -> GammaChangeReport:
-    """Check phi phi' = e and the conjugation factorisation on generators."""
-    group = alg.group
-    rank = group.rs.rank
+def gamma_change(alg, B, gamma: Vec, gamma2: Vec) -> GammaChangeReport:
+    """Check phi phi' = e and that phi conjugates the lift at gamma2 of every
+    finite generator into its lift at gamma.
+
+    B's finite order function was integrated at one gamma and is lifted to
+    both; that is exact because the integral does not depend on the lift
+    (the ``integral`` sweep checks it)."""
+    omega = alg.omega
+    rank = alg.group.rs.rank
     phi12 = gamma_change_intertwiner(alg, gamma, gamma2)
     phi21 = gamma_change_intertwiner(alg, gamma2, gamma)
     left = alg.mul(phi12, phi21) == e_gamma_idempotent(alg, gamma)
     right = alg.mul(phi21, phi12) == e_gamma_idempotent(alg, gamma2)
     failures = []
     for ell in B.orbit:
-        for i in range(rank):
-            img1 = sigma(alg, gamma, i, ell)
-            img2 = sigma(alg, gamma2, i, ell)
-            conj = alg.mul(alg.mul(phi12, img2), phi21)
-            if conj != img1:
-                failures.append(("tau", i, ell))
-        f = Poly.variable(rank, 0)
-        img1 = alg.poly_mult(f, pregamma_point(alg.omega, gamma, ell))
-        img2 = alg.poly_mult(f, pregamma_point(alg.omega, gamma2, ell))
-        conj = alg.mul(alg.mul(phi12, img2), phi21)
-        if conj != img1:
-            failures.append(("poly", ell))
+        gens = [(("tau", i, ell), B.tau_letter(i, ell)) for i in range(rank)]
+        gens.append((("poly", ell), B.poly_mult(Poly.variable(rank, 0), ell)))
+        for where, x in gens:
+            conj = alg.mul(alg.mul(phi12, lift(omega, gamma2, x)), phi21)
+            if conj != lift(omega, gamma, x):
+                failures.append(where)
     return GammaChangeReport(left_identity=left, right_identity=right,
                              conjugation_failures=failures)
 

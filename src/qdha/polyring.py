@@ -367,9 +367,9 @@ def normalize_factor(f: Poly) -> tuple[Poly, Fraction]:
             Fraction(content, f.denom))
 
 
-def _ratfunc(num: Poly, den: dict[Poly, tuple[Poly, int]]) -> "RatFunc":
-    """The trusted constructor: den holds normalized factors with positive
-    multiplicities, keyed by the factor itself; the result is reduced."""
+def _ratfunc(num: Poly, den: dict[Poly, int]) -> "RatFunc":
+    """The trusted constructor: den maps normalized factors to positive
+    multiplicities; the result is reduced."""
     out = object.__new__(RatFunc)
     out.num = num
     out.den = den
@@ -383,14 +383,14 @@ class RatFunc:
 
     The factored denominator makes reduction exact and cheap for the operator
     calculus, where denominators are products of linear root forms.  ``den``
-    maps each normalized factor to ``(factor, multiplicity)``.  Equality is by
+    maps each normalized factor to its multiplicity.  Equality is by
     cross multiplication; rational functions are not hashable.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Mapping[Poly, int] | None = None):
-        factors: dict[Poly, tuple[Poly, int]] = {}
+        factors: dict[Poly, int] = {}
         scalar = Fraction(1)
         if den:
             for p, mult in den.items():
@@ -405,8 +405,7 @@ class RatFunc:
                     continue
                 nf, c = normalize_factor(p)
                 scalar *= c ** mult
-                hit = factors.get(nf)
-                factors[nf] = (nf, hit[1] + mult if hit else mult)
+                factors[nf] = factors.get(nf, 0) + mult
         if scalar != 1:
             num = num.scale(Fraction(1) / scalar)
         self.num = num
@@ -419,7 +418,7 @@ class RatFunc:
             self.den = {}
             return
         den = self.den
-        for key, (p, mult) in list(den.items()):
+        for p, mult in list(den.items()):
             left = mult
             while left:
                 q = _exact_quotient(num, p)
@@ -428,9 +427,9 @@ class RatFunc:
                 num = q
                 left -= 1
             if not left:
-                del den[key]
+                del den[p]
             elif left != mult:
-                den[key] = (p, left)
+                den[p] = left
         self.num = num
 
     # ----- constructors -----
@@ -445,7 +444,7 @@ class RatFunc:
 
     def den_poly(self) -> Poly:
         out = Poly.const(self.num.nvars, 1)
-        for p, mult in self.den.values():
+        for p, mult in self.den.items():
             for _ in range(mult):
                 out = out * p
         return out
@@ -472,16 +471,14 @@ class RatFunc:
         if self.den == other.den:
             return _ratfunc(self.num + other.num, dict(self.den))
         merged = dict(self.den)
-        for key, (p, m) in other.den.items():
-            hit = merged.get(key)
-            if hit is None or hit[1] < m:
-                merged[key] = (p, m)
+        for p, m in other.den.items():
+            if merged.get(p, 0) < m:
+                merged[p] = m
 
         def complement(own):
             out = Poly.const(self.num.nvars, 1)
-            for key, (p, m) in merged.items():
-                hit = own.get(key)
-                for _ in range(m - hit[1] if hit else m):
+            for p, m in merged.items():
+                for _ in range(m - own.get(p, 0)):
                     out = out * p
             return out
 
@@ -499,9 +496,8 @@ class RatFunc:
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         den = dict(self.den)
-        for key, (p, m) in other.den.items():
-            hit = den.get(key)
-            den[key] = (p, hit[1] + m) if hit else (p, m)
+        for p, m in other.den.items():
+            den[p] = den.get(p, 0) + m
         return _ratfunc(self.num * other.num, den)
 
     def inverse(self) -> "RatFunc":
@@ -543,7 +539,7 @@ def apply_linear(f: Poly, images: Sequence[Poly]) -> Poly:
 def apply_linear_rat(r: RatFunc, images: Sequence[Poly]) -> RatFunc:
     num = r.num.substitute(images)
     den: dict[Poly, int] = {}
-    for p, m in r.den.values():
+    for p, m in r.den.items():
         img = p.substitute(images)
         den[img] = den.get(img, 0) + m
     return RatFunc(num, den)

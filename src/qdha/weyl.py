@@ -179,6 +179,11 @@ class AffineWeylGroup:
             for a, s in zip(ars.delta, self._simple_affine)
         )
         self._word_cache: dict[AffineWeylElement, tuple[int, ...]] = {}
+        # the breadth-first ball: every element found so far with its length,
+        # in discovery order, the elements of the largest length, and that length
+        self._ball_seen: dict[AffineWeylElement, int] = {self.identity: 0}
+        self._ball_frontier: list[AffineWeylElement] = [self.identity]
+        self._ball_radius = 0
         # an exact interior point of the fundamental alcove: rho^vee / h
         rho = [sum(c) for c in zip(*self.rs.fundamental_coweights)]
         self.alcove_point: Vec = vec(Fraction(t) / self.rs.coxeter_number for t in rho)
@@ -446,27 +451,25 @@ class AffineWeylGroup:
         """All elements of length <= length_bound, ordered by (length, discovery).
 
         Results are cached incrementally: growing the bound extends the last
-        breadth-first frontier instead of restarting.
+        breadth-first frontier instead of restarting.  The new layers are
+        grown in locals and committed together.
         """
-        if not hasattr(self, "_ball_seen"):
-            self._ball_seen = {self.identity: 0}
-            self._ball_order = [self.identity]
-            self._ball_frontier = [self.identity]
-            self._ball_radius = 0
-        for n in range(self._ball_radius + 1, length_bound + 1):
-            nxt = []
-            for g in self._ball_frontier:
-                for i in range(len(self.ars.delta)):
-                    h = self.compose(self.simple_reflection(i), g)
-                    if h not in self._ball_seen and self.is_left_descent(h, i):
-                        self._ball_seen[h] = n
-                        self._ball_order.append(h)
-                        nxt.append(h)
-            self._ball_frontier = nxt
-            self._ball_radius = n
+        if length_bound > self._ball_radius:
+            seen = dict(self._ball_seen)
+            frontier = self._ball_frontier
+            for n in range(self._ball_radius + 1, length_bound + 1):
+                nxt = []
+                for g in frontier:
+                    for i in range(len(self.ars.delta)):
+                        h = self.compose(self.simple_reflection(i), g)
+                        if h not in seen and self.is_left_descent(h, i):
+                            seen[h] = n
+                            nxt.append(h)
+                frontier = nxt
+            self._ball_seen, self._ball_frontier, self._ball_radius = seen, frontier, length_bound
         if length_bound >= self._ball_radius:
-            return list(self._ball_order)
-        return [g for g in self._ball_order if self._ball_seen[g] <= length_bound]
+            return list(self._ball_seen)
+        return [g for g, n in self._ball_seen.items() if n <= length_bound]
 
     def orbit_window(self, lam0: Vec, length_bound: int) -> dict[Vec, AffineWeylElement]:
         """All distinct w lam0 with l(w) <= bound, each with a minimal-length witness."""

@@ -324,7 +324,7 @@ def test_criterion_10_product_formula():
     scalars = set()
     for w in spec.group.finite.elements:
         for ell in B.orbit:
-            rep = product_formula_check(alg, gamma, w, ell)
+            rep = product_formula_check(alg, B, gamma, w, ell)
             if not rep.ok:
                 failures.append((w, ell))
             else:

@@ -1,27 +1,35 @@
-"""Deep lifts, sigma operators, the finite-quotient isomorphism, change of lift."""
+"""Deep lifts, lifted finite generators, the finite-quotient isomorphism, change of lift."""
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from qdha.algebra import Algebra
 from qdha.bqha import BAlgebra
+from qdha.instances import load_instance
 from qdha.kz import (
     choose_gamma,
     clan_characters,
     e_gamma_weights,
     gamma_change,
+    integral,
     integral_b_order_function,
     iso_check,
     kernel_clan_test,
+    lift,
     orbit_character,
     pregamma_group,
     pregamma_point,
     product_formula_check,
-    sigma,
     skewed_gamma,
+    two_rho_coroot,
 )
 from qdha.orderfun import OrderFunction, TorusOrbit, torus_point
 from qdha.polyring import Poly
 from qdha.rootsys import affinise, vec
 from qdha.weyl import AffineWeylGroup
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def rank1_setup():
@@ -82,7 +90,7 @@ def test_e_gamma_size_counts_cosets():
 def test_sigma_rank1_matches_five_letter_product():
     alg, B, gamma = rank1_setup()
     ellp = torus_point(vec((Fraction(-3, 4),)))
-    op = sigma(alg, gamma, 0, ellp)
+    op = lift(alg.omega, gamma, B.tau_letter(0, ellp))
     lp = vec((Fraction(-3, 4),))
     prod = alg.tau_word([1, 0, 1, 0, 1], lp)
     assert op == prod
@@ -92,12 +100,43 @@ def test_sigma_normal_form_single_element_support():
     for alg, B, gamma in [rank1_setup(), a2_setup()]:
         for ell in B.orbit:
             for i in range(alg.rank):
-                op = sigma(alg, gamma, i, ell)
+                op = lift(alg.omega, gamma, B.tau_letter(i, ell))
                 nf = alg.normal_form(op)
                 assert len(nf.support()) == 1
                 g = nf.support()[0]
                 assert g.w == alg.group.finite.reflection(alg.rs.simple_root(i))
                 assert nf.coeffs[g].is_constant()
+
+
+def integral_reference(alg, gamma, w, ell):
+    """sigma_w e(lift of ell) built directly in the affine algebra: two-case
+    generators along the canonical word of w, each with the integral of the
+    order function at its source as exponent, between deep lifts."""
+    omega, fin = alg.omega, alg.group.finite
+    cur = omega.torus.point(ell)
+    acc = alg.idempotent(pregamma_point(omega, gamma, cur))
+    for i in reversed(fin.word(w)):
+        alpha = alg.rs.simple_root(i)
+        nxt = omega.torus.act(fin.simple[i], cur)
+        gen = alg.two_case_generator(alpha, integral(omega, cur, alpha, gamma=gamma),
+                                     pregamma_point(omega, gamma, cur),
+                                     pregamma_point(omega, gamma, nxt))
+        acc = alg.mul(gen, acc)
+        cur = nxt
+    return acc
+
+
+@pytest.mark.parametrize("name", ["a1_quarter", "a2_wall", "c2_generic"])
+def test_lift_of_finite_tau_basis_equals_integral_reference(name):
+    spec = load_instance(ROOT / "instances" / f"{name}.json")
+    alg, B = spec.algebra(), spec.b_algebra()
+    g1 = spec.gamma_choice.gamma
+    g2 = vec(tuple(2 * c - r for c, r in zip(g1, two_rho_coroot(spec.group))))
+    for gamma in (g1, g2):
+        for ell in B.orbit:
+            for w in spec.group.finite.elements:
+                assert lift(alg.omega, gamma, B.tau_element(w, ell)) == \
+                    integral_reference(alg, gamma, w, ell), (gamma, ell, w)
 
 
 def test_sigma_length_inequality_for_skewed_gamma():
@@ -115,7 +154,7 @@ def test_sigma_length_inequality_for_skewed_gamma():
 
 def test_product_formula_identity_element():
     alg, B, gamma = a2_setup()
-    rep = product_formula_check(alg, gamma, alg.group.finite.identity, B.orbit[0])
+    rep = product_formula_check(alg, B, gamma, alg.group.finite.identity, B.orbit[0])
     assert rep.ok and rep.scalar == 1
 
 
@@ -123,7 +162,7 @@ def test_product_formula_rank1_reflection():
     alg, B, gamma = rank1_setup()
     s = alg.group.finite.reflection(alg.rs.simple_root(0))
     for ell in B.orbit:
-        rep = product_formula_check(alg, gamma, s, ell)
+        rep = product_formula_check(alg, B, gamma, s, ell)
         assert rep.ok
 
 
@@ -131,7 +170,7 @@ def test_product_formula_a2_all_elements_and_weights():
     alg, B, gamma = a2_setup()
     for w in alg.group.finite.elements:
         for ell in B.orbit:
-            rep = product_formula_check(alg, gamma, w, ell)
+            rep = product_formula_check(alg, B, gamma, w, ell)
             assert rep.ok, (w, ell, rep.scalar)
 
 
@@ -252,7 +291,8 @@ def test_sigma_with_integral_minus_one_kills_invariants():
     ell0 = torus_point(alg.omega.base_point)
     from qdha.kz import integral
     assert integral(alg.omega, ell0, W.rs.simple_root(0), gamma=gamma) == -1
-    op = sigma(alg, gamma, 0, ell0)
+    B = BAlgebra(integral_b_order_function(alg.omega))
+    op = lift(alg.omega, gamma, B.tau_letter(0, ell0))
     lam = pregamma_point(alg.omega, gamma, ell0)
     alpha = alg.root_poly(W.rs.simple_root(0))
     assert alg.apply(op, lam, alpha * alpha) == []
