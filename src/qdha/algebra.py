@@ -48,7 +48,11 @@ class NotInAlgebra(ValueError):
 
 
 class WindowExceeded(RuntimeError):
-    """A computation produced weights beyond the configured length cap."""
+    """A computation produced weights beyond the length cap."""
+
+
+# the longest witness a weight may need before a computation gives up
+LENGTH_CAP = 120
 
 
 class NonTerminating(RuntimeError):
@@ -136,7 +140,7 @@ class OperatorAlgebra:
       basis element;
     * ``element_of_entry(key)``: the basis element a block key stands for;
     * ``inversion_orders(g, lam)``: the (root, order value) pairs of the
-      inversion set of g.
+      inversion set of g; pairs with value 0 may be left out.
     """
 
     def __init__(self, group: AffineWeylGroup):
@@ -400,37 +404,39 @@ class OperatorAlgebra:
 class Algebra(OperatorAlgebra):
     """The quiver double Hecke algebra of an order function, on its affine weight orbit.
 
-    ``length_cap`` bounds the witness length of any weight a computation may
-    touch; crossing it raises instead of truncating silently.
+    Every weight a computation touches gets omega moved to it once, as a
+    table of its nonzero values.  A weight whose witness is longer than
+    ``LENGTH_CAP`` raises instead of truncating silently.
     """
 
-    def __init__(self, omega: OrderFunction, length_cap: int = 120):
+    def __init__(self, omega: OrderFunction):
         super().__init__(omega.group)
         self.omega = omega
         self.ars = self.group.ars
-        self.length_cap = length_cap
-        self._witness: dict[Vec, AffineWeylElement] = {}
+        self._moved: dict[Vec, dict[AffineRoot, int]] = {}
 
     # ----- weights and basis elements -----
 
-    def witness(self, lam: Vec) -> AffineWeylElement:
+    def moved(self, lam: Vec) -> dict[AffineRoot, int]:
+        """omega at lam: ``OrderFunction.moved`` at a witness of lam."""
         lam = vec(lam)
-        if lam not in self._witness:
+        table = self._moved.get(lam)
+        if table is None:
             wit = self.omega.witness(lam)
             if wit is None:
                 raise ValueError(f"{lam} is not in the weight orbit")
-            if self.group.length(wit) > self.length_cap:
-                raise WindowExceeded(f"weight {lam} needs witness length > {self.length_cap}")
-            self._witness[lam] = wit
-        return self._witness[lam]
+            if self.group.length(wit) > LENGTH_CAP:
+                raise WindowExceeded(f"weight {lam} needs witness length > {LENGTH_CAP}")
+            table = self._moved[lam] = self.omega.moved(wit)
+        return table
 
     def omega_value(self, lam: Vec, a: AffineRoot) -> int:
-        return self.omega.at(self.witness(lam), a)
+        return self.moved(lam).get(a, 0)
 
     def _weight(self, lam: Vec) -> Vec:
         lam = vec(lam)
-        if lam not in self._witness:
-            self.witness(lam)
+        if lam not in self._moved:
+            self.moved(lam)
         return lam
 
     def _letter(self, i: int, lam: Vec) -> tuple[RootKey, int, Vec]:
@@ -460,7 +466,10 @@ class Algebra(OperatorAlgebra):
         return AffineWeylElement(mu, u)
 
     def inversion_orders(self, g: AffineWeylElement, lam: Vec) -> list[tuple[RootKey, int]]:
-        return [(b.alpha, self.omega_value(lam, b)) for b in self.group.inversion_set(g)]
+        """The nonzero pairs: roots b of omega at lam with b positive and g b negative."""
+        pos = self.ars.is_positive
+        return [(b.alpha, v) for b, v in sorted(self.moved(lam).items())
+                if pos(b) and not pos(self.group.act_root(g, b))]
 
     # ----- derived operations -----
 
@@ -509,8 +518,11 @@ class Algebra(OperatorAlgebra):
         return self.tau_letter(i, lam)
 
     def phi_square_exponent(self, i: int, lam: Vec) -> int:
-        """n with phi_a^2 e(lambda) = ±(da)^n e(lambda)."""
-        return max(self.omega.tau_degree(i, self.witness(lam)), 0)
+        """n with phi_a^2 e(lambda) = ±(da)^n e(lambda): max(omega_lambda(±a) summed, 0)."""
+        a = self.ars.delta[i]
+        table = self.moved(lam)
+        neg = AffineRoot(tuple(-c for c in a.alpha), -a.level)
+        return max(table.get(a, 0) + table.get(neg, 0), 0)
 
     # ----- centre -----
 
@@ -518,8 +530,8 @@ class Algebra(OperatorAlgebra):
         """The diagonal action of an invariant polynomial via witness twists."""
         entries: dict[EntryKey, RatFunc] = {}
         for lam in weights:
-            lam = vec(lam)
-            tw = self.act_poly(self.witness(lam).w, f)
+            lam = self._weight(lam)
+            tw = self.act_poly(self.omega.witness(lam).w, f)
             entries[(lam, lam, self.group.finite.identity)] = RatFunc.from_poly(tw)
         return RatOperator.from_dict(entries)
 

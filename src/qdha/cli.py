@@ -24,7 +24,6 @@ from .kz import (
     clan_characters,
     e_gamma_weights,
     gamma_change,
-    integral,
     integral_b_order_function,
     iso_check,
     kernel_clan_test,
@@ -136,6 +135,8 @@ def check_integral(spec: InstanceSpec, ball: int, seed: int) -> dict:
     W = spec.group
     g1 = spec.gamma_choice.gamma
     g2 = vec(tuple(c * 2 - r for c, r in zip(g1, two_rho_coroot(W))))
+    b1 = integral_b_order_function(omega, gamma=g1)
+    b2 = integral_b_order_function(omega, gamma=g2)
     failures = []
     count = 0
     for ell in omega.torus.points:
@@ -143,13 +144,12 @@ def check_integral(spec: InstanceSpec, ball: int, seed: int) -> dict:
             if not W.rs.is_positive_root(alpha):
                 continue
             count += 1
-            if integral(omega, ell, alpha, gamma=g1) != integral(omega, ell, alpha, gamma=g2):
+            if b1.value(ell, alpha) != b2.value(ell, alpha):
                 failures.append({"ell": [str(c) for c in ell], "alpha": list(alpha)})
     if spec.ddaha_h is not None:
-        lhs = integral_b_order_function(omega, gamma=g1)
         rhs = from_ddaha_k(W, spec.ddaha_h, omega.base_point)
         count += 1
-        if lhs.table != rhs.table:
+        if b1.table != rhs.table:
             failures.append({"reason": "integral of the affine extraction != finite extraction"})
     return _report("integral", spec, count, failures)
 
@@ -159,7 +159,7 @@ def check_iso(spec: InstanceSpec, ball: int, seed: int) -> dict:
     B = spec.b_algebra()
     report = iso_check(alg, B, spec.gamma_choice.gamma, degree_bound=spec.degree, word_bound=3)
     failures = [{"word": repr(d)} for d in report.discrepancies]
-    out = _report("iso", spec, len(report.generator_images), failures)
+    out = _report("iso", spec, report.generators, failures)
     out["discrepancies"] = failures
     return out
 
@@ -214,7 +214,6 @@ def check_frobenius(spec: InstanceSpec, ball: int, seed: int) -> dict:
 
 
 def check_kernel(spec: InstanceSpec, ball: int, seed: int) -> dict:
-    alg = spec.algebra()
     dec = enumerate_clans(spec.omega)
     rank = spec.group.rs.rank
     char_bound = 80 if rank == 1 else 30
@@ -225,13 +224,14 @@ def check_kernel(spec: InstanceSpec, ball: int, seed: int) -> dict:
     chars = clan_characters(spec.omega, char_bound)
     reach = spec.group.orbit_reach(spec.omega.base_point, 2 * bound)
     for sign in dec.clans:
-        rep = kernel_clan_test(alg, dec, chars.get(sign, {}), reach, bound=bound, growth_n=growth_n)
+        rep = kernel_clan_test(spec.omega, dec, chars.get(sign, {}), reach, bound=bound,
+                               growth_n=growth_n)
         count += 1
         if not rep.consistent():
             failures.append({"clan": list(sign), "reason": "criteria disagree"})
         if rep.in_kernel == dec.generic[sign]:
             failures.append({"clan": list(sign), "reason": "kernel flag vs genericity"})
-    rep = kernel_clan_test(alg, dec, orbit_character(spec.omega, char_bound), reach,
+    rep = kernel_clan_test(spec.omega, dec, orbit_character(spec.omega, char_bound), reach,
                            bound=bound, growth_n=growth_n)
     count += 1
     if not rep.consistent() or rep.in_kernel:
@@ -392,7 +392,7 @@ def cmd_example_a1(as_json: bool) -> int:
         (f"generic{k}", s) for k, s in enumerate(dec.generic_clans())
     ]:
         char = chars.get(sign, {})
-        rep = kernel_clan_test(alg, dec, char, reach, bound=12, growth_n=60)
+        rep = kernel_clan_test(spec.omega, dec, char, reach, bound=12, growth_n=60)
         exp, _ = classify_growth(gk_growth(W, char, 60), 1)
         growth[name] = exp
         kernel_flags[name] = rep.in_kernel

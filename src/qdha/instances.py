@@ -41,8 +41,8 @@ class InstanceSpec:
     degree: int = 2
     ddaha_h: object | None = None
 
-    def algebra(self, length_cap: int = 120) -> Algebra:
-        return Algebra(self.omega, length_cap=length_cap)
+    def algebra(self) -> Algebra:
+        return Algebra(self.omega)
 
     def b_algebra(self) -> BAlgebra:
         return BAlgebra(integral_b_order_function(self.omega, gamma=self.gamma_choice.gamma))

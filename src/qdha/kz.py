@@ -1,10 +1,10 @@
 """Idempotent truncation machinery: deep antidominant lifts and the finite quotient.
 
 The finite order function of the quotient is the integral of the order
-function along the deep lifts (``integral``), computed once per instance by
-``integral_b_order_function``.  Every affine image of a finite-quotient
-operator is its ``lift``: the same blocks, moved to the deep lifts of their
-source and target points.
+function along the deep lifts, computed once per instance by
+``integral_b_order_function`` from the support moved to each lift.  Every
+affine image of a finite-quotient operator is its ``lift``: the same blocks,
+moved to the deep lifts of their source and target points.
 
 The section from the torus orbit back to the affine orbit is
 ``ell = w ell_0  ->  X^gamma w lambda_0`` for a translation gamma pairing at
@@ -23,9 +23,9 @@ from typing import Sequence
 from .algebra import RatOperator
 from .clans import ClanDecomposition, Sign, clan_of, wall_roots
 from .modcat import gk_growth
-from .orderfun import BOrderFunction, InvalidOrderFunction, OrderFunction
+from .orderfun import BOrderFunction, OrderFunction
 from .polyring import Poly, monomials
-from .rootsys import AffineRoot, RootKey, Vec, vec
+from .rootsys import RootKey, Vec, vec
 from .weyl import AffineWeylElement, AffineWeylGroup, Perm
 
 
@@ -116,50 +116,25 @@ def e_gamma_weights(omega: OrderFunction, gamma: Vec) -> list[Vec]:
 
 # ----- the integral: the finite order function -----
 
-def integral(omega: OrderFunction, ell: Sequence, alpha: RootKey,
-             gamma: Vec | None = None) -> int:
-    """Sum of omega at the deep-antidominant lift over all affine roots with
-    differential alpha or 2 alpha; independent of the admissible lift."""
+def integral_b_order_function(omega: OrderFunction, gamma: Vec | None = None) -> BOrderFunction:
+    """The finite order function: at (ell, alpha), omega at the deep lift
+    ``X^gamma w lambda_0`` of ell summed over the positive affine roots with
+    differential alpha or 2 alpha, read off the support moved by ``X^gamma w``.
+    The sum does not depend on the admissible gamma (the ``integral`` sweep
+    checks it)."""
     group = omega.group
     rs = group.rs
-    if not rs.is_positive_root(alpha):
-        raise ValueError("alpha must be a positive indivisible root")
     if gamma is None:
         gamma = choose_gamma(omega).gamma
-    lam = pregamma_point(omega, gamma, ell)
-    wit = omega.witness(lam)
-    if wit is None:
-        raise InvalidOrderFunction("lifted point is not in the orbit")
-    winv = group.inverse(wit)
-    total = 0
-    radius = omega.support_level_radius()
-    for mult in (1, 2):
-        beta = tuple(mult * c for c in alpha)
-        if not rs.is_root(beta):
-            continue
-        # omega(w^{-1}(beta + k)) is nonzero only for |k + shift| <= radius
-        shift = group.act_root(winv, AffineRoot(beta, 0)).level
-        lo = 0 if rs.is_positive_root(beta) else 1
-        for k in range(max(lo, -radius - shift), radius - shift + 1):
-            a = AffineRoot(beta, k)
-            if not group.ars.is_root(a):
-                continue
-            total += omega.at(wit, a)
-    return total
-
-
-def integral_b_order_function(omega: OrderFunction, gamma: Vec | None = None) -> BOrderFunction:
-    """The full finite order function obtained by integrating omega."""
-    group = omega.group
-    rs = group.rs
+    xg = group.translation(gamma)
     table: dict[tuple[Vec, RootKey], int] = {}
-    indiv_pos = [a for a in rs.indivisible_roots if rs.is_positive_root(a)]
-    for ell in omega.torus.points:
-        for alpha in indiv_pos:
-            v = integral(omega, ell, alpha, gamma=gamma)
-            if v:
-                table[(ell, alpha)] = v
-    return BOrderFunction(group, omega.base_point, table)
+    for ell, w in omega.torus.cosets.items():
+        for b, v in omega.moved(group.compose(xg, group.from_finite(w))).items():
+            if b.level < 0 or not rs.is_positive_root(b.alpha):
+                continue
+            alpha = b.alpha if b.alpha in rs.indivisible_roots else tuple(c // 2 for c in b.alpha)
+            table[(ell, alpha)] = table.get((ell, alpha), 0) + v
+    return BOrderFunction(group, omega.base_point, {k: v for k, v in table.items() if v})
 
 
 # ----- lifts of finite-quotient operators -----
@@ -220,7 +195,7 @@ def _is_power_of_two(q: Fraction) -> bool:
 
 @dataclass
 class IsoReport:
-    generator_images: list
+    generators: int
     discrepancies: list
     scalars: dict
 
@@ -252,7 +227,6 @@ def iso_check(alg, B, gamma: Vec, degree_bound: int, word_bound: int) -> IsoRepo
     lifted = {g: lift(omega, gamma, x) for g, (x, _) in gens.items()}
 
     discrepancies = []
-    images = [(g, a.entries) for g, a in lifted.items()]
     # grow composable words, prepending each generator whose source (the
     # last part of its key) is the target of the word's first letter, and
     # compare the two sides on every one
@@ -290,7 +264,7 @@ def iso_check(alg, B, gamma: Vec, degree_bound: int, word_bound: int) -> IsoRepo
                 discrepancies.append(("triangularity", ell, w))
             else:
                 scalars[(ell, w)] = lead.num.constant_value()
-    return IsoReport(generator_images=images, discrepancies=discrepancies, scalars=scalars)
+    return IsoReport(generators=len(lifted), discrepancies=discrepancies, scalars=scalars)
 
 
 # ----- change of gamma -----
@@ -418,14 +392,13 @@ def hyperplane_cover_count(points, rank: int) -> int:
     return count
 
 
-def kernel_clan_test(alg, dec: ClanDecomposition, character: dict, reach: dict[Vec, int],
-                     bound: int = 12, growth_n: int = 60) -> KernelReport:
+def kernel_clan_test(omega: OrderFunction, dec: ClanDecomposition, character: dict,
+                     reach: dict[Vec, int], bound: int = 12, growth_n: int = 60) -> KernelReport:
     """Decide kernel membership three ways and require agreement; dec is the
-    clan decomposition of the algebra's order function and reach is
+    clan decomposition of the order function and reach is
     ``group.orbit_reach(base_point, 2 * bound)``, shared by every character
     a sweep tests."""
-    omega = alg.omega
-    group = alg.group
+    group = omega.group
     rank = group.rs.rank
     char = {vec(k): int(v) for k, v in character.items() if int(v) != 0}
     walls = dec.walls

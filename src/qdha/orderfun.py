@@ -3,17 +3,19 @@
 An order function is a finitely supported map ``S -> Z_{>=-1}`` attached to a
 base point ``lambda_0``, invariant under the stabilizer of the base point, with
 value -1 allowed only on roots vanishing at the base point.  It transports
-along the orbit by ``omega_{w lambda_0}(a) = omega(w^{-1} a)``.
+along the orbit by ``omega_{w lambda_0}(a) = omega(w^{-1} a)``, so at the
+weight ``w lambda_0`` it is the moved support ``{w a: omega(a)}``
+(``OrderFunction.moved``), the same table for every witness w.
 
 Its finite shadow lives on the torus orbit: for a point ``ell = exp(lambda)``
 (a point of E taken modulo the coroot lattice) and an indivisible positive
 root, integrating the order function over all affine roots with a fixed
 differential gives the finite order function driving the finite quotient
-algebra (``qdha.kz.integral``, which reads the deep lifts).  The orbit itself
-is tabulated once, by ``TorusOrbit``.  Both extraction recipes from
-deformation parameters ``h`` are exact: the affine one reads off orders of
-vanishing of ``(z - h_a)/z`` at rational points, the finite one reduces to
-congruences of exponents modulo 1.
+algebra (``qdha.kz.integral_b_order_function``, which sums the moved support
+at the deep lifts).  The orbit itself is tabulated once, by ``TorusOrbit``.
+Both extraction recipes from deformation parameters ``h`` are exact: the
+affine one reads off orders of vanishing of ``(z - h_a)/z`` at rational
+points, the finite one reduces to congruences of exponents modulo 1.
 """
 from __future__ import annotations
 
@@ -131,9 +133,9 @@ class OrderFunction:
         """The extended function at any affine root."""
         return self.support.get(a, 0)
 
-    def at(self, witness: AffineWeylElement, a: AffineRoot) -> int:
-        """omega_{w lambda0}(a) = omega(w^{-1} a)."""
-        return self.value(self.group.act_root(self.group.inverse(witness), a))
+    def moved(self, witness: AffineWeylElement) -> dict[AffineRoot, int]:
+        """omega at ``w lambda0`` as the table ``{w a: omega(a)}``, the same for every witness w."""
+        return {self.group.act_root(witness, a): v for a, v in self.support.items()}
 
     def witness(self, lam: Sequence) -> AffineWeylElement | None:
         """Some w with w lambda0 = lam, or None if lam is not in the orbit."""
@@ -143,14 +145,6 @@ class OrderFunction:
         if not self.support:
             return 0
         return max(abs(a.level) for a in self.support)
-
-    # ----- degree data -----
-
-    def tau_degree(self, i: int, witness: AffineWeylElement) -> int:
-        """deg tau_a e(lambda) = omega_lambda(a) + omega~_lambda(-a) for a = Delta[i]."""
-        a = self.ars.delta[i]
-        neg = AffineRoot(tuple(-c for c in a.alpha), -a.level)
-        return self.at(witness, a) + self.at(witness, neg)
 
     def __repr__(self) -> str:
         return f"OrderFunction(base={self.base_point}, support={self.support})"

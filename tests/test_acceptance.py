@@ -283,7 +283,6 @@ def test_criterion_8_frobenius_structure():
 
 def test_criterion_9_kernel_criterion():
     spec = rank1_quarter()
-    alg = spec.algebra()
     W = spec.group
     dec = enumerate_clans(spec.omega)
     ok = True
@@ -292,7 +291,7 @@ def test_criterion_9_kernel_criterion():
     bounded = next(s for s in dec.clans if not dec.generic[s])
     char0 = clan_characters(spec.omega, 220)[bounded]
     reach = W.orbit_reach(spec.omega.base_point, 2 * 12)
-    rep0 = kernel_clan_test(alg, dec, char0, reach, bound=12, growth_n=200)
+    rep0 = kernel_clan_test(spec.omega, dec, char0, reach, bound=12, growth_n=200)
     g0 = gk_growth(W, char0, 200)
     ok &= rep0.consistent() and rep0.in_kernel
     ok &= abs(g0.exponent - 0) <= 0.1
@@ -300,7 +299,7 @@ def test_criterion_9_kernel_criterion():
     # the two unbounded clans: not in the kernel, exponent 1
     for k, sign in enumerate(dec.generic_clans()):
         char = clan_characters(spec.omega, 220)[sign]
-        rep = kernel_clan_test(alg, dec, char, reach, bound=12, growth_n=200)
+        rep = kernel_clan_test(spec.omega, dec, char, reach, bound=12, growth_n=200)
         g = gk_growth(W, char, 200)
         ok &= rep.consistent() and not rep.in_kernel
         ok &= abs(g.exponent - 1) <= 0.1

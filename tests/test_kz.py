@@ -12,7 +12,6 @@ from qdha.kz import (
     clan_characters,
     e_gamma_weights,
     gamma_change,
-    integral,
     integral_b_order_function,
     iso_check,
     kernel_clan_test,
@@ -113,12 +112,13 @@ def integral_reference(alg, gamma, w, ell):
     generators along the canonical word of w, each with the integral of the
     order function at its source as exponent, between deep lifts."""
     omega, fin = alg.omega, alg.group.finite
+    bof = integral_b_order_function(omega, gamma=gamma)
     cur = omega.torus.point(ell)
     acc = alg.idempotent(pregamma_point(omega, gamma, cur))
     for i in reversed(fin.word(w)):
         alpha = alg.rs.simple_root(i)
         nxt = omega.torus.act(fin.simple[i], cur)
-        gen = alg.two_case_generator(alpha, integral(omega, cur, alpha, gamma=gamma),
+        gen = alg.two_case_generator(alpha, bof.value(cur, alpha),
                                      pregamma_point(omega, gamma, cur),
                                      pregamma_point(omega, gamma, nxt))
         acc = alg.mul(gen, acc)
@@ -236,17 +236,18 @@ def test_kernel_criteria_rank1_characters():
     # the bounded-clan character: in the kernel, growth exponent 0
     char0 = clan_characters(alg.omega, 60)[(1, 1)]
     reach = alg.group.orbit_reach(alg.omega.base_point, 2 * 12)
-    rep0 = kernel_clan_test(alg, dec, char0, reach, bound=12, growth_n=60)
+    rep0 = kernel_clan_test(alg.omega, dec, char0, reach, bound=12, growth_n=60)
     assert rep0.consistent() and rep0.in_kernel
     assert abs(rep0.growth_exponent - 0) <= 0.1
     # the two unbounded-clan characters: not in the kernel, exponent 1
     for sign in dec.generic_clans():
         char = clan_characters(alg.omega, 80)[sign]
-        rep = kernel_clan_test(alg, dec, char, reach, bound=12, growth_n=60)
+        rep = kernel_clan_test(alg.omega, dec, char, reach, bound=12, growth_n=60)
         assert rep.consistent() and not rep.in_kernel
         assert abs(rep.growth_exponent - 1) <= 0.1
     # zero character: vacuously in the kernel
-    repz = kernel_clan_test(alg, dec, {}, alg.group.orbit_reach(alg.omega.base_point, 2 * 8),
+    repz = kernel_clan_test(alg.omega, dec, {},
+                            alg.group.orbit_reach(alg.omega.base_point, 2 * 8),
                             bound=8, growth_n=30)
     assert repz.consistent() and repz.in_kernel
 
@@ -269,7 +270,7 @@ def test_kernel_projective_character_not_in_kernel():
     from qdha.clans import enumerate_clans
     char = orbit_character(alg.omega, 80)
     reach = alg.group.orbit_reach(alg.omega.base_point, 2 * 12)
-    rep = kernel_clan_test(alg, enumerate_clans(alg.omega), char, reach, bound=12, growth_n=60)
+    rep = kernel_clan_test(alg.omega, enumerate_clans(alg.omega), char, reach, bound=12, growth_n=60)
     assert rep.consistent() and not rep.in_kernel
     assert abs(rep.growth_exponent - 1) <= 0.1
 
@@ -289,9 +290,8 @@ def test_sigma_with_integral_minus_one_kills_invariants():
     alg, gamma = nil_flavour_setup()
     W = alg.group
     ell0 = torus_point(alg.omega.base_point)
-    from qdha.kz import integral
-    assert integral(alg.omega, ell0, W.rs.simple_root(0), gamma=gamma) == -1
-    B = BAlgebra(integral_b_order_function(alg.omega))
+    B = BAlgebra(integral_b_order_function(alg.omega, gamma=gamma))
+    assert B.bof.value(ell0, W.rs.simple_root(0)) == -1
     op = lift(alg.omega, gamma, B.tau_letter(0, ell0))
     lam = pregamma_point(alg.omega, gamma, ell0)
     alpha = alg.root_poly(W.rs.simple_root(0))

@@ -11,7 +11,8 @@ from qdha.orderfun import (
     from_ddaha_k,
     torus_point,
 )
-from qdha.kz import choose_gamma, integral, integral_b_order_function, skewed_gamma
+from qdha.algebra import Algebra
+from qdha.kz import choose_gamma, integral_b_order_function, skewed_gamma
 from qdha.rootsys import AffineRoot, affinise, vec
 from qdha.weyl import AffineWeylGroup
 
@@ -30,18 +31,19 @@ def rank1_example():
 
 def test_rank1_values_on_basis_and_elsewhere():
     W, omega = rank1_example()
-    ident = W.identity
-    assert omega.at(ident, W.ars.delta[0]) == 1
-    assert omega.at(ident, W.ars.delta[1]) == 1
+    at_base = omega.moved(W.identity)
+    assert at_base.get(W.ars.delta[0], 0) == 1
+    assert at_base.get(W.ars.delta[1], 0) == 1
     for a in W.ars.positive_window(3):
         if a not in W.ars.delta:
-            assert omega.at(ident, a) == 0
+            assert at_base.get(a, 0) == 0
 
 
 def test_omega_at_identity_witness_is_raw_value():
     W, omega = rank1_example()
+    at_base = omega.moved(W.identity)
     for a in W.ars.positive_window(2):
-        assert omega.at(W.identity, a) == omega.value(a)
+        assert at_base.get(a, 0) == omega.value(a)
 
 
 def test_omega_witness_independence():
@@ -67,7 +69,7 @@ def test_omega_witness_independence():
             wit2 = W.compose(wit, u)
             assert W.act_point(wit2, lam0) == lam
             for a in rng.sample(roots, 8):
-                assert omega.at(wit, a) == omega.at(wit2, a)
+                assert omega.moved(wit).get(a, 0) == omega.moved(wit2).get(a, 0)
 
 
 def test_witness_reuses_the_base_walk(monkeypatch):
@@ -154,16 +156,18 @@ def test_integral_rank1_worked_example():
     alpha = W.rs.simple_root(0)
     ellp = vec((Fraction(-3, 4),))
     ellm = vec((Fraction(-5, 4),))
-    assert integral(omega, ellp, alpha) == 1
-    assert integral(omega, ellm, alpha) == 1
+    bof = integral_b_order_function(omega)
+    assert bof.value(ellp, alpha) == 1
+    assert bof.value(ellm, alpha) == 1
 
 
 def test_integral_zero_function():
     W = group("A2")
     lam0 = vec((Fraction(1, 5), Fraction(1, 7)))
     omega = OrderFunction(W, lam0, {})
+    bof = integral_b_order_function(omega)
     for alpha in W.rs.positive_roots:
-        assert integral(omega, lam0, alpha) == 0
+        assert bof.value(lam0, alpha) == 0
 
 
 def test_integral_gamma_independent():
@@ -171,17 +175,21 @@ def test_integral_gamma_independent():
     alpha = W.rs.simple_root(0)
     g1 = choose_gamma(omega).gamma
     g2 = vec(tuple(3 * c for c in g1))
+    b1 = integral_b_order_function(omega, gamma=g1)
+    b2 = integral_b_order_function(omega, gamma=g2)
     for ell in omega.torus.points:
-        assert integral(omega, ell, alpha, gamma=g1) == integral(omega, ell, alpha, gamma=g2)
+        assert b1.value(ell, alpha) == b2.value(ell, alpha)
     W2 = group("A2")
     lam0 = vec((Fraction(1, 5), Fraction(1, 7)))
     sup = {a: 1 for a in W2.ars.delta}
     om2 = OrderFunction(W2, lam0, sup)
     g1 = choose_gamma(om2).gamma
     g2 = vec(tuple(2 * c for c in g1))
+    b1 = integral_b_order_function(om2, gamma=g1)
+    b2 = integral_b_order_function(om2, gamma=g2)
     for ell in om2.torus.points:
         for alpha in W2.rs.positive_roots:
-            assert integral(om2, ell, alpha, gamma=g1) == integral(om2, ell, alpha, gamma=g2)
+            assert b1.value(ell, alpha) == b2.value(ell, alpha)
 
 
 @pytest.mark.parametrize("label", ["A1", "A2"])
@@ -242,9 +250,10 @@ def test_skewed_gamma_is_admissible():
 def test_tau_degree_rank1():
     W, omega = rank1_example()
     # deg tau_{a_1} e(1/4) = omega_{1/4}(a1) + omega_{-1/4}(a1) = 1 + 0
-    assert omega.tau_degree(1, W.identity) == 1
+    s1 = W.simple_reflection(1)
+    assert Algebra(omega).tau_element_degree(s1, omega.base_point) == 1
     om0 = OrderFunction(W, vec((Fraction(1, 4),)), {})
-    assert om0.tau_degree(1, W.identity) == 0
+    assert Algebra(om0).tau_element_degree(s1, om0.base_point) == 0
 
 
 def test_tau_degree_both_walls_case():
@@ -252,4 +261,4 @@ def test_tau_degree_both_walls_case():
     W = group("A2")
     lam0 = vec((Fraction(1, 7), Fraction(2, 7)))
     omega = OrderFunction(W, lam0, {AffineRoot((1, 0), 0): -1, AffineRoot((-1, 0), 0): -1})
-    assert omega.tau_degree(1, W.identity) == -2
+    assert Algebra(omega).tau_element_degree(W.simple_reflection(1), lam0) == -2
