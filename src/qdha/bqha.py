@@ -7,26 +7,33 @@ products, basis and normal forms are those of ``qdha.algebra.OperatorAlgebra``
 with finite Weyl elements as basis; the peel always terminates, since the
 group is finite.
 
-The trace extracts the coefficient of the longest element (for its canonical
-reduced word), applies the Demazure composition of the point stabilizer to
-land in the invariant ring, pulls back along the chosen orbit representative,
-and sums over the orbit.  Together with the multiplication it gives an exact
-Gram pairing whose rank witnesses the Frobenius property.
+The trace of x takes two closed forms per source and sums over the orbit:
 
-The Gram matrix uses left Pol-linearity of the normal form: every block of
-``tau_w e(ell)`` ends at ``w ell``, so ``nf(m tau_w e(ell) y) = m nf(tau_w e(ell) y)``
-for a polynomial m, and one product and one normal form serve every monomial
-of a spanning group ``(ell, w)``.
+* the tau_{w0} coefficient.  w0 is the only element of maximal length, so
+  the normal-form peel fixes its coefficient at its first step: the block
+  ``(src, w0 src, w0)`` of x times the inverse of the leading block of
+  ``tau_{w0} e(src)``;
+* the trace of ``f tau_{w0} e(ell)``: the Demazure operator of the
+  stabilizer's longest element, pulled back along the orbit representative v
+  of ell.  Its N divided differences ``(s f - f) / alpha``, over the positive
+  roots integral at ell, compose to ``(-1)^N sum_w sgn(w) w(f) / prod alpha``
+  over the stabilizer, so the trace is ``sum_w sgn(w) (v^-1 w)(f)`` divided
+  by ``prod (-v^-1 alpha)``, from one table per orbit point.
+
+Together with the multiplication it gives an exact Gram pairing whose rank
+witnesses the Frobenius property.  The blocks of ``tau_w e(ell)`` end at
+``w ell``, so by left Pol-linearity one product ``tau_w e(ell) y`` serves
+every monomial m of a spanning group ``(ell, w)``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import EntryKey, OperatorAlgebra, RatOperator
-from .orderfun import BOrderFunction, torus_point
-from .polyring import Poly, RatFunc, demazure, monomials
-from .rootsys import RootKey, Vec, vec
+from .algebra import EntryKey, NotInAlgebra, OperatorAlgebra, RatOperator
+from .orderfun import BOrderFunction
+from .polyring import Poly, divide_exact, monomials
+from .rootsys import RootKey, Vec
 from .weyl import Perm
 
 
@@ -38,8 +45,18 @@ class BAlgebra(OperatorAlgebra):
         self.bof = bof
         self.torus = bof.torus
         self.orbit = bof.torus.points
-        # the stabilizer Demazure word of every orbit point, for theta_trace
-        self.theta_words = {ell: tuple(self.stabilizer_longest_word(ell)) for ell in self.orbit}
+        # per orbit point ell = v ell0: the stabilizer elements w as
+        # (v^-1 w, sgn w), and the negated pulled-back positive roots' product
+        self.trace_terms: dict[Vec, tuple[tuple[tuple[Perm, int], ...], Poly]] = {}
+        for ell, v in self.torus.cosets.items():
+            v_inv = self.fin.inverse(v)
+            signed = tuple((self.fin.compose(v_inv, w), (-1) ** self.fin.length(w))
+                           for w in self.fin.elements if self.act_ell(w, ell) == ell)
+            den = Poly.const(self.rank, 1)
+            for alpha in self.rs.positive_roots:
+                if self.rs.pair_root_point(alpha, ell).denominator == 1:
+                    den = -(den * self.act_poly(v_inv, self.root_poly(alpha)))
+            self.trace_terms[ell] = (signed, den)
 
     # ----- points and basis elements -----
 
@@ -76,92 +93,28 @@ class BAlgebra(OperatorAlgebra):
 
     # ----- Frobenius structure -----
 
-    def stabilizer_roots(self, ell: Vec) -> list[RootKey]:
-        """Positive roots alpha with Y^alpha(ell) = 1 (the reflection stabilizer)."""
-        ell = torus_point(vec(ell))
-        out = []
-        for alpha in self.rs.positive_roots:
-            if self.rs.pair_root_point(alpha, ell).denominator == 1:
-                out.append(alpha)
-        return out
-
-    def stabilizer_simple_system(self, ell: Vec) -> list[RootKey]:
-        """The positive stabilizer roots not sums of two others (a simple system)."""
-        pos = self.stabilizer_roots(ell)
-        pset = set(pos)
-        simple = []
-        for a in pos:
-            decomposable = any(
-                tuple(x - y for x, y in zip(a, b)) in pset for b in pos if b != a
-            )
-            if not decomposable:
-                simple.append(a)
-        return sorted(simple)
-
-    def demazure_for_root(self, alpha: RootKey, f: Poly) -> Poly:
-        ap = self.root_poly(alpha)
-        refl = self.act_poly(self.fin.reflection(alpha), f)
-        return demazure(f, ap, refl)
-
-    def stabilizer_longest_word(self, ell: Vec) -> list[RootKey]:
-        """A reduced word (in stabilizer simple roots) for the stabilizer's longest element."""
-        ell = self.torus.point(ell)
-        simple = self.stabilizer_simple_system(ell)
-        if not simple:
-            return []
-        # E modulo the coroot lattice is the torus of the simply connected
-        # group, so the stabilizer of ell is generated by its reflections
-        # (Steinberg); read it off the orbit table
-        elems = [w for w in self.fin.elements if self.torus.act(w, ell) == ell]
-        refl = {a: self.fin.reflection(a) for a in simple}
-        sub_pos = self.stabilizer_roots(ell)
-
-        def sub_inversions(g):
-            return sum(
-                1 for b in sub_pos if not self.rs.is_positive_root(self.fin.act_root(g, b))
-            )
-
-        w0 = max(sorted(elems), key=sub_inversions)
-        word = []
-        cur = w0
-        while cur != self.fin.identity:
-            a = next(
-                a for a in simple
-                if not self.rs.is_positive_root(self.fin.act_root(self.fin.inverse(cur), a))
-            )
-            word.append(a)
-            cur = self.fin.compose(refl[a], cur)
-        return word
-
-    def theta_trace(self, ell: Vec, f: Poly) -> Poly:
-        """The Demazure composition for the stabilizer's longest element at an orbit point."""
-        out = f
-        for alpha in self.theta_words[ell]:
-            out = self.demazure_for_root(alpha, out)
-        return out
-
     def top_coefficients(self, x: RatOperator) -> dict[Vec, Poly]:
-        """The nonzero tau_{w0} coefficients of x, one per source, in source order.
-
-        Each source part runs the full peel, so an x outside the algebra
-        raises NotInAlgebra.
-        """
+        """The nonzero tau_{w0} coefficients of x by source, read off their blocks;
+        one with a denominator raises NotInAlgebra (the others are not checked)."""
         w0 = self.fin.longest_element()
-        by_source: dict[Vec, dict[EntryKey, RatFunc]] = {}
-        for k, v in x.entries:
-            by_source.setdefault(k[0], {})[k] = v
         out = {}
-        for src in sorted(by_source):
-            f = self.normal_form(RatOperator.from_dict(by_source[src])).coeffs.get(w0)
-            if f is not None and not f.is_zero():
-                out[torus_point(src)] = f
+        for (src, tgt, u), r in x.entries:  # sorted by key, so by source
+            if u == w0 and tgt == self.act_ell(w0, src):
+                f = r * self._leading_block(w0, src)[2]
+                if not f.is_poly():
+                    raise NotInAlgebra(f"operator is not in the algebra at source {src}",
+                                       offenders=[w0])
+                out[src] = f.as_poly()
         return out
 
     def coefficient_trace(self, ell: Vec, f: Poly) -> Poly:
-        """The trace of ``f tau_{w0} e(ell)``: the stabilizer Demazure image of f,
-        pulled back to the base point along the orbit representative of ell."""
-        rep = self.torus.cosets[ell]
-        return self.act_poly(self.fin.inverse(rep), self.theta_trace(ell, f))
+        """The trace of ``f tau_{w0} e(ell)``, as the signed sum over the stabilizer."""
+        signed, den = self.trace_terms[ell]
+        num = Poly.zero(self.rank)
+        for g, sign in signed:
+            img = self.act_poly(g, f)
+            num = num + img if sign > 0 else num - img
+        return divide_exact(num, den)
 
     def frobenius_trace(self, x: RatOperator) -> Poly:
         """The trace of x: the coefficient traces of its sources, summed over the orbit."""

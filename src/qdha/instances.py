@@ -45,7 +45,7 @@ class InstanceSpec:
         return Algebra(self.omega)
 
     def b_algebra(self) -> BAlgebra:
-        return BAlgebra(integral_b_order_function(self.omega, gamma=self.gamma_choice.gamma))
+        return BAlgebra(integral_b_order_function(self.omega))
 
     def digest(self) -> dict:
         return {

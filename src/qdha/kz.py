@@ -1,10 +1,10 @@
 """Idempotent truncation machinery: deep antidominant lifts and the finite quotient.
 
 The finite order function of the quotient is the integral of the order
-function along the deep lifts, computed once per instance by
-``integral_b_order_function`` from the support moved to each lift.  Every
-affine image of a finite-quotient operator is its ``lift``: the same blocks,
-moved to the deep lifts of their source and target points.
+function along the deep lifts, read off the coset representatives once per
+instance by ``integral_b_order_function``.  Every affine image of a
+finite-quotient operator is its ``lift``: the same blocks, moved to the deep
+lifts of their source and target points.
 
 The section from the torus orbit back to the affine orbit is
 ``ell = w ell_0  ->  X^gamma w lambda_0`` for a translation gamma pairing at
@@ -116,23 +116,24 @@ def e_gamma_weights(omega: OrderFunction, gamma: Vec) -> list[Vec]:
 
 # ----- the integral: the finite order function -----
 
-def integral_b_order_function(omega: OrderFunction, gamma: Vec | None = None) -> BOrderFunction:
-    """The finite order function: at (ell, alpha), omega at the deep lift
-    ``X^gamma w lambda_0`` of ell summed over the positive affine roots with
-    differential alpha or 2 alpha, read off the support moved by ``X^gamma w``.
-    The sum does not depend on the admissible gamma (the ``integral`` sweep
-    checks it)."""
+def integral_b_order_function(omega: OrderFunction) -> BOrderFunction:
+    """The finite order function: at (ell, beta), omega summed over the support
+    roots a whose differential the coset representative w of ell sends to
+    ``beta = w a.alpha > 0`` (to beta/2 for a divisible beta).
+
+    This is the integral along every deep lift ``X^gamma w lambda_0``:
+    ``X^gamma`` raises the level of ``w a`` by ``-<beta, gamma>`` beyond the
+    level radius, so the moved root is positive exactly when beta is.
+    """
     group = omega.group
     rs = group.rs
-    if gamma is None:
-        gamma = choose_gamma(omega).gamma
-    xg = group.translation(gamma)
     table: dict[tuple[Vec, RootKey], int] = {}
     for ell, w in omega.torus.cosets.items():
-        for b, v in omega.moved(group.compose(xg, group.from_finite(w))).items():
-            if b.level < 0 or not rs.is_positive_root(b.alpha):
+        for a, v in omega.support.items():
+            beta = group.finite.act_root(w, a.alpha)
+            if not rs.is_positive_root(beta):
                 continue
-            alpha = b.alpha if b.alpha in rs.indivisible_roots else tuple(c // 2 for c in b.alpha)
+            alpha = beta if beta in rs.indivisible_roots else tuple(c // 2 for c in beta)
             table[(ell, alpha)] = table.get((ell, alpha), 0) + v
     return BOrderFunction(group, omega.base_point, {k: v for k, v in table.items() if v})
 
@@ -302,9 +303,9 @@ def gamma_change(alg, B, gamma: Vec, gamma2: Vec) -> GammaChangeReport:
     """Check phi phi' = e and that phi conjugates the lift at gamma2 of every
     finite generator into its lift at gamma.
 
-    B's finite order function was integrated at one gamma and is lifted to
-    both; that is exact because the integral does not depend on the lift
-    (the ``integral`` sweep checks it)."""
+    B's finite order function does not depend on the lift, so B is lifted
+    to both (the ``integral`` sweep compares it with the integral along
+    each lift)."""
     omega = alg.omega
     rank = alg.group.rs.rank
     phi12 = gamma_change_intertwiner(alg, gamma, gamma2)

@@ -11,8 +11,8 @@ Its finite shadow lives on the torus orbit: for a point ``ell = exp(lambda)``
 (a point of E taken modulo the coroot lattice) and an indivisible positive
 root, integrating the order function over all affine roots with a fixed
 differential gives the finite order function driving the finite quotient
-algebra (``qdha.kz.integral_b_order_function``, which sums the moved support
-at the deep lifts).  The orbit itself is tabulated once, by ``TorusOrbit``.
+algebra (``qdha.kz.integral_b_order_function``, read off the coset
+representatives).  The orbit itself is tabulated once, by ``TorusOrbit``.
 Both extraction recipes from deformation parameters ``h`` are exact: the
 affine one reads off orders of vanishing of ``(z - h_a)/z`` at rational
 points, the finite one reduces to congruences of exponents modulo 1.

@@ -537,22 +537,31 @@ def apply_linear(f: Poly, images: Sequence[Poly]) -> Poly:
 
 
 def apply_linear_rat(r: RatFunc, images: Sequence[Poly]) -> RatFunc:
-    num = r.num.substitute(images)
-    den: dict[Poly, int] = {}
+    """r under a Weyl automorphism, given by the variable images.  A lattice
+    automorphism keeps a fraction reduced and a factor primitive, so only the
+    factors' signs are normalized; a non-primitive image raises ArithmeticError."""
+    out = object.__new__(RatFunc)
+    out.num, out.den = r.num.substitute(images), {}
     for p, m in r.den.items():
-        img = p.substitute(images)
-        den[img] = den.get(img, 0) + m
-    return RatFunc(num, den)
+        img, c = normalize_factor(p.substitute(images))
+        if abs(c) != 1:
+            raise ArithmeticError(f"the image of {p} is not primitive")
+        if c < 0 and m % 2:
+            out.num = -out.num
+        out.den[img] = m
+    return out
+
+
+def divide_exact(f: Poly, g: Poly) -> Poly:
+    """f / g for a nonzero g that divides f; a remainder raises ArithmeticError."""
+    prim, scalar = normalize_factor(g)
+    q = _exact_quotient(f, prim)
+    if q is None:
+        raise ArithmeticError("exact division left a remainder")
+    return q.scale(1 / scalar)
 
 
 def demazure(f: Poly, alpha: Poly, reflected: Poly) -> Poly:
-    """Divided difference ``(reflected - f) / alpha``; the division is exact.
-
-    ``reflected`` must be the reflection of f in the wall of the linear form
-    ``alpha``, so that the numerator vanishes on the wall.
-    """
-    prim, scalar = normalize_factor(alpha)
-    q = _exact_quotient(reflected - f, prim)
-    if q is None:
-        raise ArithmeticError("divided difference left a remainder; reflection data inconsistent")
-    return q.scale(1 / scalar)
+    """Divided difference ``(reflected - f) / alpha``, with ``reflected`` the
+    reflection of f in the wall of alpha; a remainder raises ArithmeticError."""
+    return divide_exact(reflected - f, alpha)

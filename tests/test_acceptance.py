@@ -67,7 +67,7 @@ def test_criterion_1_rank1_reproduction():
         scalars.append(ratio.num.constant_value())
     ok &= scalars[0] == scalars[1] != 0
 
-    bof = integral_b_order_function(spec.omega, gamma=gamma)
+    bof = integral_b_order_function(spec.omega)
     alpha = W.rs.simple_root(0)
     ok &= all(bof.value(ell, alpha) == 1 for ell in bof.torus.points)
 

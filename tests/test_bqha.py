@@ -9,7 +9,7 @@ from qdha.bqha import BAlgebra, gram_rank_at_point
 from qdha.instances import c2_generic, instance_from_data
 from qdha.kz import integral_b_order_function
 from qdha.orderfun import BOrderFunction, OrderFunction, torus_point
-from qdha.polyring import Poly, RatFunc
+from qdha.polyring import Poly, RatFunc, demazure
 from qdha.rootsys import affinise, vec
 from qdha.weyl import AffineWeylGroup
 
@@ -172,8 +172,17 @@ def test_trace_of_top_basis_element_trivial_stabilizer():
     assert B.frobenius_trace(x) == f
 
 
+def demazure_along(B, word, f):
+    """The composition of the divided differences of the roots of ``word``,
+    the last letter applied first."""
+    for alpha in reversed(word):
+        f = demazure(f, B.root_poly(alpha), B.act_poly(B.fin.reflection(alpha), f))
+    return f
+
+
 def test_trace_reduced_word_independence_of_theta():
-    # Demazure compositions along the two reduced words of the longest element agree
+    # the closed signed sum agrees with the Demazure compositions along both
+    # reduced words s1 s2 s1 = s2 s1 s2 of the longest element of A2 at 0
     W = AffineWeylGroup(affinise("A2"))
     lam0 = vec((Fraction(0), Fraction(0)))
     bof = BOrderFunction(W, lam0, {(torus_point(lam0), a): -1
@@ -181,21 +190,14 @@ def test_trace_reduced_word_independence_of_theta():
     B = BAlgebra(bof)
     rng = random.Random(77)
     ell = B.orbit[0]
-    word = B.stabilizer_longest_word(ell)
-    assert len(word) == 3
-    a1, a2 = B.stabilizer_simple_system(ell)
+    signed, _ = B.trace_terms[ell]
+    assert len(signed) == 6
+    a1, a2 = (1, 0), (0, 1)
     for _ in range(10):
         f = Poly(2, {(rng.randrange(3), rng.randrange(3)): Fraction(rng.randrange(-4, 5))})
-        via_word = B.theta_trace(ell, f)
-        # s1 s2 s1 = s2 s1 s2: the two explicit compositions must agree
-        lhs = f
-        for alpha in [a1, a2, a1]:
-            lhs = B.demazure_for_root(alpha, lhs)
-        rhs = f
-        for alpha in [a2, a1, a2]:
-            rhs = B.demazure_for_root(alpha, rhs)
-        assert lhs == rhs
-        assert via_word == lhs
+        lhs = demazure_along(B, [a1, a2, a1], f)
+        assert lhs == demazure_along(B, [a2, a1, a2], f)
+        assert B.coefficient_trace(ell, f) == lhs
 
 
 def test_trace_symmetry_under_anti_involution():
@@ -274,9 +276,10 @@ def test_gram_matrix_one_product_per_group_and_column(monkeypatch):
     # the 36 columns ending at its point; the pairwise formula needs 108 * 36
     assert len(span) == 108
     assert len(products) == 108 + 648
-    # 72 products vanish (order -1 on the wall); a zero product has nothing to peel
+    # 72 products vanish (order -1 on the wall)
     assert sum(1 for z in products[108:] if z.is_zero()) == 72
-    assert len(normal_forms) == 648 - 72
+    # the tau_{w0} coefficient is read off its block, without a peel
+    assert normal_forms == []
 
 
 def test_normal_form_left_pol_linear():
@@ -346,8 +349,51 @@ def test_gram_rank_by_blocks_on_gram_matrix():
 
 
 def test_theta_words_frozen_per_orbit_point():
+    # one trace table entry per orbit point; each stabilizer is one
+    # reflection, so each trace is a single divided difference pulled back
+    # along the orbit representative
     B = a2_wall_lite()
-    assert set(B.theta_words) == set(B.orbit)
+    assert set(B.trace_terms) == set(B.orbit)
+    rng = random.Random(5)
     for ell in B.orbit:
-        assert list(B.theta_words[ell]) == B.stabilizer_longest_word(ell)
-    assert all(len(word) == 1 for word in B.theta_words.values())
+        signed, den = B.trace_terms[ell]
+        assert sorted(sign for _, sign in signed) == [-1, 1]
+        assert den.total_degree() == 1
+        roots = [a for a in B.rs.positive_roots if B.rs.pair_root_point(a, ell).denominator == 1]
+        assert len(roots) == 1
+        f = Poly(2, {(rng.randrange(3), rng.randrange(1, 3)): Fraction(rng.randrange(1, 5))})
+        pull = B.fin.inverse(B.torus.cosets[ell])
+        assert B.coefficient_trace(ell, f) == B.act_poly(pull, demazure_along(B, roots, f))
+
+
+@pytest.mark.parametrize("make", [a2_wall_lite, lambda: c2_generic().b_algebra()],
+                         ids=["a2_wall_lite", "c2_generic"])
+def test_gram_products_in_algebra_with_peeled_top_coefficients(make, monkeypatch):
+    # the reference: every product the Gram matrix traces has a polynomial
+    # full peel, whose tau_{w0} coefficient is the one read off the block
+    B = make()
+    products = []
+    top = B.top_coefficients
+    monkeypatch.setattr(B, "top_coefficients", lambda x: products.append(x) or top(x))
+    B.gram_matrix(4)
+    w0 = B.fin.longest_element()
+    assert any(top(z) for z in products)
+    for z in products:
+        peeled = {}
+        for src in z.sources():
+            nf = B.normal_form(RatOperator.from_dict({k: v for k, v in z.entries if k[0] == src}))
+            if w0 in nf.coeffs:
+                peeled[src] = nf.coeffs[w0]
+        assert top(z) == peeled
+
+
+def test_top_coefficient_with_denominator_not_in_algebra():
+    B = zero_b_algebra()
+    ell = B.orbit[0]
+    w0 = B.fin.longest_element()
+    alpha = B.root_poly(B.rs.simple_root(0))
+    bad = RatOperator.from_dict({(ell, B.act_ell(w0, ell), w0): RatFunc(Poly.const(2, 1), {alpha: 1})})
+    with pytest.raises(NotInAlgebra):
+        B.top_coefficients(bad)
+    good = B.mul(B.poly_mult(alpha, B.act_ell(w0, ell)), B.tau_element(w0, ell))
+    assert B.top_coefficients(good) == {ell: alpha}

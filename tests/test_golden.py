@@ -3,15 +3,20 @@
 The files under ``tests/golden/`` hold the stdout of the idempotent-truncation
 sweeps on the two A1 instances, of every sweep that reads the order function
 on the A2, C2 and G2 instances (except G2 ``iso`` and ``gamma``, which take
-over a second), and of the worked example.  A refactor must leave every byte
-and every exit code unchanged; a deliberate change of a report regenerates the
-file, e.g. ``qdha verify --instance instances/a1_quarter.json --check iso --json``.
+over a second), of the ``frobenius`` sweep on the A1, A2 and C2 instances (on
+``a2_wall`` also at seed 1, where it fails), and of the worked example.  The
+``frobenius`` reports of the benchmark's ``a2_wall_lite`` data on seeds 1-12
+pin which seeds fail.  A refactor must leave every byte and every exit code
+unchanged; a deliberate change of a report regenerates the file, e.g.
+``qdha verify --instance instances/a1_quarter.json --check iso --json``.
 """
+import json
 from pathlib import Path
 
 import pytest
 
-from qdha.cli import main
+from qdha.cli import check_frobenius, main
+from qdha.instances import instance_from_data
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -34,3 +39,39 @@ def test_verify_json_matches_golden(name, check, capsys):
 def test_example_a1_json_matches_golden(capsys):
     assert main(["example-a1", "--json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "example-a1.json").read_text()
+
+
+# (instance, seed or None for the default, exit code)
+FROBENIUS = [("a1_quarter", None, 0), ("a1_ddaha_half", None, 0), ("a2_generic", None, 0),
+             ("c2_generic", None, 0), ("a2_wall", None, 0), ("a2_wall", 1, 1)]
+
+
+@pytest.mark.parametrize("name,seed,code", FROBENIUS,
+                         ids=[f"{n}-seed{s}" if s else n for n, s, _ in FROBENIUS])
+def test_verify_frobenius_matches_golden(name, seed, code, capsys):
+    args = ["verify", "--instance", str(ROOT / "instances" / f"{name}.json"),
+            "--check", "frobenius", "--json"]
+    suffix = ""
+    if seed is not None:
+        args += ["--seed", str(seed)]
+        suffix = f".seed{seed}"
+    assert main(args) == code
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.frobenius{suffix}.json").read_text()
+
+
+# the benchmark's a2_wall_lite instance: the a2_wall base point, order -1 on +-alpha_1 only
+A2_WALL_LITE = {
+    "type": "A2",
+    "lambda0": ["1/7", "2/7"],
+    "omega": [
+        {"root": {"alpha": [1, 0], "level": 0}, "value": -1},
+        {"root": {"alpha": [-1, 0], "level": 0}, "value": -1},
+    ],
+}
+
+
+def test_frobenius_seeds_pinned_on_a2_wall_lite():
+    reports = {str(s): check_frobenius(instance_from_data(A2_WALL_LITE), 0, s) for s in range(1, 13)}
+    assert {int(s) for s, rep in reports.items() if not rep["pass"]} == {1, 5, 6, 8, 9, 11}
+    stored = (GOLDEN / "a2_wall_lite.frobenius.seeds.json").read_text()
+    assert json.dumps(reports, indent=2, sort_keys=True) + "\n" == stored

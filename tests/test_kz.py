@@ -112,7 +112,7 @@ def integral_reference(alg, gamma, w, ell):
     generators along the canonical word of w, each with the integral of the
     order function at its source as exponent, between deep lifts."""
     omega, fin = alg.omega, alg.group.finite
-    bof = integral_b_order_function(omega, gamma=gamma)
+    bof = integral_b_order_function(omega)
     cur = omega.torus.point(ell)
     acc = alg.idempotent(pregamma_point(omega, gamma, cur))
     for i in reversed(fin.word(w)):
@@ -290,7 +290,7 @@ def test_sigma_with_integral_minus_one_kills_invariants():
     alg, gamma = nil_flavour_setup()
     W = alg.group
     ell0 = torus_point(alg.omega.base_point)
-    B = BAlgebra(integral_b_order_function(alg.omega, gamma=gamma))
+    B = BAlgebra(integral_b_order_function(alg.omega))
     assert B.bof.value(ell0, W.rs.simple_root(0)) == -1
     op = lift(alg.omega, gamma, B.tau_letter(0, ell0))
     lam = pregamma_point(alg.omega, gamma, ell0)

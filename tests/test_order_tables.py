@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from qdha import cli
 from qdha.algebra import Algebra
 from qdha.instances import load_instance
 from qdha.kz import (
@@ -21,7 +22,7 @@ from qdha.kz import (
     pregamma_point,
     two_rho_coroot,
 )
-from qdha.orderfun import OrderFunction
+from qdha.orderfun import BOrderFunction, OrderFunction
 from qdha.rootsys import AffineRoot, AffineRootSystem, FiniteRootSystem, vec
 from qdha.weyl import AffineWeylGroup
 
@@ -96,8 +97,8 @@ def test_finite_table_matches_level_window_integral(name):
     g1 = vec((-2,)) if name == "bc1" else choose_gamma(omega).gamma
     g2 = vec(tuple(2 * c - r for c, r in zip(g1, two_rho_coroot(group))))
     nonzero = 0
+    bof = integral_b_order_function(omega)
     for gamma in (g1, g2):
-        bof = integral_b_order_function(omega, gamma=gamma)
         for ell in omega.torus.points:
             for alpha in rs.indivisible_roots:
                 if rs.is_positive_root(alpha):
@@ -122,3 +123,24 @@ def test_inversion_orders_match_inversion_set(name):
     for g in group.ball(4):
         for lam in weights:
             assert alg.inversion_orders(g, lam) == reference_inversion_orders(omega, g, lam)
+
+
+@pytest.mark.parametrize("name,failures", [("c2_generic", 4), ("g2_generic", 8)])
+def test_integral_sweep_catches_inverse_representative(name, failures, monkeypatch):
+    # a slip in the table, the inverse coset representative, leaves it the
+    # same at every gamma; the literal integral along the lifts sees it
+    def slipped(omega):
+        group = omega.group
+        rs = group.rs
+        table = {}
+        for ell, w in omega.torus.cosets.items():
+            for a, v in omega.support.items():
+                beta = group.finite.act_root(group.finite.inverse(w), a.alpha)
+                if rs.is_positive_root(beta):
+                    table[ell, beta] = table.get((ell, beta), 0) + v
+        return BOrderFunction(group, omega.base_point, {k: v for k, v in table.items() if v})
+
+    spec = load_instance(ROOT / "instances" / f"{name}.json")
+    assert cli.check_integral(spec, 0, 0)["pass"]
+    monkeypatch.setattr(cli, "integral_b_order_function", slipped)
+    assert len(cli.check_integral(spec, 0, 0)["failures"]) == failures

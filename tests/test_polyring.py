@@ -5,9 +5,18 @@ from math import gcd
 
 import pytest
 
-from qdha.polyring import Poly, RatFunc, apply_linear, demazure, poly_divides, poly_divmod
-from qdha.rootsys import build_finite
-from qdha.weyl import FiniteWeylGroup
+from qdha.algebra import OperatorAlgebra
+from qdha.polyring import (
+    Poly,
+    RatFunc,
+    apply_linear,
+    apply_linear_rat,
+    demazure,
+    poly_divides,
+    poly_divmod,
+)
+from qdha.rootsys import affinise, build_finite
+from qdha.weyl import AffineWeylGroup, FiniteWeylGroup
 
 
 def random_poly(rng, nvars, deg=3, terms=4):
@@ -343,6 +352,40 @@ def test_ratfunc_equality_and_is_poly_match_sympy_cancel():
         assert (c - a) == RatFunc.from_poly(k)
 
     check()
+
+
+@pytest.mark.parametrize("label", ["A2", "C2", "G2"])
+def test_apply_linear_rat_matches_public_constructor(label):
+    # the oracle: substitute numerator and factors, then normalize and reduce
+    # again through RatFunc(...); the automorphism route only fixes signs
+    rng = random.Random(label)
+    alg = OperatorAlgebra(AffineWeylGroup(affinise(label)))
+    roots = [alg.root_poly(a) for a in alg.rs.positive_roots]
+    fractions = []
+    for _ in range(12):
+        den = {}
+        for _ in range(rng.randrange(1, 4)):
+            p = roots[rng.randrange(len(roots))]
+            if rng.randrange(3) == 0:
+                p = p * roots[rng.randrange(len(roots))]
+            den[p.scale(rng.choice([-2, -1, 1, 3]))] = rng.randrange(1, 3)
+        num = random_poly(rng, 2)
+        if rng.randrange(2):
+            num = num * next(iter(den))
+        fractions.append(RatFunc(num, den))
+    assert any(r.den for r in fractions)
+    for w in alg.fin.elements:
+        images = alg.images(w)
+        for r in fractions:
+            out = apply_linear_rat(r, images)
+            ref = RatFunc(r.num.substitute(images), {p.substitute(images): m for p, m in r.den.items()})
+            assert (out.num, out.den) == (ref.num, ref.den)
+
+
+def test_apply_linear_rat_rejects_non_unimodular_substitution():
+    x0, x1 = Poly.variable(2, 0), Poly.variable(2, 1)
+    with pytest.raises(ArithmeticError):
+        apply_linear_rat(RatFunc(Poly.const(2, 1), {x0 + x1: 1}), [x0.scale(2), x1.scale(2)])
 
 
 def test_ratfunc_is_not_hashable():

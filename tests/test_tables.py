@@ -7,7 +7,7 @@ import pytest
 
 from qdha.bqha import BAlgebra
 from qdha.orderfun import BOrderFunction, TorusOrbit, torus_point
-from qdha.polyring import Poly
+from qdha.polyring import Poly, demazure
 from qdha.rootsys import AffineRootSystem, FiniteRootSystem, affinise, build_finite, vec
 from qdha.weyl import AffineWeylGroup
 
@@ -241,14 +241,51 @@ def test_torus_stabilizer_generated_by_reflections(label, max_den):
         roots = [a for a in rs.positive_roots if rs.pair_root_point(a, ell).denominator == 1]
         assert table == reflection_closure(fin, roots)
         assert len(orbit.points) * len(table) == len(fin.elements)
-        # the trace's Demazure word is reduced for the stabilizer's longest element
-        word = BAlgebra(BOrderFunction(W, ell, {})).theta_words[ell]
-        g = fin.identity
-        for a in word:
-            g = fin.compose(g, fin.reflection(a))
-        inverted = [b for b in roots if not rs.is_positive_root(fin.act_root(g, b))]
-        assert g in table
-        assert len(word) == len(inverted) == len(roots)
+
+
+def stabilizer_longest_words(fin, rs, table, roots):
+    """Two reduced words of the stabilizer's longest element in its simple
+    roots, walking down by the first and by the last left descent."""
+    pset = set(roots)
+    simple = sorted(a for a in roots
+                    if not any(tuple(x - y for x, y in zip(a, b)) in pset for b in roots if b != a))
+    w0 = next(w for w in table if not any(rs.is_positive_root(fin.act_root(w, b)) for b in roots))
+    words = []
+    for pick in (0, -1):
+        word, cur = [], w0
+        while cur != fin.identity:
+            a = [a for a in simple if not rs.is_positive_root(fin.act_root(fin.inverse(cur), a))][pick]
+            word.append(a)
+            cur = fin.compose(fin.reflection(a), cur)
+        words.append(word)
+    return words
+
+
+@pytest.mark.parametrize("label,max_den", [("A1", 6), ("A2", 6), ("B2", 6), ("C2", 6),
+                                           ("G2", 6), ("A3", 3)])
+def test_coefficient_trace_matches_demazure_words(label, max_den):
+    # the closed signed sum against the composition of divided differences
+    # along reduced words of the stabilizer's longest element, pulled back
+    # along the orbit representative; at the base and at the last orbit point
+    W = AffineWeylGroup(affinise(label))
+    fin, rs = W.finite, W.rs
+    rng = random.Random(label)
+    for base in torus_grid(W.rank, max_den):
+        B = BAlgebra(BOrderFunction(W, base, {}))
+        for ell in dict.fromkeys((base, B.orbit[-1])):
+            table = {w for w in fin.elements if B.act_ell(w, ell) == ell}
+            roots = [a for a in rs.positive_roots if rs.pair_root_point(a, ell).denominator == 1]
+            words = stabilizer_longest_words(fin, rs, table, roots)
+            f = Poly(W.rank, {tuple(rng.randrange(4) for _ in range(W.rank)): Fraction(rng.randrange(-5, 6))
+                              for _ in range(3)})
+            pull = fin.inverse(B.torus.cosets[ell])
+            for word in words:
+                # reduced: one letter per root that w0 inverts
+                assert len(word) == len(roots)
+                out = f
+                for a in word:
+                    out = demazure(out, B.root_poly(a), B.act_poly(fin.reflection(a), out))
+                assert B.coefficient_trace(ell, f) == B.act_poly(pull, out)
 
 
 def test_finite_quotient_rejects_points_outside_the_orbit():
