@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import RatOperator
-from .clans import ClanDecomposition, Sign, clan_of, wall_roots
+from .clans import ClanDecomposition, Sign, wall_roots
 from .modcat import gk_growth
 from .orderfun import BOrderFunction, OrderFunction
 from .polyring import Poly, monomials
@@ -342,12 +342,20 @@ class KernelReport:
 def clan_characters(omega: OrderFunction, bound: int) -> dict[Sign, dict[Vec, int]]:
     """The indicator character of every clan met within the length bound:
     weight w lambda_0 per alcove w^{-1} nu_0.  A clan with no such alcove
-    has no entry."""
+    has no entry.
+
+    One ``walk`` carries the wall roots along.  Since ``a(g^{-1} x) = (g a)(x)``
+    and nu_0 lies inside the fundamental alcove, ``a(g^{-1} nu_0) > 0`` exactly
+    when the image ``g a`` is a positive affine root, so each sign vector is
+    read off the images: no alcove point is built and no root is evaluated."""
     group = omega.group
-    walls = wall_roots(omega)
+    rs = group.rs
+    positive = {i for i, alpha in enumerate(rs.roots) if rs.is_positive_root(alpha)}
+    point, found = group.walk(omega.base_point, bound, wall_roots(omega))
     out: dict[Sign, dict[Vec, int]] = {}
-    for g in group.ball(bound):
-        out.setdefault(clan_of(omega, g, walls), {})[group.act_point(g, omega.base_point)] = 1
+    for x, images in found:
+        sign = tuple(1 if k > 0 or (k == 0 and i in positive) else -1 for i, k in images)
+        out.setdefault(sign, {})[point(x)] = 1
     return out
 
 
@@ -355,7 +363,7 @@ def orbit_character(omega: OrderFunction, bound: int) -> dict[Vec, int]:
     """The character of the quotient of a weight projective: stabilizer size everywhere."""
     group = omega.group
     _, stab = group.stabilizer(omega.base_point)
-    return {pt: len(stab) for pt in group.orbit_window(omega.base_point, bound)}
+    return {pt: len(stab) for pt in group.orbit_reach(omega.base_point, bound)}
 
 
 def hyperplane_cover_count(points, rank: int) -> int:
@@ -402,14 +410,8 @@ def kernel_clan_test(omega: OrderFunction, dec: ClanDecomposition, character: di
     group = omega.group
     rank = group.rs.rank
     char = {vec(k): int(v) for k, v in character.items() if int(v) != 0}
-    walls = dec.walls
-    generic = set(dec.generic_clans())
-    vanishes = True
-    for g in group.ball(bound):
-        if clan_of(omega, g, walls) in generic:
-            if char.get(group.act_point(g, omega.base_point), 0) != 0:
-                vanishes = False
-                break
+    chars = clan_characters(omega, bound)
+    vanishes = not any(pt in char for sign in dec.generic_clans() for pt in chars.get(sign, ()))
     # hyperplane confinement: the cover count must stabilize between two windows
     far = 10 ** 9
     small = [pt for pt in char if reach.get(pt, far) <= bound]

@@ -15,6 +15,16 @@ closed formula
               + sum_{a in R+ and 2R} |<a, mu>| / 2
 
 together with its ``X^mu w`` variant.  The two are cross-checked in the tests.
+
+Orbits are explored by ``walk``, a breadth-first search over integer states
+rather than over group elements.  A state is a pair ``(x, images)``: x holds
+the integer numerators of ``g lambda_0`` over one common denominator (the
+scaling of the integer alcove walk), and ``images`` holds the images ``g a``
+of a given list of affine roots as ``(root index, level)`` pairs.  A step
+applies one simple affine reflection through integer tables built with the
+group.  Every element has a reduced word, so the breadth-first distance of a
+state is the least ``l(g)`` over the elements g that reach it, and the states
+found within n steps are exactly ``{(g lambda_0, g roots) : l(g) <= n}``.
 """
 from __future__ import annotations
 
@@ -27,6 +37,9 @@ from .rootsys import (AffineRoot, AffineRootSystem, FiniteRootSystem, RootKey, V
                       _int_combination, vec)
 
 Perm = tuple[int, ...]
+# a state of ``AffineWeylGroup.walk``: integer point numerators and root images
+WalkState = tuple[tuple[int, ...], tuple[tuple[int, int], ...]]
+WalkEdge = tuple[int, "WalkState | None", "int | None"]
 
 
 class FiniteWeylGroup:
@@ -152,6 +165,21 @@ def _invert(w: Perm) -> Perm:
     return tuple(out)
 
 
+class _PointsOver(dict):
+    """Points from integer numerators over one denominator; each ``Fraction`` is built once."""
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, c: int) -> Fraction:
+        f = self[c] = Fraction(c, self.den)
+        return f
+
+    def __call__(self, x: tuple[int, ...]) -> Vec:
+        return tuple(map(self.__getitem__, x))
+
+
 @dataclass(frozen=True, order=True)
 class AffineWeylElement:
     """The element ``X^mu * w`` with mu in coroot coordinates and w a root permutation."""
@@ -177,6 +205,14 @@ class AffineWeylGroup:
             (self.rs._point_terms[a.alpha], a.level, self.finite._point_rows[s.w],
              tuple(int(c * self._walk_den) for c in s.mu), s.w)
             for a, s in zip(ars.delta, self._simple_affine)
+        )
+        # per simple reflection s, the image s(alpha_j + 0) = alpha_i + c of
+        # every finite root as (i, c); then s(alpha_j + k) = alpha_i + (c + k)
+        index = self.finite._index
+        self._root_steps = tuple(
+            tuple((index[b.alpha], b.level)
+                  for b in (self.act_root(s, AffineRoot(alpha, 0)) for alpha in self.rs.roots))
+            for s in self._simple_affine
         )
         self._word_cache: dict[AffineWeylElement, tuple[int, ...]] = {}
         # the breadth-first ball: every element found so far with its length,
@@ -471,19 +507,73 @@ class AffineWeylGroup:
             return list(self._ball_seen)
         return [g for g, n in self._ball_seen.items() if n <= length_bound]
 
-    def orbit_window(self, lam0: Vec, length_bound: int) -> dict[Vec, AffineWeylElement]:
-        """All distinct w lam0 with l(w) <= bound, each with a minimal-length witness."""
+    def walk(self, lam0: Vec, length_bound: int,
+             roots: Sequence[AffineRoot] = ()) -> tuple[_PointsOver, dict[WalkState, WalkEdge]]:
+        """Every state ``(g lam0, g roots)`` with l(g) <= length_bound, by breadth-first search.
+
+        Returns ``point``, which turns a state's integer numerators back into
+        the point, and, in discovery order, each state with the edge it was
+        found by: ``(layer, parent, letter)``, the state being ``s_letter``
+        applied to ``parent`` (None and None for the start).  An image is
+        stored as ``(root index, level)``.
+
+        Exactness: a product of k simple reflections has length <= k, and
+        every element of length n is a product of n of them (a reduced word).
+        So the states within n steps are exactly the states of the elements of
+        length <= n, and the layer of a state is the least length reaching it.
+        """
         lam0 = vec(lam0)
+        den = math.lcm(self._walk_den, *(c.denominator for c in lam0))
+        scale = den // self._walk_den
+        steps = [(rows, tuple(t * scale for t in shift), images)
+                 for (_, _, rows, shift, _), images in zip(self._walk_steps, self._root_steps)]
+        index = self.finite._index
+        start = (tuple(c.numerator * (den // c.denominator) for c in lam0),
+                 tuple((index[a.alpha], a.level) for a in roots))
+        found: dict[WalkState, WalkEdge] = {start: (0, None, None)}
+        frontier = [start]
+        for n in range(1, length_bound + 1):
+            nxt = []
+            for state in frontier:
+                x, images = state
+                for letter, (rows, shift, table) in enumerate(steps):
+                    y = []
+                    for row, t in zip(rows, shift):
+                        for i, c in row:
+                            t += c * x[i]
+                        y.append(t)
+                    moved = []
+                    for j, k in images:
+                        i, c = table[j]
+                        moved.append((i, k + c))
+                    new = (tuple(y), tuple(moved))
+                    if new not in found:
+                        found[new] = (n, state, letter)
+                        nxt.append(new)
+            frontier = nxt
+        return _PointsOver(den), found
+
+    def orbit_window(self, lam0: Vec, length_bound: int) -> dict[Vec, AffineWeylElement]:
+        """All distinct w lam0 with l(w) <= bound, each with a minimal-length witness.
+
+        The points are those of ``walk``; each witness is its parent's witness
+        with the walk's letter composed on the left, one ``compose`` per point.
+        """
+        point, found = self.walk(lam0, length_bound)
+        witness: dict[WalkState, AffineWeylElement] = {}
         out: dict[Vec, AffineWeylElement] = {}
-        for g in self.ball(length_bound):
-            pt = self.act_point(g, lam0)
-            if pt not in out:
-                out[pt] = g
+        for state, (_, parent, letter) in found.items():
+            g = (self.identity if parent is None
+                 else self.compose(self._simple_affine[letter], witness[parent]))
+            witness[state] = g
+            out[point(state[0])] = g
         return out
 
     def orbit_reach(self, lam0: Vec, length_bound: int) -> dict[Vec, int]:
         """All distinct w lam0 with l(w) <= bound, each with its least such length.
 
-        The lengths are those ``ball`` recorded, so no length formula runs.
+        The points and lengths are the states and layers of ``walk`` with no
+        roots, so no element is built and no length formula runs.
         """
-        return {pt: self._ball_seen[g] for pt, g in self.orbit_window(lam0, length_bound).items()}
+        point, found = self.walk(lam0, length_bound)
+        return {point(x): n for (x, _), (n, _, _) in found.items()}

@@ -1,14 +1,17 @@
-"""Golden outputs: ``verify --json`` and ``example-a1 --json`` stdout, byte for byte.
+"""Golden outputs: ``verify --json``, ``describe --json`` and ``example-a1 --json`` stdout, byte for byte.
 
 The files under ``tests/golden/`` hold the stdout of the idempotent-truncation
 sweeps on the two A1 instances, of every sweep that reads the order function
 on the A2, C2 and G2 instances (except G2 ``iso`` and ``gamma``, which take
 over a second), of the ``frobenius`` sweep on the A1, A2 and C2 instances (on
-``a2_wall`` also at seed 1, where it fails), and of the worked example.  The
-``frobenius`` reports of the benchmark's ``a2_wall_lite`` data on seeds 1-12
-pin which seeds fail.  A refactor must leave every byte and every exit code
-unchanged; a deliberate change of a report regenerates the file, e.g.
-``qdha verify --instance instances/a1_quarter.json --check iso --json``.
+``a2_wall`` also at seed 1, where it fails), of the ``kernel`` and ``length``
+sweeps on the A1, A2, C2 and G2 instances (C2 and G2 ``kernel`` fail on clan
+``[-1, -1]``), of ``describe`` on every instance file, and of the worked
+example.  The ``frobenius`` reports of the benchmark's ``a2_wall_lite`` data
+on seeds 1-12 pin which seeds fail.  A refactor must leave every byte and
+every exit code unchanged; a deliberate change of a report regenerates the
+file, e.g. ``qdha verify --instance instances/a1_quarter.json --check iso
+--json``.
 """
 import json
 from pathlib import Path
@@ -34,6 +37,31 @@ def test_verify_json_matches_golden(name, check, capsys):
                  "--check", check, "--json"])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.{check}.json").read_text()
+
+
+# (instance, check, exit code) for the clan and length sweeps
+CLAN_LENGTH = [(name, check, int(check == "kernel" and name in ("c2_generic", "g2_generic")))
+               for name in ("a1_quarter", "a1_ddaha_half", "a2_generic", "a2_wall",
+                            "c2_generic", "g2_generic")
+               for check in ("kernel", "length")]
+
+
+@pytest.mark.parametrize("name,check,code", CLAN_LENGTH,
+                         ids=[f"{n}-{c}" for n, c, _ in CLAN_LENGTH])
+def test_verify_kernel_and_length_match_golden(name, check, code, capsys):
+    assert main(["verify", "--instance", str(ROOT / "instances" / f"{name}.json"),
+                 "--check", check, "--json"]) == code
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.{check}.json").read_text()
+
+
+DESCRIBE = ["a1_quarter", "a1_ddaha_half", "a2_generic", "a2_wall", "a3_generic", "c2_generic",
+            "g2_generic"]
+
+
+@pytest.mark.parametrize("name", DESCRIBE)
+def test_describe_json_matches_golden(name, capsys):
+    assert main(["describe", "--instance", str(ROOT / "instances" / f"{name}.json"), "--json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.describe.json").read_text()
 
 
 def test_example_a1_json_matches_golden(capsys):

@@ -265,6 +265,29 @@ def test_clan_characters_against_one_clan_at_a_time():
         assert chars.get(sign, {}) == expected
 
 
+@pytest.mark.parametrize("name", ["a1_quarter", "a2_wall", "c2_generic", "g2_generic"])
+def test_clan_characters_against_one_clan_at_a_time_on_instance_files(name):
+    # the sign vectors read off the walked wall images against clan_of at the
+    # alcove point of every element of the ball
+    from qdha.clans import clan_of, wall_roots
+    omega = load_instance(ROOT / "instances" / f"{name}.json").omega
+    W, walls = omega.group, wall_roots(omega)
+    expected = {}
+    for g in W.ball(12):
+        expected.setdefault(clan_of(omega, g, walls), {})[W.act_point(g, omega.base_point)] = 1
+    assert clan_characters(omega, 12) == expected
+
+
+@pytest.mark.parametrize("name", ["a1_quarter", "a2_wall"])
+def test_orbit_character_against_the_ball(name):
+    omega = load_instance(ROOT / "instances" / f"{name}.json").omega
+    W = omega.group
+    size = len(W.stabilizer(omega.base_point)[1])
+    assert size == (2 if name == "a2_wall" else 1)
+    expected = {W.act_point(g, omega.base_point): size for g in W.ball(12)}
+    assert orbit_character(omega, 12) == expected
+
+
 def test_kernel_projective_character_not_in_kernel():
     alg, B, gamma = rank1_setup()
     from qdha.clans import enumerate_clans

@@ -1,10 +1,17 @@
 """Affine Weyl group: composition, lengths, words, cosets, orbits."""
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from qdha.instances import load_instance
 from qdha.rootsys import AffineRootSystem, FiniteRootSystem, affinise, vec
 from qdha.weyl import AffineWeylGroup
+from test_tables import torus_grid
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+INSTANCE_NAMES = ["a1_quarter", "a1_ddaha_half", "a2_generic", "a2_wall", "a3_generic",
+                  "c2_generic", "g2_generic"]
 
 
 def group(label):
@@ -235,3 +242,65 @@ def test_witness_and_fundamental_domain():
         assert wit is not None
         assert W.act_point(wit, lam0) == lam
     assert W.witness(vec((Fraction(1, 2), Fraction(1, 2))), lam0) is None
+
+
+# ----- the orbit walk against the ball it replaces -----
+
+def ball_reach(W, lam0, ball):
+    """``{g lam0: least l(g)}`` over a list of ``(g, l(g))``."""
+    out = {}
+    for g, n in ball:
+        pt = W.act_point(g, lam0)
+        out[pt] = min(out.get(pt, n), n)
+    return out
+
+
+def instance_bound(name):
+    return 8 if name.startswith("a3") else 12
+
+
+@pytest.mark.parametrize("name", INSTANCE_NAMES)
+def test_orbit_reach_against_the_ball_on_instance_files(name):
+    spec = load_instance(INSTANCES / f"{name}.json")
+    W, lam0, bound = spec.group, spec.omega.base_point, instance_bound(name)
+    reference = ball_reach(W, lam0, [(g, W.length(g)) for g in W.ball(bound)])
+    for n in (0, 1, 2, bound // 2, bound):
+        assert W.orbit_reach(lam0, n) == {pt: k for pt, k in reference.items() if k <= n}
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
+def test_orbit_reach_against_the_ball_on_torus_points(label):
+    # the grid holds the origin and points on one or two walls, with
+    # stabilizers of every size, as well as generic points
+    W = group(label)
+    ball = [(g, W.length(g)) for g in W.ball(12)]
+    for lam0 in torus_grid(W.rank, 4):
+        assert W.orbit_reach(lam0, 12) == ball_reach(W, lam0, ball)
+
+
+@pytest.mark.parametrize("name", INSTANCE_NAMES)
+def test_orbit_window_witnesses_have_the_least_length(name):
+    spec = load_instance(INSTANCES / f"{name}.json")
+    W, lam0, bound = spec.group, spec.omega.base_point, instance_bound(name)
+    reach = W.orbit_reach(lam0, bound)
+    window = W.orbit_window(lam0, bound)
+    assert window.keys() == reach.keys()
+    for pt, wit in window.items():
+        assert W.act_point(wit, lam0) == pt
+        assert W.length(wit) == reach[pt]
+
+
+@pytest.mark.parametrize("name", ["a1_quarter", "a2_wall", "c2_generic", "g2_generic"])
+def test_walk_states_are_the_images_of_the_ball(name):
+    # every state (g lam0, g roots) with l(g) <= n, each at its least length
+    spec = load_instance(INSTANCES / f"{name}.json")
+    W, lam0 = spec.group, spec.omega.base_point
+    roots = W.ars.window(1)
+    index = {key: i for i, key in enumerate(W.rs.roots)}
+    point, found = W.walk(lam0, 8, roots)
+    expected = {}
+    for g in W.ball(8):
+        state = (W.act_point(g, lam0),
+                 tuple((index[b.alpha], b.level) for b in (W.act_root(g, a) for a in roots)))
+        expected[state] = min(expected.get(state, 8), W.length(g))
+    assert {(point(x), images): n for (x, images), (n, _, _) in found.items()} == expected
