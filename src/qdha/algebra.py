@@ -47,14 +47,6 @@ class NotInAlgebra(ValueError):
         self.offenders = offenders or []
 
 
-class WindowExceeded(RuntimeError):
-    """A computation produced weights beyond the length cap."""
-
-
-# the longest witness a weight may need before a computation gives up
-LENGTH_CAP = 120
-
-
 class NonTerminating(RuntimeError):
     """The normal-form peel failed to shrink; indicates corrupted input."""
 
@@ -405,8 +397,10 @@ class Algebra(OperatorAlgebra):
     """The quiver double Hecke algebra of an order function, on its affine weight orbit.
 
     Every weight a computation touches gets omega moved to it once, as a
-    table of its nonzero values.  A weight whose witness is longer than
-    ``LENGTH_CAP`` raises instead of truncating silently.
+    table of its nonzero values.  A letter carries the table to its target:
+    if ``lam = w lam0`` then ``s_i lam = (s_i w) lam0``, so omega at
+    ``s_i lam`` is ``{s_i b: v}`` over the table ``{b: v}`` at lam.  Only a
+    weight that no letter reached is walked to the fundamental alcove.
     """
 
     def __init__(self, omega: OrderFunction):
@@ -418,15 +412,14 @@ class Algebra(OperatorAlgebra):
     # ----- weights and basis elements -----
 
     def moved(self, lam: Vec) -> dict[AffineRoot, int]:
-        """omega at lam: ``OrderFunction.moved`` at a witness of lam."""
+        """omega at lam: the table a letter carried there, else ``OrderFunction.moved``
+        at a walked witness of lam."""
         lam = vec(lam)
         table = self._moved.get(lam)
         if table is None:
             wit = self.omega.witness(lam)
             if wit is None:
                 raise ValueError(f"{lam} is not in the weight orbit")
-            if self.group.length(wit) > LENGTH_CAP:
-                raise WindowExceeded(f"weight {lam} needs witness length > {LENGTH_CAP}")
             table = self._moved[lam] = self.omega.moved(wit)
         return table
 
@@ -441,8 +434,12 @@ class Algebra(OperatorAlgebra):
 
     def _letter(self, i: int, lam: Vec) -> tuple[RootKey, int, Vec]:
         a = self.ars.delta[i]
-        target = self.group.act_point(self.group.simple_reflection(i), lam)
-        return a.alpha, self.omega_value(lam, a), target
+        s = self.group.simple_reflection(i)
+        target = self.group.act_point(s, lam)
+        table = self.moved(lam)
+        if target not in self._moved:
+            self._moved[target] = {self.group.act_root(s, b): v for b, v in table.items()}
+        return a.alpha, table.get(a, 0), target
 
     def _word(self, g: AffineWeylElement) -> tuple[int, ...]:
         return self.group.reduced_word(g)

@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .algebra import NonTerminating, NotInAlgebra, WindowExceeded
+from .algebra import NonTerminating, NotInAlgebra
 from .bqha import gram_rank_at_point
 from .clans import IncompleteExploration, enumerate_clans
 from .instances import InstanceSpec, load_instance, rank1_quarter
@@ -42,8 +42,7 @@ CHECKS = ("length", "basis", "braid", "filtration", "integral", "iso",
 
 EXIT_UNDECIDED = 3
 # raised when a computation cannot reach a verdict, as opposed to a failed check
-UNDECIDED = (NotImplementedError, ArithmeticError, WindowExceeded, NonTerminating,
-             IncompleteExploration)
+UNDECIDED = (NotImplementedError, ArithmeticError, NonTerminating, IncompleteExploration)
 
 
 def _report(check: str, spec: InstanceSpec, instances: int, failures: list) -> dict:

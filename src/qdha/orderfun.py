@@ -6,6 +6,8 @@ value -1 allowed only on roots vanishing at the base point.  It transports
 along the orbit by ``omega_{w lambda_0}(a) = omega(w^{-1} a)``, so at the
 weight ``w lambda_0`` it is the moved support ``{w a: omega(a)}``
 (``OrderFunction.moved``), the same table for every witness w.
+``qdha.algebra.Algebra`` carries each table along the letters, so it walks a
+witness (``OrderFunction.witness``) only where no letter reached the weight.
 
 Its finite shadow lives on the torus orbit: for a point ``ell = exp(lambda)``
 (a point of E taken modulo the coroot lattice) and an indivisible positive

@@ -1,16 +1,21 @@
 """Operator algebra: generators, products, normal forms, defects, intertwiners."""
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from qdha import cli
 from qdha.algebra import Algebra, NotInAlgebra, RatOperator
 from qdha.bqha import BAlgebra
-from qdha.kz import integral_b_order_function
+from qdha.instances import load_instance
+from qdha.kz import integral_b_order_function, pregamma_point, two_rho_coroot
 from qdha.orderfun import OrderFunction, torus_point
 from qdha.polyring import Poly, RatFunc
 from qdha.rootsys import AffineRoot, affinise, vec
 from qdha.weyl import AffineWeylGroup
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def rank1_algebra():
@@ -371,3 +376,47 @@ def test_leading_coefficient_matches_inversion_product():
         direct = A.leading_coefficient(g, lam)
         closed = A.inversion_leading_coefficient(g, lam)
         assert direct == closed
+
+
+LIFTING = ("integral", "iso", "gamma", "product")
+# A4 runs only its integral sweep here: its gamma and product take 5-10 s
+CARRIED = [(p.stem, ("integral",) if p.stem == "a4_generic" else LIFTING)
+           for p in sorted(INSTANCES.glob("*.json"))]
+
+
+@pytest.mark.parametrize("name,checks", CARRIED, ids=[name for name, _ in CARRIED])
+def test_carried_tables_match_walked_witness(name, checks):
+    # the sweeps that lift and truncate reach most weights through a letter,
+    # which carries omega there; each carried table is omega moved along a
+    # walked witness of its weight
+    spec = load_instance(INSTANCES / f"{name}.json")
+    alg = spec.algebra()
+    spec.algebra = lambda: alg
+    for check in checks:
+        assert cli.CHECK_FUNCS[check](spec, spec.ball, 0)["pass"]
+    omega = alg.omega
+    for lam, table in alg._moved.items():
+        assert table == omega.moved(omega.witness(lam))
+
+
+def test_translation_walks_only_its_source(monkeypatch):
+    spec = load_instance(INSTANCES / "c2_generic.json")
+    alg, omega, W = spec.algebra(), spec.omega, spec.group
+    gamma = spec.gamma_choice.gamma
+    gamma2 = vec(tuple(2 * c - r for c, r in zip(gamma, two_rho_coroot(W))))
+    walked = []
+    witness = OrderFunction.witness
+
+    def counting(self, lam):
+        walked.append(vec(lam))
+        return witness(self, lam)
+
+    monkeypatch.setattr(OrderFunction, "witness", counting)
+    diff = vec(tuple(a - b for a, b in zip(gamma, gamma2)))
+    for ell in omega.torus.points:
+        src = pregamma_point(omega, gamma2, ell)
+        walked.clear()
+        alg.tau_element(W.translation(diff), src)
+        assert walked == [src]
+        tgt = pregamma_point(omega, gamma, ell)
+        assert alg._moved[tgt] == omega.moved(witness(omega, tgt))

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from qdha import cli
-from qdha.algebra import NonTerminating, WindowExceeded
+from qdha.algebra import NonTerminating
 from qdha.clans import IncompleteExploration
 from qdha.cli import main
 
@@ -111,7 +111,6 @@ def test_module_entry_point():
     NotImplementedError("hyperplane cover implemented for rank <= 2"),
     ArithmeticError("the two length formulas disagree"),
     ZeroDivisionError("division by zero"),
-    WindowExceeded("weight needs witness length > 120"),
     NonTerminating("normal-form peel did not shrink"),
     IncompleteExploration("search produced infeasible sign vectors\nsecond line"),
 ])
