@@ -141,14 +141,11 @@ def check_integral(spec: InstanceSpec, ball: int, seed: int) -> dict:
     count = 0
     for ell in omega.torus.points:
         # the literal integral: omega at each walked deep lift, summed over
-        # the positive affine roots with differential alpha or 2 alpha
+        # the positive affine roots with differential alpha
         tables = [alg.moved(pregamma_point(omega, g, ell)).items() for g in (g1, g2)]
-        for alpha in W.rs.indivisible_roots:
-            if not W.rs.is_positive_root(alpha):
-                continue
+        for alpha in W.rs.positive_roots:
             count += 1
-            diffs = (alpha, tuple(2 * c for c in alpha))
-            if any(sum(v for b, v in table if b.level >= 0 and b.alpha in diffs)
+            if any(sum(v for b, v in table if b.level >= 0 and b.alpha == alpha)
                    != bof.value(ell, alpha) for table in tables):
                 failures.append({"ell": [str(c) for c in ell], "alpha": list(alpha)})
     if spec.ddaha_h is not None:

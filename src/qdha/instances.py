@@ -108,7 +108,7 @@ def load_instance(path) -> InstanceSpec:
     return instance_from_data(data)
 
 
-# ----- canned instances used by the test-suite and the worked example -----
+# ----- the canned instance of the worked example -----
 
 def rank1_quarter() -> InstanceSpec:
     """Base point 1/4 in the rank-1 affinisation, order one on the affine basis."""
@@ -118,43 +118,5 @@ def rank1_quarter() -> InstanceSpec:
         "omega": [
             {"root": {"alpha": [1], "level": 0}, "value": 1},
             {"root": {"alpha": [-1], "level": 1}, "value": 1},
-        ],
-    })
-
-
-def a2_generic() -> InstanceSpec:
-    """A2 with a generic base point and order one on the affine basis."""
-    return instance_from_data({
-        "type": "A2",
-        "lambda0": ["1/5", "1/7"],
-        "omega": [
-            {"root": {"alpha": [1, 0], "level": 0}, "value": 1},
-            {"root": {"alpha": [0, 1], "level": 0}, "value": 1},
-            {"root": {"alpha": [-1, -1], "level": 1}, "value": 1},
-        ],
-    })
-
-
-def a2_wall() -> InstanceSpec:
-    """A2 with the base point on the alpha_1 wall: order -1 there, 2 on the affine pair."""
-    return instance_from_data({
-        "type": "A2",
-        "lambda0": ["1/7", "2/7"],
-        "omega": [
-            {"root": {"alpha": [1, 0], "level": 0}, "value": -1},
-            {"root": {"alpha": [-1, 0], "level": 0}, "value": -1},
-            {"root": {"alpha": [-1, -1], "level": 1}, "value": 2},
-            {"root": {"alpha": [0, -1], "level": 1}, "value": 2},
-        ],
-    })
-
-
-def c2_generic() -> InstanceSpec:
-    return instance_from_data({
-        "type": "C2",
-        "lambda0": ["1/5", "1/7"],
-        "omega": [
-            {"root": {"alpha": [1, 0], "level": 0}, "value": 1},
-            {"root": {"alpha": [0, 1], "level": 0}, "value": 1},
         ],
     })

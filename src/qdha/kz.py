@@ -119,7 +119,7 @@ def e_gamma_weights(omega: OrderFunction, gamma: Vec) -> list[Vec]:
 def integral_b_order_function(omega: OrderFunction) -> BOrderFunction:
     """The finite order function: at (ell, beta), omega summed over the support
     roots a whose differential the coset representative w of ell sends to
-    ``beta = w a.alpha > 0`` (to beta/2 for a divisible beta).
+    ``beta = w a.alpha > 0``.
 
     This is the integral along every deep lift ``X^gamma w lambda_0``:
     ``X^gamma`` raises the level of ``w a`` by ``-<beta, gamma>`` beyond the
@@ -131,10 +131,8 @@ def integral_b_order_function(omega: OrderFunction) -> BOrderFunction:
     for ell, w in omega.torus.cosets.items():
         for a, v in omega.support.items():
             beta = group.finite.act_root(w, a.alpha)
-            if not rs.is_positive_root(beta):
-                continue
-            alpha = beta if beta in rs.indivisible_roots else tuple(c // 2 for c in beta)
-            table[(ell, alpha)] = table.get((ell, alpha), 0) + v
+            if rs.is_positive_root(beta):
+                table[(ell, beta)] = table.get((ell, beta), 0) + v
     return BOrderFunction(group, omega.base_point, {k: v for k, v in table.items() if v})
 
 

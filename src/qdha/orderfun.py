@@ -10,8 +10,8 @@ weight ``w lambda_0`` it is the moved support ``{w a: omega(a)}``
 witness (``OrderFunction.witness``) only where no letter reached the weight.
 
 Its finite shadow lives on the torus orbit: for a point ``ell = exp(lambda)``
-(a point of E taken modulo the coroot lattice) and an indivisible positive
-root, integrating the order function over all affine roots with a fixed
+(a point of E taken modulo the coroot lattice) and a positive root,
+integrating the order function over all affine roots with a fixed
 differential gives the finite order function driving the finite quotient
 algebra (``qdha.kz.integral_b_order_function``, read off the coset
 representatives).  The orbit itself is tabulated once, by ``TorusOrbit``.
@@ -187,7 +187,7 @@ def from_ddaha_h(group: AffineWeylGroup, h, base_point: Sequence, window: int) -
 class BOrderFunction:
     """The finite order function on the torus orbit of ``exp(lambda0)``.
 
-    Stored as a table over (canonical torus point, indivisible positive root).
+    Stored as a table over (canonical torus point, positive root).
     """
 
     def __init__(self, group: AffineWeylGroup, base_point: Sequence,
@@ -208,14 +208,8 @@ class BOrderFunction:
         for (ell, alpha), v in self.table.items():
             if v < -1:
                 raise InvalidOrderFunction(f"value {v} below -1 at {(ell, alpha)}")
-            if v == -1:
-                val = rs.pair_root_point(alpha, ell)
-                doubled = tuple(2 * c for c in alpha) in rs._root_set
-                if doubled:
-                    if (2 * val).denominator != 1:
-                        raise InvalidOrderFunction(f"-1 at {(ell, alpha)} but Y^alpha(ell) != ±1")
-                elif val.denominator != 1:
-                    raise InvalidOrderFunction(f"-1 at {(ell, alpha)} but Y^alpha(ell) != 1")
+            if v == -1 and rs.pair_root_point(alpha, ell).denominator != 1:
+                raise InvalidOrderFunction(f"-1 at {(ell, alpha)} but Y^alpha(ell) != 1")
         # equivariance on positive pairs
         for (ell, alpha), v in self.table.items():
             for w in fin.elements:
@@ -232,7 +226,6 @@ def from_ddaha_k(group: AffineWeylGroup, h, base_point: Sequence) -> BOrderFunct
     With ``Y^alpha(ell) = exp(2 pi i <alpha, lambda>)`` and squared parameters
     ``exp(2 pi i h_alpha)``, the order of ``(z - v^2)/(z - 1)`` at Y is decided
     by congruences of the exponents modulo 1; no complex numbers are needed.
-    The divisible-root branch uses ``(z - v_alpha^2)(z + v_theta)/(z^2 - 1)``.
     """
     rs = group.rs
     base_point = vec(base_point)
@@ -241,23 +234,11 @@ def from_ddaha_k(group: AffineWeylGroup, h, base_point: Sequence) -> BOrderFunct
     def congruent(x: Fraction, y: Fraction) -> bool:
         return (x - y).denominator == 1
 
-    indiv_pos = [a for a in rs.indivisible_roots if rs.is_positive_root(a)]
     for ell in TorusOrbit(group, base_point).points:
-        for alpha in indiv_pos:
+        for alpha in rs.positive_roots:
             yexp = rs.pair_root_point(alpha, ell)            # Y^alpha(ell) = e(yexp)
             halpha = _orbit_parameter(h, rs, alpha)          # v_alpha^2 = e(h_alpha)
-            doubled = tuple(2 * c for c in alpha)
-            if not rs.is_root(doubled):
-                order = (1 if congruent(yexp, halpha) else 0) - (1 if congruent(yexp, 0) else 0)
-            else:
-                # zeros at v_alpha^2 and at -v_theta = e((h_theta + 1)/2), poles at ±1
-                htheta = _orbit_parameter(h, rs, doubled)
-                order = (
-                    (1 if congruent(yexp, halpha) else 0)
-                    + (1 if congruent(yexp, Fraction(htheta + 1, 2)) else 0)
-                    - (1 if congruent(yexp, 0) else 0)
-                    - (1 if congruent(yexp, Fraction(1, 2)) else 0)
-                )
+            order = (1 if congruent(yexp, halpha) else 0) - (1 if congruent(yexp, 0) else 0)
             if order:
                 bof_table[(ell, alpha)] = order
     return BOrderFunction(group, base_point, bof_table)

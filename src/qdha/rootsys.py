@@ -7,8 +7,8 @@ roots.  Points of the reflection space E are stored by their coordinates in the
 simple-coroot basis, so that lattice membership and root evaluation are exact.
 
 An affine root ``a = alpha + k`` is the affine function ``x -> <alpha, x> + k``
-on E.  For a reduced system R the affine roots are ``{alpha + k : alpha in R,
-k in Z}``; when R is non-reduced the divisible roots only occur at odd levels.
+on E; the affine roots are ``{alpha + k : alpha in R, k in Z}``.  Every system
+built here is reduced: no root's double is a root.
 """
 from __future__ import annotations
 
@@ -67,33 +67,25 @@ class AffineRoot:
 
 
 class FiniteRootSystem:
-    """An irreducible finite root system with a fixed basis.
+    """An irreducible reduced finite root system with a fixed basis.
 
     All data is exact: roots are integer vectors in the simple-root basis and
     the scalar product is the rational Gram matrix of the simple roots.
     """
 
-    def __init__(self, label: str, simple_ambient: list[Vec], extra_roots: list[Vec] | None = None):
+    def __init__(self, label: str, simple_ambient: list[Vec]):
         self.label = label
         self.rank = len(simple_ambient)
         self._ambient = [vec(v) for v in simple_ambient]
         # Gram matrix of the simple roots.
         self.gram = [[_dot(a, b) for b in self._ambient] for a in self._ambient]
-        ambient_roots = self._reflection_closure(list(self._ambient) + [vec(v) for v in (extra_roots or [])])
-        keys = sorted(self._to_key(v) for v in ambient_roots)
+        keys = sorted(self._to_key(v) for v in self._reflection_closure(self._ambient))
         self.roots: tuple[RootKey, ...] = tuple(keys)
         self._root_set = frozenset(self.roots)
         self.positive_roots = tuple(k for k in self.roots if self._key_sign(k) > 0)
-        self.reduced = all(tuple(2 * c for c in k) not in self._root_set for k in self.roots)
-        self.indivisible_roots = tuple(k for k in self.roots if not self._is_divisible(k))
         self.highest_root = self._find_highest()
-        # cartan[i][j] = <alpha_j, alpha_i^vee>
-        self.cartan = [
-            [2 * self.gram[i][j] / self.gram[i][i] for j in range(self.rank)] for i in range(self.rank)
-        ]
         self._build_tables()
         self.fundamental_coweights = self._fundamental_coweights()
-        self.fundamental_weights = self._fundamental_weights()
         self.coxeter_number = int(self.height(self.highest_root)) + 1
 
     # ----- construction helpers -----
@@ -151,11 +143,6 @@ class FiniteRootSystem:
             for by in roots for a in roots
         }
 
-    def _is_divisible(self, key: RootKey) -> bool:
-        if any(c % 2 for c in key):
-            return False
-        return tuple(c // 2 for c in key) in self._root_set
-
     def _key_sign(self, key: RootKey) -> int:
         if all(c >= 0 for c in key):
             return 1
@@ -175,15 +162,6 @@ class FiniteRootSystem:
         out = []
         rows = [[self.pair_root_coroot(self.simple_root(j), self.simple_root(k)) for k in range(self.rank)]
                 for j in range(self.rank)]
-        for i in range(self.rank):
-            rhs = [Fraction(1) if j == i else Fraction(0) for j in range(self.rank)]
-            out.append(tuple(solve_linear(rows, rhs)))
-        return out
-
-    def _fundamental_weights(self) -> list[RootKey | Vec]:
-        # varpi_i in the simple-root basis: <varpi_i, alpha_j^vee> = delta_ij
-        out = []
-        rows = [[Fraction(self.cartan[j][k]) for k in range(self.rank)] for j in range(self.rank)]
         for i in range(self.rank):
             rhs = [Fraction(1) if j == i else Fraction(0) for j in range(self.rank)]
             out.append(tuple(solve_linear(rows, rhs)))
@@ -214,11 +192,7 @@ class FiniteRootSystem:
         return self._pairing[(a, b)]
 
     def coroot_coords(self, a: RootKey) -> Vec:
-        """Coordinates of ``a^vee`` in the simple-coroot basis.
-
-        Integers, except for the divisible roots of a non-reduced system:
-        ``(2a)^vee = a^vee / 2``.
-        """
+        """Coordinates of ``a^vee`` in the simple-coroot basis; integers."""
         return self._coroot[a]
 
     def pair_root_point(self, a: RootKey, x: Vec) -> Fraction:
@@ -240,16 +214,6 @@ class FiniteRootSystem:
 
     def in_coweight_lattice(self, x: Vec) -> bool:
         return all(self.pair_root_point(self.simple_root(j), x).denominator == 1 for j in range(self.rank))
-
-    # Exact basis matrices of the four standard lattices, as rows.
-    def lattice_bases(self) -> dict[str, list[Vec]]:
-        simple = [vec(self.simple_root(i)) for i in range(self.rank)]
-        return {
-            "Q": simple,                                   # root basis, root coordinates
-            "P": [vec(w) for w in self.fundamental_weights],
-            "Qv": [vec(tuple(1 if j == i else 0 for j in range(self.rank))) for i in range(self.rank)],
-            "Pv": [vec(w) for w in self.fundamental_coweights],
-        }
 
 
 _AN = re.compile(r"^A(\d+)$")
@@ -297,16 +261,7 @@ class AffineRootSystem:
         )
 
     def is_root(self, a: AffineRoot) -> bool:
-        f = self.finite
-        if not f.is_root(a.alpha):
-            return False
-        if f.reduced:
-            return True
-        half = tuple(Fraction(c, 2) for c in a.alpha)
-        divisible = all(x.denominator == 1 for x in half) and f.is_root(tuple(int(x) for x in half))
-        if divisible:
-            return a.level % 2 == 1
-        return True
+        return self.finite.is_root(a.alpha)
 
     def is_positive(self, a: AffineRoot) -> bool:
         if not self.is_root(a):
@@ -334,13 +289,6 @@ class AffineRootSystem:
         rest = tuple(Fraction(ai) + c0 * ti for ai, ti in zip(a.alpha, theta))
         return (c0,) + rest
 
-    def in_ndelta_cone(self, a: AffineRoot) -> bool:
-        """Whether a lies in N*Delta or in -N*Delta."""
-        coords = self.delta_coordinates(a)
-        if any(c.denominator != 1 for c in coords):
-            return False
-        return all(c >= 0 for c in coords) or all(c <= 0 for c in coords)
-
     def positive_window(self, level_bound: int) -> list[AffineRoot]:
         """All positive affine roots with |level| <= level_bound, sorted."""
         if level_bound < 0:
@@ -348,10 +296,7 @@ class AffineRootSystem:
         out = []
         for alpha in self.finite.roots:
             lo = 0 if self.finite.is_positive_root(alpha) else 1
-            for k in range(lo, level_bound + 1):
-                a = AffineRoot(alpha, k)
-                if self.is_root(a):
-                    out.append(a)
+            out.extend(AffineRoot(alpha, k) for k in range(lo, level_bound + 1))
         return sorted(out)
 
     def window(self, level_bound: int) -> list[AffineRoot]:

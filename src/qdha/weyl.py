@@ -10,19 +10,18 @@ Lengths come in two independent flavours: an inversion-set count obtained by
 enumerating the finitely many affine roots a given element can invert, and the
 closed formula
 
-    l(w X^mu) = sum_{a in R+_red, w a < 0} |<a, mu> + 1|
-              + sum_{a in R+_red, w a > 0} |<a, mu>|
-              + sum_{a in R+ and 2R} |<a, mu>| / 2
+    l(w X^mu) = sum_{a in R+, w a < 0} |<a, mu> + 1|
+              + sum_{a in R+, w a > 0} |<a, mu>|
 
 together with its ``X^mu w`` variant.  The two are cross-checked in the tests.
 
 Orbits are explored by ``walk``, a breadth-first search over integer states
 rather than over group elements.  A state is a pair ``(x, images)``: x holds
-the integer numerators of ``g lambda_0`` over one common denominator (the
-scaling of the integer alcove walk), and ``images`` holds the images ``g a``
-of a given list of affine roots as ``(root index, level)`` pairs.  A step
-applies one simple affine reflection through integer tables built with the
-group.  Every element has a reduced word, so the breadth-first distance of a
+the integer numerators of ``g lambda_0`` over the common denominator of
+``lambda_0`` (the simple reflections translate by integral coroots), and
+``images`` holds the images ``g a`` of a given list of affine roots as
+``(root index, level)`` pairs.  A step applies one simple affine reflection
+through integer tables built with the group.  Every element has a reduced word, so the breadth-first distance of a
 state is the least ``l(g)`` over the elements g that reach it, and the states
 found within n steps are exactly ``{(g lambda_0, g roots) : l(g) <= n}``.
 """
@@ -66,7 +65,7 @@ class FiniteWeylGroup:
         r = range(self.rank)
         negative = frozenset(i for i, key in enumerate(rs.roots) if not rs.is_positive_root(key))
         self._negative = negative
-        self._counted = [self._index[k] for k in rs.indivisible_roots if rs.is_positive_root(k)]
+        self._counted = [self._index[k] for k in rs.positive_roots]
         self._length: dict[Perm, int] = {w: len(self.inversions(w)) for w in self.elements}
         self._inverse: dict[Perm, Perm] = {w: _invert(w) for w in self.elements}
         # Words and point matrices by induction on the length: w = s_i (s_i w)
@@ -125,7 +124,7 @@ class FiniteWeylGroup:
         return self._length[w]
 
     def inversions(self, w: Perm) -> list[RootKey]:
-        """The positive indivisible roots that w sends to negative roots, in root order."""
+        """The positive roots that w sends to negative roots, in root order."""
         return [self.rs.roots[i] for i in self._counted if w[i] in self._negative]
 
     def word(self, w: Perm) -> tuple[int, ...]:
@@ -198,12 +197,11 @@ class AffineWeylGroup:
         self.finite = FiniteWeylGroup(self.rs)
         self.identity = AffineWeylElement(vec((0,) * self.rank), self.finite.identity)
         self._simple_affine = [self.reflection_of(a) for a in ars.delta]
-        # the alcove walk in integers: points scaled by a common denominator,
-        # which must also clear the translations of the simple reflections
-        self._walk_den = math.lcm(*(c.denominator for s in self._simple_affine for c in s.mu))
+        # the alcove walk in integers: points scaled by their common
+        # denominator; the simple reflections translate by integral coroots
         self._walk_steps = tuple(
             (self.rs._point_terms[a.alpha], a.level, self.finite._point_rows[s.w],
-             tuple(int(c * self._walk_den) for c in s.mu), s.w)
+             tuple(map(int, s.mu)), s.w)
             for a, s in zip(ars.delta, self._simple_affine)
         )
         # per simple reflection s, the image s(alpha_j + 0) = alpha_i + c of
@@ -278,7 +276,6 @@ class AffineWeylGroup:
         can invert and each test is a sign check.
         """
         out = []
-        ars = self.ars
         pos = self.rs.is_positive_root
         for alpha in self.rs.roots:
             image0 = self.act_root(g, AffineRoot(alpha, 0))
@@ -287,12 +284,9 @@ class AffineWeylGroup:
             hi = lo + abs(c) + 1
             beta_pos = pos(beta)
             for k in range(lo, hi + 1):
-                a = AffineRoot(alpha, k)
-                if not ars.is_root(a):
-                    continue
                 lvl = k + c
                 if lvl < 0 or (lvl == 0 and not beta_pos):
-                    out.append(a)
+                    out.append(AffineRoot(alpha, k))
         return sorted(out)
 
     def length_inversions(self, g: AffineWeylElement) -> int:
@@ -316,14 +310,10 @@ class AffineWeylGroup:
         total = Fraction(0)
         for alpha in rs.positive_roots:
             pairing = rs.pair_root_point(alpha, mu)
-            if alpha in rs.indivisible_roots:
-                walpha = self.finite.act_root(w, alpha)
-                if rs.is_positive_root(walpha):
-                    total += abs(pairing)
-                else:
-                    total += abs(pairing + 1)
+            if rs.is_positive_root(self.finite.act_root(w, alpha)):
+                total += abs(pairing)
             else:
-                total += abs(pairing) / 2
+                total += abs(pairing + 1)
         if total.denominator != 1:
             raise ArithmeticError("length formula gave a non-integer")
         return int(total)
@@ -333,15 +323,11 @@ class AffineWeylGroup:
         total = Fraction(0)
         for alpha in rs.positive_roots:
             pairing = rs.pair_root_point(alpha, mu)
-            if alpha in rs.indivisible_roots:
-                walpha = self.finite.act_root(self.finite.inverse(w), alpha)
-                # alpha in R+ cap w R- means w^{-1} alpha in R-
-                if rs.is_positive_root(walpha):
-                    total += abs(pairing)
-                else:
-                    total += abs(pairing - 1)
+            # alpha in R+ cap w R- means w^{-1} alpha in R-
+            if rs.is_positive_root(self.finite.act_root(self.finite.inverse(w), alpha)):
+                total += abs(pairing)
             else:
-                total += abs(pairing) / 2
+                total += abs(pairing - 1)
         if total.denominator != 1:
             raise ArithmeticError("length formula gave a non-integer")
         return int(total)
@@ -426,9 +412,7 @@ class AffineWeylGroup:
         for alpha in self.rs.positive_roots:
             v = self.rs.pair_root_point(alpha, lam)
             if v.denominator == 1:
-                a = AffineRoot(alpha, -int(v))
-                if self.ars.is_root(a):
-                    out.append(a)
+                out.append(AffineRoot(alpha, -int(v)))
         return sorted(out)
 
     def stabilizer(self, lam: Vec) -> tuple[list[AffineWeylElement], list[AffineWeylElement]]:
@@ -456,9 +440,8 @@ class AffineWeylGroup:
         Only the finite part w of g is tracked; g = X^nu w with nu = rep - w lam.
         """
         lam = vec(lam)
-        den = math.lcm(self._walk_den, *(c.denominator for c in lam))
+        den = math.lcm(*(c.denominator for c in lam))
         x = [c.numerator * (den // c.denominator) for c in lam]
-        scale = den // self._walk_den
         w = self.finite.identity
         while True:
             for terms, level, rows, shift, s in self._walk_steps:
@@ -468,7 +451,7 @@ class AffineWeylGroup:
                 rep = tuple(Fraction(c, den) for c in x)
                 wlam = self.finite.act_point(w, lam)
                 return rep, AffineWeylElement(tuple(r - c for r, c in zip(rep, wlam)), w)
-            x = [sum(c * x[i] for i, c in row) + t * scale for row, t in zip(rows, shift)]
+            x = [sum(c * x[i] for i, c in row) + t * den for row, t in zip(rows, shift)]
             w = self.finite.compose(s, w)
 
     def witness(self, lam: Vec, lam0: Vec) -> AffineWeylElement | None:
@@ -523,9 +506,8 @@ class AffineWeylGroup:
         length <= n, and the layer of a state is the least length reaching it.
         """
         lam0 = vec(lam0)
-        den = math.lcm(self._walk_den, *(c.denominator for c in lam0))
-        scale = den // self._walk_den
-        steps = [(rows, tuple(t * scale for t in shift), images)
+        den = math.lcm(*(c.denominator for c in lam0))
+        steps = [(rows, tuple(t * den for t in shift), images)
                  for (_, _, rows, shift, _), images in zip(self._walk_steps, self._root_steps)]
         index = self.finite._index
         start = (tuple(c.numerator * (den // c.denominator) for c in lam0),

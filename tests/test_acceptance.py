@@ -6,11 +6,12 @@ except the growth exponents, which must land within 0.1 of the stated integer.
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from qdha.algebra import Algebra, NotInAlgebra
 from qdha.bqha import gram_rank_at_point
 from qdha.clans import enumerate_clans
-from qdha.instances import a2_generic, a2_wall, c2_generic, rank1_quarter
+from qdha.instances import load_instance, rank1_quarter
 from qdha.kz import (
     clan_characters,
     e_gamma_weights,
@@ -32,6 +33,12 @@ from qdha.orderfun import (
 from qdha.polyring import Poly, RatFunc
 from qdha.rootsys import affinise, vec
 from qdha.weyl import AffineWeylGroup
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+
+
+def instance(name):
+    return load_instance(INSTANCES / f"{name}.json")
 
 
 def verdict(n, ok, detail):
@@ -152,7 +159,7 @@ def test_criterion_3_basis_theorem():
 def test_criterion_4_braid_congruence():
     failures = []
     checked = 0
-    for spec in [a2_generic(), a2_wall(), c2_generic()]:
+    for spec in [instance("a2_generic"), instance("a2_wall"), instance("c2_generic")]:
         alg = spec.algebra()
         W = spec.group
         weights = sorted(W.orbit_window(spec.omega.base_point, 4))
@@ -174,7 +181,7 @@ def test_criterion_4_braid_congruence():
 
 def test_criterion_5_filtration_compatibility():
     rng = random.Random(777)
-    specs = [a2_generic(), a2_wall()]
+    specs = [instance("a2_generic"), instance("a2_wall")]
     algs = [s.algebra() for s in specs]
     windows = [sorted(s.group.orbit_window(s.omega.base_point, 2)) for s in specs]
     failures = 0
@@ -196,12 +203,17 @@ def test_criterion_6_integral_consistency():
     rng = random.Random(4242)
     done = 0
     failures = 0
-    for label in ("A1", "A2"):
+    nonzero = set()  # the types with a case whose finite order function is nonzero
+    for label in ("A1", "A2", "B2", "C2", "G2"):
         W = AffineWeylGroup(affinise(label))
         n = W.rs.rank
+        # the squared root lengths; two of them give per-length parameters
+        norms = sorted({W.rs.norm2(a) for a in W.rs.roots})
         trials = 0
         while trials < 25:
             h = Fraction(rng.randrange(-2, 3), rng.choice([1, 2, 3]))
+            if len(norms) > 1 and trials % 2:
+                h = {m: Fraction(rng.randrange(-2, 3), rng.choice([1, 2, 3])) for m in norms}
             lam0 = vec(tuple(Fraction(rng.randrange(-3, 4), rng.choice([2, 3, 4, 5]))
                              for _ in range(n)))
             try:
@@ -214,15 +226,18 @@ def test_criterion_6_integral_consistency():
             rhs = from_ddaha_k(W, h, lam0)
             if lhs.table != rhs.table:
                 failures += 1
-    verdict(6, done == 50 and failures == 0,
+            if rhs.table:
+                nonzero.add(label)
+    verdict(6, done == 125 and failures == 0 and len(nonzero) == 5,
             f"integral consistency: integral of the affine extraction equals the "
-            f"finite extraction on {done} random parameter sets ({failures} failures)")
+            f"finite extraction on {done} random parameter sets over A1, A2, B2, C2 "
+            f"and G2, nonzero on {sorted(nonzero)} ({failures} failures)")
 
 
 def test_criterion_7_isomorphism_theorem():
     ok = True
     details = []
-    for spec in [rank1_quarter(), a2_generic()]:
+    for spec in [rank1_quarter(), instance("a2_generic")]:
         alg = spec.algebra()
         B = spec.b_algebra()
         g1 = spec.gamma_choice.gamma
@@ -240,7 +255,7 @@ def test_criterion_8_frobenius_structure():
     rng = random.Random(31415)
     ok = True
     details = []
-    for spec in [rank1_quarter(), a2_generic()]:
+    for spec in [rank1_quarter(), instance("a2_generic")]:
         B = spec.b_algebra()
         span, matrix = B.gram_matrix(4)
         expected = B.expected_gram_rank()
@@ -315,7 +330,7 @@ def test_criterion_9_kernel_criterion():
 
 
 def test_criterion_10_product_formula():
-    spec = a2_generic()
+    spec = instance("a2_generic")
     alg = spec.algebra()
     B = spec.b_algebra()
     gamma = spec.gamma_choice.gamma

@@ -1,17 +1,23 @@
 """Finite quotient algebra: generators, normal forms, Frobenius trace, Gram rank."""
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qdha.algebra import NotInAlgebra, RatOperator
 from qdha.bqha import BAlgebra, gram_rank_at_point
-from qdha.instances import c2_generic, instance_from_data
+from qdha.instances import instance_from_data, load_instance
 from qdha.kz import integral_b_order_function
 from qdha.orderfun import BOrderFunction, OrderFunction, torus_point
 from qdha.polyring import Poly, RatFunc, demazure
 from qdha.rootsys import affinise, vec
 from qdha.weyl import AffineWeylGroup
+
+
+def c2_generic_b_algebra():
+    path = Path(__file__).resolve().parent.parent / "instances" / "c2_generic.json"
+    return load_instance(path).b_algebra()
 
 
 def rank1_b_algebra():
@@ -283,7 +289,7 @@ def test_gram_matrix_one_product_per_group_and_column(monkeypatch):
 
 
 def test_normal_form_left_pol_linear():
-    c2 = c2_generic().b_algebra()
+    c2 = c2_generic_b_algebra()
     for B in (a2_wall_lite(), c2):
         w0 = B.fin.longest_element()
         for ell in B.orbit[:2]:
@@ -366,7 +372,7 @@ def test_theta_words_frozen_per_orbit_point():
         assert B.coefficient_trace(ell, f) == B.act_poly(pull, demazure_along(B, roots, f))
 
 
-@pytest.mark.parametrize("make", [a2_wall_lite, lambda: c2_generic().b_algebra()],
+@pytest.mark.parametrize("make", [a2_wall_lite, c2_generic_b_algebra],
                          ids=["a2_wall_lite", "c2_generic"])
 def test_gram_products_in_algebra_with_peeled_top_coefficients(make, monkeypatch):
     # the reference: every product the Gram matrix traces has a polynomial

@@ -1,19 +1,17 @@
 """Golden outputs: ``verify --json``, ``describe --json`` and ``example-a1 --json`` stdout, byte for byte.
 
-The files under ``tests/golden/`` hold the stdout of the idempotent-truncation
-sweeps on the two A1 instances, of every sweep that reads the order function
-on the A2, C2 and G2 instances (except G2 ``iso``, which takes over a
-second), of the ``length``, ``basis``, ``braid``, ``filtration`` and
-``integral`` sweeps on the A4 instance, of the ``frobenius`` sweep on the A1,
-A2 and C2 instances (on ``a2_wall`` also at seed 1, where it fails), of the
-``kernel`` and ``length`` sweeps on the A1, A2, C2 and G2 instances (C2 and
-G2 ``kernel`` fail on clan ``[-1, -1]``), of ``describe`` on every instance
-file but A4 (whose clan census takes over ten seconds), and of the worked
-example.  The ``frobenius`` reports of the benchmark's ``a2_wall_lite`` data
-on seeds 1-12 pin which seeds fail.  A refactor must leave every byte and
-every exit code unchanged; a deliberate change of a report regenerates the
-file, e.g. ``qdha verify --instance instances/a1_quarter.json --check iso
---json``.
+The files under ``tests/golden/`` hold the stdout of every sweep on the A1,
+A2, C2 and G2 instances but G2 ``iso`` (``a2_wall`` ``frobenius`` also at
+seed 1, where it fails; C2 and G2 ``kernel`` fail on clan ``[-1, -1]``), of
+the ``length``, ``basis``, ``braid``, ``filtration``, ``integral`` and
+``product`` sweeps on the A3 instance and all but ``product`` on the A4
+instance, of ``describe`` on every instance file but A4 (whose clan census
+takes over ten seconds), and of the worked example.  Each sweep left out
+takes over a second (A3 ``kernel`` then exits 3).  The ``frobenius`` reports
+of the benchmark's ``a2_wall_lite`` data on seeds 1-12 pin which seeds fail.
+A refactor must leave every byte and every exit code unchanged; a deliberate
+change of a report regenerates the file, e.g. ``qdha verify --instance
+instances/a1_quarter.json --check iso --json``.
 """
 import json
 from pathlib import Path
@@ -27,10 +25,12 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 VERIFY = [(name, check) for name in ("a1_quarter", "a1_ddaha_half")
-          for check in ("iso", "gamma", "product", "integral")]
+          for check in ("basis", "braid", "filtration", "iso", "gamma", "product", "integral")]
 VERIFY += [(name, check) for name in ("a2_generic", "a2_wall", "c2_generic", "g2_generic")
            for check in ("basis", "braid", "filtration", "integral", "iso", "gamma", "product")
            if (name, check) != ("g2_generic", "iso")]
+VERIFY += [("a3_generic", check)
+           for check in ("length", "basis", "braid", "filtration", "integral", "product")]
 VERIFY += [("a4_generic", check) for check in ("length", "basis", "braid", "filtration", "integral")]
 
 
@@ -74,7 +74,8 @@ def test_example_a1_json_matches_golden(capsys):
 
 # (instance, seed or None for the default, exit code)
 FROBENIUS = [("a1_quarter", None, 0), ("a1_ddaha_half", None, 0), ("a2_generic", None, 0),
-             ("c2_generic", None, 0), ("a2_wall", None, 0), ("a2_wall", 1, 1)]
+             ("c2_generic", None, 0), ("g2_generic", None, 0), ("a2_wall", None, 0),
+             ("a2_wall", 1, 1)]
 
 
 @pytest.mark.parametrize("name,seed,code", FROBENIUS,

@@ -7,7 +7,6 @@ point for every value instead: ``omega(w^{-1} a)`` through an inverted
 witness, a level window of affine roots per ``(ell, alpha)``, and the whole
 inversion set of an element.
 """
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,9 +21,8 @@ from qdha.kz import (
     pregamma_point,
     two_rho_coroot,
 )
-from qdha.orderfun import BOrderFunction, OrderFunction
-from qdha.rootsys import AffineRoot, AffineRootSystem, FiniteRootSystem, vec
-from qdha.weyl import AffineWeylGroup
+from qdha.orderfun import BOrderFunction
+from qdha.rootsys import AffineRoot, vec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -67,16 +65,6 @@ def reference_inversion_orders(omega, g, lam):
     return [(beta, m) for beta, m in pairs if m]
 
 
-def bc1_omega():
-    """BC1 at a generic point, supported on ±2 alpha at odd levels only, so
-    every nonzero finite value comes through the divisible root."""
-    rs = FiniteRootSystem("BC1", [vec((1,))], extra_roots=[vec((2,))])
-    group = AffineWeylGroup(AffineRootSystem(rs))
-    support = {AffineRoot((2,), 1): 1, AffineRoot((-2,), 3): 2,
-               AffineRoot((2,), -1): 1, AffineRoot((-2,), 1): 1}
-    return OrderFunction(group, vec((Fraction(1, 5),)), support)
-
-
 @pytest.mark.parametrize("name", ["a1_quarter", "a2_wall", "c2_generic", "g2_generic"])
 def test_omega_value_matches_inverted_witness(name):
     omega = omega_of(name)
@@ -88,23 +76,20 @@ def test_omega_value_matches_inverted_witness(name):
 
 
 @pytest.mark.parametrize("name", ["a1_quarter", "a1_ddaha_half", "a2_generic", "a2_wall",
-                                  "c2_generic", "g2_generic", "bc1"])
+                                  "c2_generic", "g2_generic"])
 def test_finite_table_matches_level_window_integral(name):
-    omega = bc1_omega() if name == "bc1" else omega_of(name)
+    omega = omega_of(name)
     group = omega.group
-    rs = group.rs
-    # gamma = -2 pairs to -4 with alpha; choose_gamma needs 2 rho^vee in the coroot lattice
-    g1 = vec((-2,)) if name == "bc1" else choose_gamma(omega).gamma
+    g1 = choose_gamma(omega).gamma
     g2 = vec(tuple(2 * c - r for c, r in zip(g1, two_rho_coroot(group))))
     nonzero = 0
     bof = integral_b_order_function(omega)
     for gamma in (g1, g2):
         for ell in omega.torus.points:
-            for alpha in rs.indivisible_roots:
-                if rs.is_positive_root(alpha):
-                    expected = reference_integral(omega, ell, alpha, gamma)
-                    assert bof.value(ell, alpha) == expected
-                    nonzero += expected != 0
+            for alpha in group.rs.positive_roots:
+                expected = reference_integral(omega, ell, alpha, gamma)
+                assert bof.value(ell, alpha) == expected
+                nonzero += expected != 0
     assert nonzero
 
 
