@@ -3,19 +3,21 @@
 The walls are the vanishing loci of affine roots where the order function is
 at least 1.  Regions of the resulting finite arrangement are encoded by sign
 vectors; a region is a clan, and it is generic when its recession cone is full
-dimensional.  Alcove breadth-first search is cross-checked against an exact
-feasibility sweep over all sign assignments, so a clan missed by the search is
-an error rather than a silent gap.
+dimensional.  The census walks the alcoves ``g^{-1} nu_0`` by
+``AffineWeylGroup.walk`` from ``alcove_point`` with the wall roots and reads
+each sign vector off the walked wall images; it is cross-checked against an
+exact feasibility sweep over all sign assignments, so a clan missed by the walk
+is an error rather than a silent gap.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import fm
 from .orderfun import OrderFunction
-from .rootsys import AffineRoot, Vec
-from .weyl import AffineWeylElement, AffineWeylGroup
+from .rootsys import AffineRoot
+from .weyl import AffineWeylElement, AffineWeylGroup, WalkEdge, WalkState
 
 Sign = tuple[int, ...]  # entries ±1, one per wall
 
@@ -30,26 +32,18 @@ def wall_roots(omega: OrderFunction) -> list[AffineRoot]:
     return sorted(walls)
 
 
-def alcove_point(group: AffineWeylGroup, w: AffineWeylElement) -> Vec:
-    """Interior sample point of the alcove w^{-1}(fundamental alcove)."""
-    return group.act_point(group.inverse(w), group.alcove_point)
+def walked_signs(group: AffineWeylGroup,
+                 found: dict[WalkState, WalkEdge]) -> Iterator[tuple[WalkState, Sign]]:
+    """Each state ``(g lambda, g walls)`` of a walk with the sign vector of the alcove g^{-1} nu_0.
 
-
-def sign_vector_at(omega: OrderFunction, walls: Sequence[AffineRoot], x: Vec) -> Sign:
-    out = []
-    for a in walls:
-        v = omega.ars.evaluate(a, x)
-        if v == 0:
-            raise ValueError(f"sample point {x} lies on the wall of {a}")
-        out.append(1 if v > 0 else -1)
-    return tuple(out)
-
-
-def clan_of(omega: OrderFunction, w: AffineWeylElement,
-            walls: Sequence[AffineRoot] | None = None) -> Sign:
-    """The sign vector of the alcove w^{-1} nu_0."""
-    walls = list(walls) if walls is not None else wall_roots(omega)
-    return sign_vector_at(omega, walls, alcove_point(omega.group, w))
+    Since ``a(g^{-1} x) = (g a)(x)`` and nu_0 lies inside the fundamental
+    alcove, ``a(g^{-1} nu_0) > 0`` exactly when the image ``g a`` is a positive
+    affine root, so no alcove point is built and no root is evaluated.
+    """
+    rs = group.rs
+    positive = {i for i, alpha in enumerate(rs.roots) if rs.is_positive_root(alpha)}
+    for state in found:
+        yield state, tuple(1 if k > 0 or (k == 0 and i in positive) else -1 for i, k in state[1])
 
 
 def sign_vector_feasible(omega: OrderFunction, walls: Sequence[AffineRoot], sigma: Sign) -> bool:
@@ -91,16 +85,19 @@ class ClanDecomposition:
 
 
 def enumerate_clans(omega: OrderFunction, exploration_bound: int | None = None) -> ClanDecomposition:
-    """All clans, by alcove search cross-checked against exact sign feasibility."""
+    """All clans, by the alcove walk cross-checked against exact sign feasibility.
+
+    A clan's representative is the first walked element of its sign, rebuilt
+    from the walk's recorded edges.
+    """
     group = omega.group
     walls = wall_roots(omega)
     if exploration_bound is None:
         exploration_bound = 2 * (omega.support_level_radius() + 1) * group.rs.coxeter_number
-    found: dict[Sign, AffineWeylElement] = {}
-    for g in group.ball(exploration_bound):
-        sigma = clan_of(omega, g, walls)
-        if sigma not in found:
-            found[sigma] = g
+    _, walked = group.walk(group.alcove_point, exploration_bound, walls)
+    found: dict[Sign, WalkState] = {}
+    for state, sigma in walked_signs(group, walked):
+        found.setdefault(sigma, state)
     # exact cross-check: every feasible assignment must have been seen
     feasible_signs = []
     for mask in range(1 << len(walls)):
@@ -121,23 +118,16 @@ def enumerate_clans(omega: OrderFunction, exploration_bound: int | None = None) 
     return ClanDecomposition(
         walls=walls,
         clans=clans,
-        representative={s: found[s] for s in clans},
+        representative={s: group.from_word(_edge_word(walked, found[s])) for s in clans},
         generic=generic,
     )
 
 
-def generic_reference_elements(omega: OrderFunction, gamma: Vec) -> dict[Sign, list]:
-    """The clans of the alcoves w^{-1} X^{-gamma} nu_0 for finite w.
-
-    These land exactly in the generic clans; used as an independent check of
-    the cone-based genericity test.
-    """
-    group = omega.group
-    walls = wall_roots(omega)
-    out: dict[Sign, list] = {}
-    for w in group.finite.elements:
-        u = group.compose(group.translation(gamma), group.from_finite(w))
-        # u^{-1} nu_0 = w^{-1} X^{-gamma} nu_0
-        sigma = clan_of(omega, u, walls)
-        out.setdefault(sigma, []).append(w)
-    return out
+def _edge_word(found: dict[WalkState, WalkEdge], state: WalkState) -> list[int]:
+    """The letters of the recorded edges from ``state`` back to the start: a
+    word, in group order, of the element that walks the start to ``state``."""
+    word = []
+    while (edge := found[state])[1] is not None:
+        word.append(edge[2])
+        state = edge[1]
+    return word

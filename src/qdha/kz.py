@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import RatOperator
-from .clans import ClanDecomposition, Sign, wall_roots
+from .clans import ClanDecomposition, Sign, walked_signs, wall_roots
 from .modcat import gk_growth
 from .orderfun import BOrderFunction, OrderFunction
 from .polyring import Poly, monomials
@@ -342,17 +342,12 @@ def clan_characters(omega: OrderFunction, bound: int) -> dict[Sign, dict[Vec, in
     weight w lambda_0 per alcove w^{-1} nu_0.  A clan with no such alcove
     has no entry.
 
-    One ``walk`` carries the wall roots along.  Since ``a(g^{-1} x) = (g a)(x)``
-    and nu_0 lies inside the fundamental alcove, ``a(g^{-1} nu_0) > 0`` exactly
-    when the image ``g a`` is a positive affine root, so each sign vector is
-    read off the images: no alcove point is built and no root is evaluated."""
-    group = omega.group
-    rs = group.rs
-    positive = {i for i, alpha in enumerate(rs.roots) if rs.is_positive_root(alpha)}
-    point, found = group.walk(omega.base_point, bound, wall_roots(omega))
+    One ``walk`` carries the wall roots along, and ``walked_signs`` reads each
+    sign vector off the images: no alcove point is built and no root is
+    evaluated."""
+    point, found = omega.group.walk(omega.base_point, bound, wall_roots(omega))
     out: dict[Sign, dict[Vec, int]] = {}
-    for x, images in found:
-        sign = tuple(1 if k > 0 or (k == 0 and i in positive) else -1 for i, k in images)
+    for (x, _), sign in walked_signs(omega.group, found):
         out.setdefault(sign, {})[point(x)] = 1
     return out
 

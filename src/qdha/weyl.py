@@ -21,9 +21,12 @@ the integer numerators of ``g lambda_0`` over the common denominator of
 ``lambda_0`` (the simple reflections translate by integral coroots), and
 ``images`` holds the images ``g a`` of a given list of affine roots as
 ``(root index, level)`` pairs.  A step applies one simple affine reflection
-through integer tables built with the group.  Every element has a reduced word, so the breadth-first distance of a
-state is the least ``l(g)`` over the elements g that reach it, and the states
-found within n steps are exactly ``{(g lambda_0, g roots) : l(g) <= n}``.
+through integer tables built with the group.  Every element has a reduced
+word, so the breadth-first distance of a state is the least ``l(g)`` over the
+elements g that reach it, and the states found within n steps are exactly
+``{(g lambda_0, g roots) : l(g) <= n}``.  ``walk`` is the only breadth-first
+search over the group: ``ball`` is the walk from ``alcove_point``, whose
+stabiliser is trivial, so there each state is one element.
 """
 from __future__ import annotations
 
@@ -213,11 +216,6 @@ class AffineWeylGroup:
             for s in self._simple_affine
         )
         self._word_cache: dict[AffineWeylElement, tuple[int, ...]] = {}
-        # the breadth-first ball: every element found so far with its length,
-        # in discovery order, the elements of the largest length, and that length
-        self._ball_seen: dict[AffineWeylElement, int] = {self.identity: 0}
-        self._ball_frontier: list[AffineWeylElement] = [self.identity]
-        self._ball_radius = 0
         # an exact interior point of the fundamental alcove: rho^vee / h
         rho = [sum(c) for c in zip(*self.rs.fundamental_coweights)]
         self.alcove_point: Vec = vec(Fraction(t) / self.rs.coxeter_number for t in rho)
@@ -365,7 +363,7 @@ class AffineWeylGroup:
             g = self.compose(g, self.simple_reflection(i))
         return g
 
-    # ----- minimal coset representatives and b_w -----
+    # ----- minimal coset representatives -----
 
     def min_coset_rep(self, mu: Sequence) -> AffineWeylElement:
         """theta(mu) = X^mu w_mu, the shortest element of X^mu W_R.
@@ -390,19 +388,6 @@ class AffineWeylGroup:
             x = self.rs.reflect_point(self.rs.simple_root(i), x)
             w = self.finite.compose(self.finite.simple[i], w)
         return AffineWeylElement(mu, self.finite.inverse(w))
-
-    def b_w(self, w: Perm) -> Vec:
-        """The coweight sum over left descents of w: b_w = sum w^{-1} w0 varpi_a."""
-        rs = self.rs
-        w0 = self.finite.longest_element()
-        winv = self.finite.inverse(w)
-        total = [Fraction(0)] * self.rank
-        for i in range(self.rank):
-            # s_i w < w iff w^{-1} alpha_i < 0
-            if not rs.is_positive_root(self.finite.act_root(winv, rs.simple_root(i))):
-                img = self.finite.act_point(self.finite.compose(winv, w0), rs.fundamental_coweights[i])
-                total = [t + c for t, c in zip(total, img)]
-        return vec(total)
 
     # ----- stabilizers, orbits, witnesses -----
 
@@ -466,30 +451,6 @@ class AffineWeylGroup:
             return None
         return self.compose(self.inverse(g1), g0)
 
-    def ball(self, length_bound: int) -> list[AffineWeylElement]:
-        """All elements of length <= length_bound, ordered by (length, discovery).
-
-        Results are cached incrementally: growing the bound extends the last
-        breadth-first frontier instead of restarting.  The new layers are
-        grown in locals and committed together.
-        """
-        if length_bound > self._ball_radius:
-            seen = dict(self._ball_seen)
-            frontier = self._ball_frontier
-            for n in range(self._ball_radius + 1, length_bound + 1):
-                nxt = []
-                for g in frontier:
-                    for i in range(len(self.ars.delta)):
-                        h = self.compose(self.simple_reflection(i), g)
-                        if h not in seen and self.is_left_descent(h, i):
-                            seen[h] = n
-                            nxt.append(h)
-                frontier = nxt
-            self._ball_seen, self._ball_frontier, self._ball_radius = seen, frontier, length_bound
-        if length_bound >= self._ball_radius:
-            return list(self._ball_seen)
-        return [g for g, n in self._ball_seen.items() if n <= length_bound]
-
     def walk(self, lam0: Vec, length_bound: int,
              roots: Sequence[AffineRoot] = ()) -> tuple[_PointsOver, dict[WalkState, WalkEdge]]:
         """Every state ``(g lam0, g roots)`` with l(g) <= length_bound, by breadth-first search.
@@ -535,21 +496,33 @@ class AffineWeylGroup:
             frontier = nxt
         return _PointsOver(den), found
 
+    def _walk_elements(self, found: dict[WalkState, WalkEdge]) -> dict[WalkState, AffineWeylElement]:
+        """An element reaching each state of a ``walk``, in discovery order.
+
+        Each is its parent's element with the state's letter composed on the
+        left, one ``compose`` per state; the start is the identity.
+        """
+        out: dict[WalkState, AffineWeylElement] = {}
+        for state, (_, parent, letter) in found.items():
+            out[state] = (self.identity if parent is None
+                          else self.compose(self._simple_affine[letter], out[parent]))
+        return out
+
+    def ball(self, length_bound: int) -> list[AffineWeylElement]:
+        """All elements of length <= length_bound, ordered by (length, discovery).
+
+        These are the elements of ``walk(alcove_point, length_bound)``: the
+        stabiliser of ``alcove_point`` is trivial, so each state is one element.
+        """
+        return list(self._walk_elements(self.walk(self.alcove_point, length_bound)[1]).values())
+
     def orbit_window(self, lam0: Vec, length_bound: int) -> dict[Vec, AffineWeylElement]:
         """All distinct w lam0 with l(w) <= bound, each with a minimal-length witness.
 
-        The points are those of ``walk``; each witness is its parent's witness
-        with the walk's letter composed on the left, one ``compose`` per point.
+        The points are those of ``walk``, the witnesses its elements.
         """
         point, found = self.walk(lam0, length_bound)
-        witness: dict[WalkState, AffineWeylElement] = {}
-        out: dict[Vec, AffineWeylElement] = {}
-        for state, (_, parent, letter) in found.items():
-            g = (self.identity if parent is None
-                 else self.compose(self._simple_affine[letter], witness[parent]))
-            witness[state] = g
-            out[point(state[0])] = g
-        return out
+        return {point(x): g for (x, _), g in self._walk_elements(found).items()}
 
     def orbit_reach(self, lam0: Vec, length_bound: int) -> dict[Vec, int]:
         """All distinct w lam0 with l(w) <= bound, each with its least such length.

@@ -1,20 +1,66 @@
 """Clan decomposition: sign vectors, enumeration, genericity."""
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qdha.clans import (
-    alcove_point,
-    clan_of,
     enumerate_clans,
-    generic_reference_elements,
+    is_generic_sign,
     sign_vector_feasible,
     wall_roots,
 )
+from qdha.instances import load_instance
 from qdha.kz import choose_gamma
 from qdha.orderfun import OrderFunction
-from qdha.rootsys import AffineRoot, affinise, vec
+from qdha.rootsys import AffineRoot, AffineRootSystem, affinise, vec
 from qdha.weyl import AffineWeylGroup
+from test_weyl import element_ball
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+
+
+# ----- the reference: walls evaluated at alcove sample points, in Fractions -----
+
+def alcove_point(W, g):
+    """Interior sample point of the alcove g^{-1}(fundamental alcove)."""
+    return W.act_point(W.inverse(g), W.alcove_point)
+
+
+def clan_of(omega, g, walls):
+    """The sign vector of the alcove g^{-1} nu_0, every wall evaluated at its sample point."""
+    x = alcove_point(omega.group, g)
+    out = []
+    for a in walls:
+        v = omega.ars.evaluate(a, x)
+        assert v != 0, f"sample point {x} lies on the wall of {a}"
+        out.append(1 if v > 0 else -1)
+    return tuple(out)
+
+
+def reference_census(omega, bound):
+    """Each sign met on the element ball, with the first element of that sign."""
+    walls = wall_roots(omega)
+    first = {}
+    for g in element_ball(omega.group, bound):
+        first.setdefault(clan_of(omega, g, walls), g)
+    return walls, first
+
+
+def generic_reference_elements(omega, gamma):
+    """The clans of the alcoves w^{-1} X^{-gamma} nu_0 for finite w.
+
+    These land exactly in the generic clans; an independent check of the
+    cone-based genericity test.
+    """
+    group = omega.group
+    walls = wall_roots(omega)
+    out = {}
+    for w in group.finite.elements:
+        u = group.compose(group.translation(gamma), group.from_finite(w))
+        # u^{-1} nu_0 = w^{-1} X^{-gamma} nu_0
+        out.setdefault(clan_of(omega, u, walls), []).append(w)
+    return out
 
 
 def rank1_omega():
@@ -141,3 +187,37 @@ def test_incomplete_exploration_raises():
     with pytest.raises(Exception) as err:
         enumerate_clans(omega, exploration_bound=0)
     assert "unreached" in str(err.value)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in INSTANCES.glob("*.json")))
+def test_census_equals_the_reference_census(name):
+    # the walk's census against the walls evaluated over the element ball, at
+    # the census's default exploration bound
+    omega = load_instance(INSTANCES / f"{name}.json").omega
+    bound = 2 * (omega.support_level_radius() + 1) * omega.group.rs.coxeter_number
+    walls, first = reference_census(omega, bound)
+    dec = enumerate_clans(omega)
+    assert dec.walls == walls
+    assert dec.clans == sorted(first)
+    assert dec.generic == {s: is_generic_sign(omega, walls, s) for s in first}
+    assert dec.representative == first
+
+
+def test_census_evaluates_no_point(monkeypatch):
+    # the census reads signs off the walked wall images: no alcove point is
+    # built and no wall is evaluated
+    calls = {"act_point": 0, "evaluate": 0}
+
+    def counted(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(AffineWeylGroup, "act_point")
+    counted(AffineRootSystem, "evaluate")
+    dec = enumerate_clans(a2_omega())
+    assert dec.clan_count() == 7
+    assert calls == {"act_point": 0, "evaluate": 0}

@@ -5,10 +5,10 @@ A2, C2 and G2 instances but G2 ``iso`` (``a2_wall`` ``frobenius`` also at
 seed 1, where it fails; C2 and G2 ``kernel`` fail on clan ``[-1, -1]``), of
 the ``length``, ``basis``, ``braid``, ``filtration``, ``integral`` and
 ``product`` sweeps on the A3 instance and all but ``product`` on the A4
-instance, of ``describe`` on every instance file but A4 (whose clan census
-takes over ten seconds), and of the worked example.  Each sweep left out
-takes over a second (A3 ``kernel`` then exits 3).  The ``frobenius`` reports
-of the benchmark's ``a2_wall_lite`` data on seeds 1-12 pin which seeds fail.
+instance, of ``describe`` on every instance file, and of the worked example.
+Each sweep left out takes over a second (A3 ``kernel`` then exits 3).  The
+``frobenius`` reports of the benchmark's ``a2_wall_lite`` data on seeds 1-12
+pin which seeds fail.
 A refactor must leave every byte and every exit code unchanged; a deliberate
 change of a report regenerates the file, e.g. ``qdha verify --instance
 instances/a1_quarter.json --check iso --json``.
@@ -57,8 +57,8 @@ def test_verify_kernel_and_length_match_golden(name, check, code, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"{name}.{check}.json").read_text()
 
 
-DESCRIBE = ["a1_quarter", "a1_ddaha_half", "a2_generic", "a2_wall", "a3_generic", "c2_generic",
-            "g2_generic"]
+DESCRIBE = ["a1_quarter", "a1_ddaha_half", "a2_generic", "a2_wall", "a3_generic", "a4_generic",
+            "c2_generic", "g2_generic"]
 
 
 @pytest.mark.parametrize("name", DESCRIBE)

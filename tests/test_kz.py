@@ -27,6 +27,8 @@ from qdha.orderfun import OrderFunction, TorusOrbit, torus_point
 from qdha.polyring import Poly
 from qdha.rootsys import affinise, vec
 from qdha.weyl import AffineWeylGroup
+from test_clans import clan_of
+from test_weyl import element_ball
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -254,26 +256,26 @@ def test_kernel_criteria_rank1_characters():
 
 def test_clan_characters_against_one_clan_at_a_time():
     alg, B, gamma = a2_setup()
-    from qdha.clans import clan_of, enumerate_clans
+    from qdha.clans import enumerate_clans
     omega, W = alg.omega, alg.group
     dec = enumerate_clans(omega)
     chars = clan_characters(omega, 10)
     assert set(chars) <= set(dec.clans)
     for sign in dec.clans:
-        expected = {W.act_point(g, omega.base_point): 1 for g in W.ball(10)
+        expected = {W.act_point(g, omega.base_point): 1 for g in element_ball(W, 10)
                     if clan_of(omega, g, dec.walls) == sign}
         assert chars.get(sign, {}) == expected
 
 
 @pytest.mark.parametrize("name", ["a1_quarter", "a2_wall", "c2_generic", "g2_generic"])
 def test_clan_characters_against_one_clan_at_a_time_on_instance_files(name):
-    # the sign vectors read off the walked wall images against clan_of at the
-    # alcove point of every element of the ball
-    from qdha.clans import clan_of, wall_roots
+    # the sign vectors read off the walked wall images against the walls
+    # evaluated at the alcove point of every element of the element ball
+    from qdha.clans import wall_roots
     omega = load_instance(ROOT / "instances" / f"{name}.json").omega
     W, walls = omega.group, wall_roots(omega)
     expected = {}
-    for g in W.ball(12):
+    for g in element_ball(W, 12):
         expected.setdefault(clan_of(omega, g, walls), {})[W.act_point(g, omega.base_point)] = 1
     assert clan_characters(omega, 12) == expected
 
@@ -284,7 +286,7 @@ def test_orbit_character_against_the_ball(name):
     W = omega.group
     size = len(W.stabilizer(omega.base_point)[1])
     assert size == (2 if name == "a2_wall" else 1)
-    expected = {W.act_point(g, omega.base_point): size for g in W.ball(12)}
+    expected = {W.act_point(g, omega.base_point): size for g in element_ball(W, 12)}
     assert orbit_character(omega, 12) == expected
 
 

@@ -15,6 +15,8 @@ from qdha.clans import enumerate_clans
 from qdha.orderfun import OrderFunction
 from qdha.rootsys import affinise, vec
 from qdha.weyl import AffineWeylGroup
+from test_clans import clan_of
+from test_weyl import element_ball
 
 
 def rank1_algebra():
@@ -37,10 +39,9 @@ def test_graded_dim_quotient_rank1_shifts():
     lp = vec((Fraction(-3, 4),))
     dec = enumerate_clans(A.omega)
     by_weight = {}
-    for g in A.group.ball(8):
+    for g in element_ball(A.group, 8):
         lam = A.group.act_point(g, A.omega.base_point)
         if lam not in by_weight:
-            from qdha.clans import clan_of
             by_weight[lam] = clan_of(A.omega, g, dec.walls)
     # pick one weight in each clan
     plus = vec((Fraction(-3, 4),))

@@ -18,6 +18,24 @@ def group(label):
     return AffineWeylGroup(affinise(label))
 
 
+def element_ball(W, n):
+    """``{g: l(g)}`` for l(g) <= n, by breadth-first search on the elements
+    themselves: ``compose`` and a seen set.  An unseen ``s_i g`` one layer out
+    has length ``l(g) + 1``, since ``s_i g`` of length ``l(g) - 1`` was seen."""
+    seen = {W.identity: 0}
+    frontier = [W.identity]
+    for k in range(1, n + 1):
+        nxt = []
+        for g in frontier:
+            for i in range(len(W.ars.delta)):
+                h = W.compose(W.simple_reflection(i), g)
+                if h not in seen:
+                    seen[h] = k
+                    nxt.append(h)
+        frontier = nxt
+    return seen
+
+
 def test_compose_identity_and_translations():
     W = group("A2")
     g = W.compose(W.simple_reflection(0), W.simple_reflection(2))
@@ -70,9 +88,19 @@ def test_length_dominant_translation_formula():
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
 def test_length_formula_equals_inversions_on_ball(label):
     W = group(label)
-    for g in W.ball(4):
+    _, found = W.walk(W.alcove_point, 4)
+    for g, (layer, _, _) in zip(W.ball(4), found.values(), strict=True):
         assert W.length_formula(g) == W.length_inversions(g)
-        assert W._ball_seen[g] == W.length_formula(g)
+        assert layer == W.length_formula(g)
+
+
+@pytest.mark.parametrize("label,bound", [("A1", 14), ("A2", 12), ("A3", 9), ("A4", 7),
+                                         ("B2", 12), ("C2", 12), ("G2", 14)])
+def test_ball_is_the_element_search(label, bound):
+    # the walk from the alcove point against the search on elements: same
+    # elements, in the same order
+    W = group(label)
+    assert W.ball(bound) == list(element_ball(W, bound))
 
 
 def test_length_formula_equals_inversions_random_a2():
@@ -163,20 +191,6 @@ def test_min_coset_rep_is_unique_minimum_of_coset():
         assert sum(1 for v in lengths.values() if v == lmin) == 1
 
 
-def test_b_w_examples():
-    W = group("A2")
-    rs = W.rs
-    assert W.b_w(W.finite.identity) == vec((0, 0))
-    w0 = W.finite.longest_element()
-    expected = tuple(
-        sum((rs.fundamental_coweights[i][j] for i in range(2)), Fraction(0)) for j in range(2)
-    )
-    assert W.b_w(w0) == expected
-    s1 = W.finite.simple[0]
-    img = W.finite.act_point(W.finite.compose(W.finite.inverse(s1), w0), rs.fundamental_coweights[0])
-    assert W.b_w(s1) == img
-
-
 def test_stabilizer_a1_quarter_is_trivial():
     W = group("A1")
     gens, elements = W.stabilizer(vec((Fraction(1, 4),)))
@@ -233,7 +247,7 @@ def test_witness_and_fundamental_domain():
     assert W.witness(vec((Fraction(1, 2), Fraction(1, 2))), lam0) is None
 
 
-# ----- the orbit walk against the ball it replaces -----
+# ----- the orbit walk against the search on elements -----
 
 def ball_reach(W, lam0, ball):
     """``{g lam0: least l(g)}`` over a list of ``(g, l(g))``."""
@@ -252,7 +266,7 @@ def instance_bound(name):
 def test_orbit_reach_against_the_ball_on_instance_files(name):
     spec = load_instance(INSTANCES / f"{name}.json")
     W, lam0, bound = spec.group, spec.omega.base_point, instance_bound(name)
-    reference = ball_reach(W, lam0, [(g, W.length(g)) for g in W.ball(bound)])
+    reference = ball_reach(W, lam0, [(g, W.length(g)) for g in element_ball(W, bound)])
     for n in (0, 1, 2, bound // 2, bound):
         assert W.orbit_reach(lam0, n) == {pt: k for pt, k in reference.items() if k <= n}
 
@@ -262,7 +276,7 @@ def test_orbit_reach_against_the_ball_on_torus_points(label):
     # the grid holds the origin and points on one or two walls, with
     # stabilizers of every size, as well as generic points
     W = group(label)
-    ball = [(g, W.length(g)) for g in W.ball(12)]
+    ball = [(g, W.length(g)) for g in element_ball(W, 12)]
     for lam0 in torus_grid(W.rank, 4):
         assert W.orbit_reach(lam0, 12) == ball_reach(W, lam0, ball)
 
@@ -288,7 +302,7 @@ def test_walk_states_are_the_images_of_the_ball(name):
     index = {key: i for i, key in enumerate(W.rs.roots)}
     point, found = W.walk(lam0, 8, roots)
     expected = {}
-    for g in W.ball(8):
+    for g in element_ball(W, 8):
         state = (W.act_point(g, lam0),
                  tuple((index[b.alpha], b.level) for b in (W.act_root(g, a) for a in roots)))
         expected[state] = min(expected.get(state, 8), W.length(g))
