@@ -159,7 +159,7 @@ def check_integral(spec: InstanceSpec, ball: int, seed: int) -> dict:
 def check_iso(spec: InstanceSpec, ball: int, seed: int) -> dict:
     alg = spec.algebra()
     B = spec.b_algebra()
-    report = iso_check(alg, B, spec.gamma_choice.gamma, degree_bound=spec.degree, word_bound=3)
+    report = iso_check(alg, B, spec.gamma_choice.gamma, degree_bound=spec.degree)
     failures = [{"word": repr(d)} for d in report.discrepancies]
     out = _report("iso", spec, report.generators, failures)
     out["discrepancies"] = failures
@@ -381,7 +381,7 @@ def cmd_example_a1(as_json: bool) -> int:
     if set(omega_vals.values()) != {1}:
         failures.append("integral values")
 
-    iso = iso_check(alg, B, gamma, degree_bound=2, word_bound=3)
+    iso = iso_check(alg, B, gamma, degree_bound=2)
     if not iso.ok():
         failures.append("isomorphism table")
 

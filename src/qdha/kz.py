@@ -202,68 +202,57 @@ class IsoReport:
         return not self.discrepancies
 
 
-def iso_check(alg, B, gamma: Vec, degree_bound: int, word_bound: int) -> IsoReport:
-    """Verify the generator correspondence of the finite quotient inside the
-    idempotent subalgebra: products of 2 to ``word_bound`` lifted generators
-    match the lifts of the finite products block for block, and the lifts of
-    the finite tau basis are triangular with constant leading coefficients
-    over the affine tau basis."""
+def iso_check(alg, B, gamma: Vec, degree_bound: int) -> IsoReport:
+    """Check that lifting is onto the idempotent subalgebra ``e_gamma A e_gamma``.
+
+    Three things are checked, each of which can fail:
+
+    * membership: every lifted ``tau_w e(ell)`` has a polynomial normal form;
+    * triangularity: its top term is the affine element of the same block,
+      with a nonzero constant coefficient;
+    * coverage: the ``|orbit| |W|`` top terms are pairwise distinct, i.e. the
+      lift of the orbit is injective.  The affine stabiliser of a lifted
+      point is as large as its torus stabiliser, so ``e_gamma A e_gamma`` has
+      ``|orbit| |W|`` basis elements, and distinct top terms cover each once.
+
+    ``lift`` is multiplicative and injective by construction (both algebras
+    share ``OperatorAlgebra.mul``, and lifting relabels orbit points); the
+    tests pin both.  ``generators`` counts the finite generators, a tau
+    letter per simple root and a monomial per non-constant monomial of degree
+    at most ``degree_bound // 2``, at each orbit point."""
     omega = alg.omega
     group = alg.group
     torus = omega.torus
     rank = group.rs.rank
     orbit = B.orbit
-    # generator -> (finite operator, its target point on the orbit)
-    gens = {}
-    for ell in orbit:
-        for i in range(rank):
-            gens[("tau", i, ell)] = (B.tau_letter(i, ell),
-                                     torus.act(group.finite.simple[i], ell))
-        for m in monomials(rank, degree_bound // 2):
-            if any(m):
-                f = Poly(rank, {m: Fraction(1)})
-                gens[("poly", f, ell)] = (B.poly_mult(f, ell), ell)
-    lifted = {g: lift(omega, gamma, x) for g, (x, _) in gens.items()}
-
+    generators = len(orbit) * (rank + sum(1 for m in monomials(rank, degree_bound // 2) if any(m)))
+    lifts = {ell: pregamma_point(omega, gamma, ell) for ell in orbit}
+    first: dict[Vec, Vec] = {}
     discrepancies = []
-    # grow composable words, prepending each generator whose source (the
-    # last part of its key) is the target of the word's first letter, and
-    # compare the two sides on every one
-    words: list[list] = [[g] for g in gens]
-    for _ in range(word_bound - 1):
-        words = [[g] + word for word in words for g in gens if g[2] == gens[word[0]][1]]
-        for word in words:
-            b_side = gens[word[-1]][0]
-            a_side = lifted[word[-1]]
-            for g in reversed(word[:-1]):
-                b_side = B.mul(gens[g][0], b_side)
-                a_side = alg.mul(lifted[g], a_side)
-            if lift(omega, gamma, b_side) != a_side:
-                discrepancies.append(tuple(word))
+    for ell, lam in lifts.items():
+        if first.setdefault(lam, ell) != ell:
+            discrepancies.append(("coverage", first[lam], ell))
+    if discrepancies:
+        return IsoReport(generators=generators, discrepancies=discrepancies, scalars={})
     scalars = {}
     for ell in orbit:
         for w in sorted(group.finite.elements, key=lambda u: (group.finite.length(u), u)):
             op = lift(omega, gamma, B.tau_element(w, ell))
-            src, coeffs = alg.normal_form_rational(op)
-            bad = [g for g, f in coeffs.items() if not f.is_poly()]
-            if bad:
+            _, coeffs = alg.normal_form_rational(op)
+            if not all(f.is_poly() for f in coeffs.values()):
                 discrepancies.append(("membership", ell, w))
                 continue
             if not coeffs:
                 discrepancies.append(("vanishing", ell, w))
                 continue
             top = max(coeffs, key=lambda g: (group.length(g), g.mu, g.w))
-            expected = alg.element_of_entry(
-                (pregamma_point(omega, gamma, ell),
-                 pregamma_point(omega, gamma, torus.act(w, ell)),
-                 w)
-            )
+            expected = alg.element_of_entry((lifts[ell], lifts[torus.act(w, ell)], w))
             lead = coeffs[top]
             if top != expected or not lead.is_constant():
                 discrepancies.append(("triangularity", ell, w))
             else:
                 scalars[(ell, w)] = lead.num.constant_value()
-    return IsoReport(generators=len(lifted), discrepancies=discrepancies, scalars=scalars)
+    return IsoReport(generators=generators, discrepancies=discrepancies, scalars=scalars)
 
 
 # ----- change of gamma -----

@@ -1,0 +1,60 @@
+"""Committed faults: each sweep must FAIL, with its own reason, on a broken copy of the code.
+
+A fault is a monkeypatch of one function.  Every case first runs the sweep
+without the fault and requires a PASS, so that a FAIL under the fault is the
+fault's doing; a fault must never end in a traceback or exit code 2.
+"""
+import json
+from pathlib import Path
+
+import pytest
+
+from qdha import kz
+from qdha.bqha import BAlgebra
+from qdha.cli import main
+from qdha.instances import load_instance
+
+ROOT = Path(__file__).resolve().parent.parent
+
+ISO_INSTANCES = ["a1_quarter", "a1_ddaha_half", "a2_generic", "a2_wall", "c2_generic",
+                 "g2_generic"]
+
+
+def verify_iso(name, capsys):
+    code = main(["verify", "--instance", str(ROOT / "instances" / f"{name}.json"),
+                 "--check", "iso", "--json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("name", ISO_INSTANCES)
+def test_iso_fails_on_a_finite_order_value_off_by_one(name, monkeypatch, capsys):
+    code, report = verify_iso(name, capsys)
+    assert code == 0 and report["pass"]
+    letter = BAlgebra._letter
+
+    def off_by_one(self, i, ell):
+        alpha, m, target = letter(self, i, ell)
+        return alpha, m + 1, target
+
+    monkeypatch.setattr(BAlgebra, "_letter", off_by_one)
+    code, report = verify_iso(name, capsys)
+    assert code == 1 and not report["pass"]
+    assert any("'triangularity'" in d["word"] for d in report["discrepancies"])
+
+
+@pytest.mark.parametrize("name", ISO_INSTANCES)
+def test_iso_fails_on_a_collapsed_lift(name, monkeypatch, capsys):
+    code, report = verify_iso(name, capsys)
+    assert code == 0 and report["pass"]
+    orbit = load_instance(ROOT / "instances" / f"{name}.json").omega.torus.points
+    pregamma_point = kz.pregamma_point
+
+    def collapsed(omega, gamma, ell):
+        # the second orbit point lifts to the first one's lift
+        ell = omega.torus.point(ell)
+        return pregamma_point(omega, gamma, orbit[0] if ell == orbit[1] else ell)
+
+    monkeypatch.setattr(kz, "pregamma_point", collapsed)
+    code, report = verify_iso(name, capsys)
+    assert code == 1 and not report["pass"]
+    assert report["discrepancies"] == [{"word": repr(("coverage", orbit[0], orbit[1]))}]
