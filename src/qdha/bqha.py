@@ -23,7 +23,12 @@ The trace of x takes two closed forms per source and sums over the orbit:
 Together with the multiplication it gives an exact Gram pairing whose rank
 witnesses the Frobenius property.  The blocks of ``tau_w e(ell)`` end at
 ``w ell``, so by left Pol-linearity one product ``tau_w e(ell) y`` serves
-every monomial m of a spanning group ``(ell, w)``.
+every monomial m of a spanning group ``(ell, w)``, and only the columns y
+whose target is ell, indexed by target once, pair with it.  Of that product
+only the tau_{w0} blocks are formed, the block pairs whose twists compose to
+w0.  The stabilizer images ``g(f)`` of its coefficient are shared across the
+group's rows, so a row costs one product per stabilizer element and one exact
+division.
 """
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ from typing import Sequence
 
 from .algebra import EntryKey, NotInAlgebra, OperatorAlgebra, RatOperator
 from .orderfun import BOrderFunction
-from .polyring import Poly, divide_exact, monomials
+from .polyring import Poly, RatFunc, divide_exact, monomials
 from .rootsys import RootKey, Vec
 from .weyl import Perm
 
@@ -135,34 +140,64 @@ class BAlgebra(OperatorAlgebra):
                         out.append((ell, w, Poly(self.rank, {m: Fraction(1)})))
         return out
 
+    def _top_product(self, x: RatOperator, y: RatOperator) -> RatOperator:
+        """The tau_{w0} blocks of ``x y``, the only ones ``top_coefficients`` reads.
+
+        ``mul`` keys the product of the blocks at u1 and u2 by ``u1 u2``, so
+        this is ``mul`` restricted to the block pairs with ``u1 u2 = w0``.
+        """
+        w0 = self.fin.longest_element()
+        out: dict[EntryKey, RatFunc] = {}
+        for (s2, t2, u2), r2 in y.entries:
+            for (s1, t1, u1), r1 in x.entries:
+                if s1 != t2 or self.fin.compose(u1, u2) != w0:
+                    continue
+                key = (s2, t1, w0)
+                term = r1 * self.act_rat(u1, r2)
+                out[key] = out[key] + term if key in out else term
+        return RatOperator.from_dict(out)
+
     def gram_matrix(self, degree_bound: int) -> tuple[list[tuple[Vec, Perm, Poly]],
                                                       dict[tuple[int, int], Poly]]:
         """The exact trace-pairing matrix on the bounded spanning set, as its
         nonzero entries keyed by (row, column).
 
         Entry (i, j) is ``tr(x_i y_j)`` with ``x_i = m_i tau_{w_i} e(ell_i)``.
-        The rows of one group (ell, w) share ``z = tau_w e(ell) y_j``: by left
-        Pol-linearity the entry is the coefficient trace of ``m_i f``, with f
-        the tau_{w0} coefficient of z.
+        It vanishes unless the target of y_j is ell_i, so the columns are
+        indexed by target once.  The rows of one group (ell, w) share
+        ``z = tau_w e(ell) y_j``, of which only the tau_{w0} blocks are
+        formed: by left Pol-linearity the entry is the coefficient trace of
+        ``m_i f``, with f the tau_{w0} coefficient of z, that is
+        ``sum_g sgn(g) g(m_i) g(f) / den`` over ``trace_terms``.  The images
+        ``g(f)`` are taken once per product and ``g(m_i)`` once per monomial.
         """
         span = self.spanning_set(degree_bound)
-        targets = [self.act_ell(w, ell) for ell, w, _ in span]
-        ops = [self.mul(self.poly_mult(m, tgt), self.tau_element(w, ell))
-               for (ell, w, m), tgt in zip(span, targets)]
+        columns: dict[Vec, list[int]] = {}
+        ops = []
+        for j, (ell, w, m) in enumerate(span):
+            tgt = self.act_ell(w, ell)
+            columns.setdefault(tgt, []).append(j)
+            ops.append(self.mul(self.poly_mult(m, tgt), self.tau_element(w, ell)))
         groups: dict[tuple[Vec, Perm], list[int]] = {}
         for i, (ell, w, _) in enumerate(span):
             groups.setdefault((ell, w), []).append(i)
-        n = len(span)
+        images: dict[tuple[Perm, Poly], Poly] = {}
         matrix: dict[tuple[int, int], Poly] = {}
         for (ell, w), rows in groups.items():
             head = self.tau_element(w, ell)
-            for j in range(n):
-                # x_i y_j is zero unless the target of y_j matches the source of x_i
-                if targets[j] != ell:
-                    continue
-                for src, f in self.top_coefficients(self.mul(head, ops[j])).items():
+            for j in columns.get(ell, ()):
+                for src, f in self.top_coefficients(self._top_product(head, ops[j])).items():
+                    signed, den = self.trace_terms[src]
+                    f_images = [(g, sign, self.act_poly(g, f)) for g, sign in signed]
                     for i in rows:
-                        entry = self.coefficient_trace(src, span[i][2] * f)
+                        m = span[i][2]
+                        num = Poly.zero(self.rank)
+                        for g, sign, gf in f_images:
+                            if (g, m) not in images:
+                                images[g, m] = self.act_poly(g, m)
+                            term = images[g, m] * gf
+                            num = num + term if sign > 0 else num - term
+                        entry = divide_exact(num, den)
                         if not entry.is_zero():
                             matrix[i, j] = entry
         return span, matrix

@@ -15,9 +15,12 @@ from qdha.rootsys import affinise, vec
 from qdha.weyl import AffineWeylGroup
 
 
+def instance_b_algebra(name):
+    return load_instance(Path(__file__).resolve().parent.parent / "instances" / f"{name}.json").b_algebra()
+
+
 def c2_generic_b_algebra():
-    path = Path(__file__).resolve().parent.parent / "instances" / "c2_generic.json"
-    return load_instance(path).b_algebra()
+    return instance_b_algebra("c2_generic")
 
 
 def rank1_b_algebra():
@@ -270,20 +273,60 @@ def test_gram_matrix_equals_pairwise_traces(make):
     assert matrix == {ij: t for ij, t in pairwise.items() if not t.is_zero()}
 
 
+def reference_gram_matrix(B, degree_bound):
+    """The Gram matrix the plain way: every group against every column, by the
+    full product, its top coefficients and one coefficient trace per row."""
+    span = B.spanning_set(degree_bound)
+    ops = spanning_ops(B, span)
+    groups = {}
+    for i, (ell, w, _) in enumerate(span):
+        groups.setdefault((ell, w), []).append(i)
+    matrix = {}
+    for (ell, w), rows in groups.items():
+        head = B.tau_element(w, ell)
+        for j, y in enumerate(ops):
+            for src, f in B.top_coefficients(B.mul(head, y)).items():
+                for i in rows:
+                    entry = B.coefficient_trace(src, span[i][2] * f)
+                    if not entry.is_zero():
+                        matrix[i, j] = entry
+    return span, matrix
+
+
+@pytest.mark.parametrize("name", ["a1_quarter", "a2_generic", "a2_wall", "c2_generic", "a2_wall_lite"])
+def test_gram_matrix_equals_reference(name):
+    make = a2_wall_lite if name == "a2_wall_lite" else lambda: instance_b_algebra(name)
+    span, matrix = make().gram_matrix(4)
+    ref_span, ref = reference_gram_matrix(make(), 4)
+    assert span == ref_span
+    assert matrix == ref
+    assert list(matrix) == list(ref)
+
+
 def test_gram_matrix_one_product_per_group_and_column(monkeypatch):
     B = a2_wall_lite()
     B.gram_matrix(4)  # fill the tau element cache
-    products, normal_forms = [], []
-    mul, normal_form = B.mul, B.normal_form
+    products, top_products, normal_forms = [], [], []
+    mul, top_product, normal_form = B.mul, B._top_product, B.normal_form
     monkeypatch.setattr(B, "mul", lambda x, y: products.append(mul(x, y)) or products[-1])
+    monkeypatch.setattr(B, "_top_product",
+                        lambda x, y: top_products.append((x, y, top_product(x, y))) or top_products[-1][2])
     monkeypatch.setattr(B, "normal_form", lambda x: normal_forms.append(x) or normal_form(x))
     span, _ = B.gram_matrix(4)
-    # 108 spanning operators, then 3 orbit points x 6 elements, each against
-    # the 36 columns ending at its point; the pairwise formula needs 108 * 36
+    # 108 spanning operators are full products; then 3 orbit points x 6
+    # elements, each against the 36 columns ending at its point, form only the
+    # tau_{w0} blocks of their product; the pairwise formula needs 108 * 36
     assert len(span) == 108
-    assert len(products) == 108 + 648
-    # 72 products vanish (order -1 on the wall)
-    assert sum(1 for z in products[108:] if z.is_zero()) == 72
+    assert len(products) == 108
+    assert len(top_products) == 648
+    # each is the tau_{w0} part of the full product
+    w0 = B.fin.longest_element()
+    for x, y, z in top_products:
+        assert z == RatOperator.from_dict({k: v for k, v in mul(x, y).entries if k[2] == w0})
+    # 510 have no tau_{w0} block, 72 of them because the full product
+    # vanishes (order -1 on the wall)
+    assert sum(1 for _, _, z in top_products if z.is_zero()) == 510
+    assert sum(1 for x, y, _ in top_products if mul(x, y).is_zero()) == 72
     # the tau_{w0} coefficient is read off its block, without a peel
     assert normal_forms == []
 
@@ -375,22 +418,24 @@ def test_theta_words_frozen_per_orbit_point():
 @pytest.mark.parametrize("make", [a2_wall_lite, c2_generic_b_algebra],
                          ids=["a2_wall_lite", "c2_generic"])
 def test_gram_products_in_algebra_with_peeled_top_coefficients(make, monkeypatch):
-    # the reference: every product the Gram matrix traces has a polynomial
-    # full peel, whose tau_{w0} coefficient is the one read off the block
+    # the reference: the full product behind every pair the Gram matrix traces
+    # has a polynomial full peel, whose tau_{w0} coefficient is the one read
+    # off the tau_{w0} blocks that gram_matrix forms
     B = make()
-    products = []
-    top = B.top_coefficients
-    monkeypatch.setattr(B, "top_coefficients", lambda x: products.append(x) or top(x))
+    pairs = []
+    top_product = B._top_product
+    monkeypatch.setattr(B, "_top_product", lambda x, y: pairs.append((x, y)) or top_product(x, y))
     B.gram_matrix(4)
     w0 = B.fin.longest_element()
-    assert any(top(z) for z in products)
-    for z in products:
+    assert any(B.top_coefficients(top_product(x, y)) for x, y in pairs)
+    for x, y in pairs:
+        z = B.mul(x, y)
         peeled = {}
         for src in z.sources():
             nf = B.normal_form(RatOperator.from_dict({k: v for k, v in z.entries if k[0] == src}))
             if w0 in nf.coeffs:
                 peeled[src] = nf.coeffs[w0]
-        assert top(z) == peeled
+        assert B.top_coefficients(top_product(x, y)) == peeled
 
 
 def test_top_coefficient_with_denominator_not_in_algebra():

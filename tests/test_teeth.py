@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from qdha import kz
+from qdha.algebra import RatOperator
 from qdha.bqha import BAlgebra
 from qdha.cli import main
 from qdha.instances import load_instance
@@ -20,10 +21,14 @@ ISO_INSTANCES = ["a1_quarter", "a1_ddaha_half", "a2_generic", "a2_wall", "c2_gen
                  "g2_generic"]
 
 
-def verify_iso(name, capsys):
+def verify(name, check, capsys):
     code = main(["verify", "--instance", str(ROOT / "instances" / f"{name}.json"),
-                 "--check", "iso", "--json"])
+                 "--check", check, "--json"])
     return code, json.loads(capsys.readouterr().out)
+
+
+def verify_iso(name, capsys):
+    return verify(name, "iso", capsys)
 
 
 @pytest.mark.parametrize("name", ISO_INSTANCES)
@@ -58,3 +63,25 @@ def test_iso_fails_on_a_collapsed_lift(name, monkeypatch, capsys):
     code, report = verify_iso(name, capsys)
     assert code == 1 and not report["pass"]
     assert report["discrepancies"] == [{"word": repr(("coverage", orbit[0], orbit[1]))}]
+
+
+def test_frobenius_fails_on_twists_composed_in_the_wrong_order(monkeypatch, capsys):
+    code, report = verify("a2_generic", "frobenius", capsys)
+    assert code == 0 and report["pass"]
+
+    def wrong_order(self, x, y):
+        # BAlgebra._top_product with the twists composed as u2 u1
+        w0 = self.fin.longest_element()
+        out = {}
+        for (s2, t2, u2), r2 in y.entries:
+            for (s1, t1, u1), r1 in x.entries:
+                if s1 != t2 or self.fin.compose(u2, u1) != w0:
+                    continue
+                term = r1 * self.act_rat(u1, r2)
+                out[s2, t1, w0] = out[s2, t1, w0] + term if (s2, t1, w0) in out else term
+        return RatOperator.from_dict(out)
+
+    monkeypatch.setattr(BAlgebra, "_top_product", wrong_order)
+    code, report = verify("a2_generic", "frobenius", capsys)
+    assert code == 1 and not report["pass"]
+    assert [f["reason"] for f in report["failures"]] == ["gram rank"]
