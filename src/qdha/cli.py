@@ -2,10 +2,10 @@
 
 Stdout is deterministic for fixed inputs (timings go to stderr), so reports
 can be diffed byte for byte.  Exit codes: 0 pass, 1 verification failure,
-2 usage or parse error, 3 undecided: the computation stopped before a verdict
-(a case not implemented, an exact-arithmetic inconsistency, a weight window or
-exploration bound exceeded, a normal form that does not terminate), with a
-one-line reason on stderr.
+2 usage error or an instance file that does not load, 3 undecided: the
+computation stopped before a verdict (a case not implemented, an exact-arithmetic
+inconsistency, a window or exploration bound exceeded, a peel that does not
+terminate, a block or value it cannot interpret), with a one-line reason on stderr.
 """
 from __future__ import annotations
 
@@ -41,8 +41,9 @@ CHECKS = ("length", "basis", "braid", "filtration", "integral", "iso",
           "frobenius", "kernel", "gamma", "product")
 
 EXIT_UNDECIDED = 3
-# raised when a computation cannot reach a verdict, as opposed to a failed check
-UNDECIDED = (NotImplementedError, ArithmeticError, NonTerminating, IncompleteExploration)
+# no verdict, as opposed to a failed check; ValueError and KeyError once loaded
+UNDECIDED = (NotImplementedError, ArithmeticError, NonTerminating, IncompleteExploration,
+             ValueError, KeyError)
 
 
 def _report(check: str, spec: InstanceSpec, instances: int, failures: list) -> dict:
@@ -159,7 +160,7 @@ def check_integral(spec: InstanceSpec, ball: int, seed: int) -> dict:
 def check_iso(spec: InstanceSpec, ball: int, seed: int) -> dict:
     alg = spec.algebra()
     B = spec.b_algebra()
-    report = iso_check(alg, B, spec.gamma_choice.gamma, degree_bound=spec.degree)
+    report = iso_check(alg, B, spec.gamma_choice.gamma)
     failures = [{"word": repr(d)} for d in report.discrepancies]
     out = _report("iso", spec, report.generators, failures)
     out["discrepancies"] = failures
@@ -381,7 +382,7 @@ def cmd_example_a1(as_json: bool) -> int:
     if set(omega_vals.values()) != {1}:
         failures.append("integral values")
 
-    iso = iso_check(alg, B, gamma, degree_bound=2)
+    iso = iso_check(alg, B, gamma)
     if not iso.ok():
         failures.append("isomorphism table")
 
@@ -449,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--instance", required=True)
     v.add_argument("--check", required=True, choices=CHECKS)
     v.add_argument("--ball", type=int, default=None)
-    v.add_argument("--degree", type=int, default=None)
     v.add_argument("--seed", type=int, default=20250808)
     v.add_argument("--json", action="store_true")
 
@@ -465,25 +465,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "describe":
-            spec = load_instance(args.instance)
-            return cmd_describe(spec, args.json)
-        if args.command == "verify":
-            spec = load_instance(args.instance)
-            if args.degree is not None:
-                spec.degree = args.degree
-            ball = args.ball if args.ball is not None else spec.ball
-            return cmd_verify(spec, args.check, ball, args.seed, args.json)
-        if args.command == "example-a1":
-            return cmd_example_a1(args.json)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        spec = load_instance(args.instance) if args.command != "example-a1" else None
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        if args.command == "describe":
+            return cmd_describe(spec, args.json)
+        if args.command == "verify":
+            ball = args.ball if args.ball is not None else spec.ball
+            return cmd_verify(spec, args.check, ball, args.seed, args.json)
+        return cmd_example_a1(args.json)
     except UNDECIDED as exc:
         reason = " ".join(str(exc).split())
         print(f"undecided: {type(exc).__name__}: {reason}", file=sys.stderr)
         return EXIT_UNDECIDED
-    return 2
 
 
 if __name__ == "__main__":

@@ -11,8 +11,7 @@ Schema::
       ],
       "ddaha_h": "1/2",                 # or {"<norm2>": "<value>"} per length class
       "gamma": ["-1", "-1"],            # optional override of the deep lift
-      "ball": 8,                         # default sweep radius
-      "degree": 2                        # default polynomial degree bound
+      "ball": 8                          # default sweep radius
     }
 
 Exactly one of "omega" / "ddaha_h" must be present.
@@ -38,7 +37,6 @@ class InstanceSpec:
     omega: OrderFunction
     gamma_choice: GammaChoice
     ball: int = 8
-    degree: int = 2
     ddaha_h: object | None = None
 
     def algebra(self) -> Algebra:
@@ -97,7 +95,6 @@ def instance_from_data(data: dict) -> InstanceSpec:
         omega=omega,
         gamma_choice=gc,
         ball=int(data.get("ball", 8)),
-        degree=int(data.get("degree", 2)),
         ddaha_h=ddaha_h,
     )
 

@@ -2,14 +2,16 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from qdha import cli
-from qdha.algebra import NonTerminating
+from qdha import cli, kz
+from qdha.algebra import NonTerminating, RatOperator
 from qdha.clans import IncompleteExploration
 from qdha.cli import main
+from qdha.rootsys import vec
 
 ROOT = Path(__file__).resolve().parent.parent
 A1 = str(ROOT / "instances" / "a1_quarter.json")
@@ -113,6 +115,8 @@ def test_module_entry_point():
     ZeroDivisionError("division by zero"),
     NonTerminating("normal-form peel did not shrink"),
     IncompleteExploration("search produced infeasible sign vectors\nsecond line"),
+    ValueError("block does not come from an affine Weyl element"),
+    KeyError((1, 2)),
 ])
 def test_undecided_sweep_exit_code(monkeypatch, capsys, exc):
     def raising_sweep(spec, ball, seed):
@@ -125,6 +129,24 @@ def test_undecided_sweep_exit_code(monkeypatch, capsys, exc):
     assert captured.out == ""
     # one line, whatever the exception's message looks like
     assert captured.err == f"undecided: {type(exc).__name__}: {' '.join(str(exc).split())}\n"
+
+
+def test_value_error_inside_a_sweep_is_undecided(monkeypatch, capsys):
+    # lifted blocks whose targets leave the coroot lattice: the iso sweep's
+    # element_of_entry raises a ValueError once the instance has loaded
+    lift = kz.lift
+
+    def shifted(omega, gamma, op):
+        return RatOperator.from_dict({
+            (src, vec(tuple(c + Fraction(1, 3) for c in tgt)), u): r
+            for (src, tgt, u), r in lift(omega, gamma, op).entries})
+
+    monkeypatch.setattr(kz, "lift", shifted)
+    code = main(["verify", "--instance", A1, "--check", "iso"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_UNDECIDED
+    assert captured.out == ""
+    assert captured.err.startswith("undecided: ValueError: block ")
 
 
 def test_a3_kernel_is_undecided(tmp_path, capsys):

@@ -179,10 +179,34 @@ def test_product_formula_a2_all_elements_and_weights():
 
 def test_iso_check_rank1():
     alg, B, gamma = rank1_setup()
-    report = iso_check(alg, B, gamma, degree_bound=2)
+    report = iso_check(alg, B, gamma)
     assert report.ok()
     # the recorded scalars are nonzero rationals
     assert all(c != 0 for c in report.scalars.values())
+
+
+@pytest.mark.parametrize("name", ["a1_quarter", "a1_ddaha_half", "a2_generic", "a2_wall",
+                                  "c2_generic", "g2_generic"])
+def test_iso_check_against_full_normal_forms(name):
+    # the reference: the full normal form of every lifted tau_w e(ell), not
+    # only of the letters, with its top term read off the peeled coefficients
+    spec = load_instance(ROOT / "instances" / f"{name}.json")
+    alg, B, gamma = spec.algebra(), spec.b_algebra(), spec.gamma_choice.gamma
+    omega, W = alg.omega, alg.group
+    report = iso_check(alg, B, gamma)
+    assert report.ok()
+    assert len(report.scalars) == len(B.orbit) * len(W.finite.elements)
+    for ell in B.orbit:
+        lam = pregamma_point(omega, gamma, ell)
+        for w in W.finite.elements:
+            _, coeffs = alg.normal_form_rational(lift(omega, gamma, B.tau_element(w, ell)))
+            assert all(f.is_poly() for f in coeffs.values()), (ell, w)
+            top = max(W.length(g) for g in coeffs)
+            tgt = pregamma_point(omega, gamma, omega.torus.act(w, ell))
+            expected = alg.element_of_entry((lam, tgt, w))
+            assert [g for g in coeffs if W.length(g) == top] == [expected], (ell, w)
+            lead = coeffs[expected]
+            assert lead.is_constant() and lead.num.constant_value() == report.scalars[ell, w]
 
 
 def test_iso_check_trivial_products():
@@ -250,7 +274,7 @@ def test_iso_check_zero_order_function():
     alg = Algebra(omega)
     B = BAlgebra(integral_b_order_function(omega))
     gamma = choose_gamma(omega).gamma
-    report = iso_check(alg, B, gamma, degree_bound=2)
+    report = iso_check(alg, B, gamma)
     assert report.ok()
 
 

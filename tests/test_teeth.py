@@ -31,6 +31,10 @@ def verify_iso(name, capsys):
     return verify(name, "iso", capsys)
 
 
+# the number of lifted tau_w e(ell) whose top term the fault breaks
+OFF_BY_ONE = dict(zip(ISO_INSTANCES, [2, 2, 30, 15, 56, 132]))
+
+
 @pytest.mark.parametrize("name", ISO_INSTANCES)
 def test_iso_fails_on_a_finite_order_value_off_by_one(name, monkeypatch, capsys):
     code, report = verify_iso(name, capsys)
@@ -44,7 +48,8 @@ def test_iso_fails_on_a_finite_order_value_off_by_one(name, monkeypatch, capsys)
     monkeypatch.setattr(BAlgebra, "_letter", off_by_one)
     code, report = verify_iso(name, capsys)
     assert code == 1 and not report["pass"]
-    assert any("'triangularity'" in d["word"] for d in report["discrepancies"])
+    assert len(report["discrepancies"]) == OFF_BY_ONE[name]
+    assert all(d["word"].startswith("('triangularity'") for d in report["discrepancies"])
 
 
 @pytest.mark.parametrize("name", ISO_INSTANCES)
@@ -63,6 +68,26 @@ def test_iso_fails_on_a_collapsed_lift(name, monkeypatch, capsys):
     code, report = verify_iso(name, capsys)
     assert code == 1 and not report["pass"]
     assert report["discrepancies"] == [{"word": repr(("coverage", orbit[0], orbit[1]))}]
+
+
+# the number of (w, ell) pairs whose scalar the fault breaks
+WRONG_SIDE = {"a1_quarter": 2, "a2_generic": 24, "a2_wall": 12, "c2_generic": 33, "g2_generic": 77}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_SIDE))
+def test_product_fails_on_the_section_conjugated_on_the_wrong_side(name, monkeypatch, capsys):
+    code, report = verify(name, "product", capsys)
+    assert code == 0 and report["pass"]
+
+    def wrong_side(group, gamma, w):
+        # X^{-gamma} w X^{gamma} in place of X^{gamma} w X^{-gamma}
+        xg = group.translation(gamma)
+        return group.compose(group.compose(group.inverse(xg), group.from_finite(w)), xg)
+
+    monkeypatch.setattr(kz, "pregamma_group", wrong_side)
+    code, report = verify(name, "product", capsys)
+    assert code == 1 and not report["pass"]
+    assert len(report["failures"]) == WRONG_SIDE[name]
 
 
 def test_frobenius_fails_on_twists_composed_in_the_wrong_order(monkeypatch, capsys):
