@@ -36,6 +36,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import EntryKey, NotInAlgebra, OperatorAlgebra, RatOperator
+from .fm import rank
 from .orderfun import BOrderFunction
 from .polyring import Poly, RatFunc, divide_exact, monomials
 from .rootsys import RootKey, Vec
@@ -238,28 +239,6 @@ def gram_rank_at_point(matrix: dict[tuple[int, int], Poly], point: Sequence[Frac
         rows, cols = blocks.setdefault(find(r), (set(), set()))
         rows.add(r)
         cols.add(c)
-    return sum(_rank([[values.get((r, c), 0) for c in sorted(cols)] for r in sorted(rows)])
+    return sum(rank([[values.get((r, c), 0) for c in sorted(cols)] for r in sorted(rows)])
                for rows, cols in blocks.values())
 
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    """Exact rank by Gauss-Jordan elimination; reduces ``rows`` in place."""
-    n = len(rows)
-    rank = 0
-    col = 0
-    ncols = n and len(rows[0])
-    while rank < n and col < ncols:
-        piv = next((r for r in range(rank, n) if rows[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank

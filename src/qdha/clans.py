@@ -1,9 +1,10 @@
-"""Clan decomposition of the weight space and genericity of clans.
+"""Clan decomposition of the weight space and the dimensions of the clans' recession cones.
 
 The walls are the vanishing loci of affine roots where the order function is
 at least 1.  Regions of the resulting finite arrangement are encoded by sign
-vectors; a region is a clan, and it is generic when its recession cone is full
-dimensional.  The census walks the alcoves ``g^{-1} nu_0`` by
+vectors; a region is a clan.  Its recession cone ``{v : s_a <da, v> >= 0}``
+has an exact dimension (``fm.cone_dimension``), and the clan is generic when
+that dimension is the rank.  The census walks the alcoves ``g^{-1} nu_0`` by
 ``AffineWeylGroup.walk`` from ``alcove_point`` with the wall roots and reads
 each sign vector off the walked wall images; it is cross-checked against an
 exact feasibility sweep over all sign assignments, so a clan missed by the walk
@@ -56,14 +57,14 @@ def sign_vector_feasible(omega: OrderFunction, walls: Sequence[AffineRoot], sigm
     return fm.feasible(constraints, rs.rank)
 
 
-def is_generic_sign(omega: OrderFunction, walls: Sequence[AffineRoot], sigma: Sign) -> bool:
-    """Full-dimensionality of the recession cone {v : s <da, v> >= 0 for all walls}."""
+def cone_dimension(omega: OrderFunction, walls: Sequence[AffineRoot], sigma: Sign) -> int:
+    """The dimension of the recession cone {v : s <da, v> >= 0 for all walls}."""
     rs = omega.group.rs
     rows = [
         [s * rs.pair_root_coroot(a.alpha, rs.simple_root(i)) for i in range(rs.rank)]
         for s, a in zip(sigma, walls)
     ]
-    return fm.strictly_feasible_cone(rows, rs.rank)
+    return fm.cone_dimension(rows, rs.rank)
 
 
 class IncompleteExploration(RuntimeError):
@@ -75,7 +76,8 @@ class ClanDecomposition:
     walls: list[AffineRoot]
     clans: list[Sign]                      # sorted sign vectors
     representative: dict[Sign, AffineWeylElement]
-    generic: dict[Sign, bool]
+    dimension: dict[Sign, int]             # of each clan's recession cone
+    generic: dict[Sign, bool]              # dimension == rank
 
     def clan_count(self) -> int:
         return len(self.clans)
@@ -114,12 +116,13 @@ def enumerate_clans(omega: OrderFunction, exploration_bound: int | None = None) 
     if extra:
         raise IncompleteExploration(f"search produced infeasible sign vectors {extra}")
     clans = sorted(feasible_signs)
-    generic = {s: is_generic_sign(omega, walls, s) for s in clans}
+    dimension = {s: cone_dimension(omega, walls, s) for s in clans}
     return ClanDecomposition(
         walls=walls,
         clans=clans,
         representative={s: group.from_word(_edge_word(walked, found[s])) for s in clans},
-        generic=generic,
+        dimension=dimension,
+        generic={s: d == group.rs.rank for s, d in dimension.items()},
     )
 
 

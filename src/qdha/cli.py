@@ -21,18 +21,15 @@ from .bqha import gram_rank_at_point
 from .clans import IncompleteExploration, enumerate_clans
 from .instances import InstanceSpec, load_instance, rank1_quarter
 from .kz import (
-    clan_characters,
+    clans_met,
     e_gamma_weights,
     gamma_change,
     integral_b_order_function,
     iso_check,
-    kernel_clan_test,
-    orbit_character,
     pregamma_point,
     product_formula_check,
     two_rho_coroot,
 )
-from .modcat import classify_growth, gk_growth
 from .orderfun import from_ddaha_k
 from .polyring import Poly, RatFunc
 from .rootsys import vec
@@ -217,29 +214,17 @@ def check_frobenius(spec: InstanceSpec, ball: int, seed: int) -> dict:
 
 
 def check_kernel(spec: InstanceSpec, ball: int, seed: int) -> dict:
+    """Truncation by e_gamma kills a clan's module exactly when the clan holds
+    no idempotent weight; each clan that holds one must be generic (its
+    recession cone full dimensional), and the projective, the sum over all
+    clans, must survive."""
     dec = enumerate_clans(spec.omega)
-    rank = spec.group.rs.rank
-    char_bound = 80 if rank == 1 else 30
-    growth_n = 60 if rank == 1 else 24
-    bound = 6
-    failures = []
-    count = 0
-    chars = clan_characters(spec.omega, char_bound)
-    reach = spec.group.orbit_reach(spec.omega.base_point, 2 * bound)
-    for sign in dec.clans:
-        rep = kernel_clan_test(spec.omega, dec, chars.get(sign, {}), reach, bound=bound,
-                               growth_n=growth_n)
-        count += 1
-        if not rep.consistent():
-            failures.append({"clan": list(sign), "reason": "criteria disagree"})
-        if rep.in_kernel == dec.generic[sign]:
-            failures.append({"clan": list(sign), "reason": "kernel flag vs genericity"})
-    rep = kernel_clan_test(spec.omega, dec, orbit_character(spec.omega, char_bound), reach,
-                           bound=bound, growth_n=growth_n)
-    count += 1
-    if not rep.consistent() or rep.in_kernel:
+    met = clans_met(spec.group, dec.walls, spec.gamma_choice.gamma)
+    failures = [{"clan": list(sign), "reason": "criteria disagree"}
+                for sign in dec.clans if (sign in met) != dec.generic[sign]]
+    if not any(dec.generic[sign] for sign in met):
         failures.append({"clan": "full", "reason": "projective character must not vanish"})
-    return _report("kernel", spec, count, failures)
+    return _report("kernel", spec, len(dec.clans) + 1, failures)
 
 
 def check_gamma(spec: InstanceSpec, ball: int, seed: int) -> dict:
@@ -388,25 +373,20 @@ def cmd_example_a1(as_json: bool) -> int:
 
     growth = {}
     kernel_flags = {}
+    met = clans_met(W, dec.walls, gamma)
     bounded = next(s for s in dec.clans if not dec.generic[s])
-    chars = clan_characters(spec.omega, 80)
-    reach = W.orbit_reach(spec.omega.base_point, 2 * 12)
     for name, sign in [("bounded", bounded)] + [
         (f"generic{k}", s) for k, s in enumerate(dec.generic_clans())
     ]:
-        char = chars.get(sign, {})
-        rep = kernel_clan_test(spec.omega, dec, char, reach, bound=12, growth_n=60)
-        exp, _ = classify_growth(gk_growth(W, char, 60), 1)
-        growth[name] = exp
-        kernel_flags[name] = rep.in_kernel
-        if not rep.consistent():
+        growth[name] = dec.dimension[sign]
+        kernel_flags[name] = sign not in met
+        if (sign in met) != dec.generic[sign]:
             failures.append(f"kernel criteria for {name}")
     if not (kernel_flags["bounded"] and growth["bounded"] == 0):
         failures.append("bounded-clan kernel flag")
     if any(kernel_flags[k] or growth[k] != 1 for k in growth if k != "bounded"):
         failures.append("generic-clan kernel flags")
-    proj = orbit_character(spec.omega, 80)
-    proj_exp, _ = classify_growth(gk_growth(W, proj, 60), 1)
+    proj_exp = max(dec.dimension.values())
     if proj_exp != 1:
         failures.append("projective growth exponent")
 

@@ -13,6 +13,10 @@ order function's support.  Conjugation by ``X^gamma`` sections the finite Weyl
 group into the affine one.  Coset representatives for the stabilizer of ell_0
 are chosen deterministically (minimal length, then lexicographically least
 word; ``TorusOrbit.cosets``), which fixes the idempotent weight set exactly.
+
+The kernel of the truncation by e_gamma is decided clan by clan: it kills a
+clan's module exactly when no idempotent weight lies in that clan
+(``clans_met``).
 """
 from __future__ import annotations
 
@@ -22,11 +26,10 @@ from functools import cache
 from typing import Sequence
 
 from .algebra import RatOperator
-from .clans import ClanDecomposition, Sign, walked_signs, wall_roots
-from .modcat import gk_growth
+from .clans import Sign
 from .orderfun import BOrderFunction, OrderFunction
 from .polyring import Poly
-from .rootsys import RootKey, Vec, vec
+from .rootsys import AffineRoot, RootKey, Vec, vec
 from .weyl import AffineWeylElement, AffineWeylGroup, Perm
 
 
@@ -319,104 +322,19 @@ def gamma_change(alg, B, gamma: Vec, gamma2: Vec) -> GammaChangeReport:
 
 # ----- the kernel criterion -----
 
-@dataclass
-class KernelReport:
-    vanishes_on_generic: bool
-    confined_to_hyperplanes: bool
-    growth_exponent: float | None
-    growth_small: bool
-    in_kernel: bool
+def clans_met(group: AffineWeylGroup, walls: Sequence[AffineRoot], gamma: Vec) -> set[Sign]:
+    """The sign vectors of the clans that hold an idempotent weight.
 
-    def consistent(self) -> bool:
-        return (self.vanishes_on_generic == self.confined_to_hyperplanes
-                == self.growth_small)
-
-
-def clan_characters(omega: OrderFunction, bound: int) -> dict[Sign, dict[Vec, int]]:
-    """The indicator character of every clan met within the length bound:
-    weight w lambda_0 per alcove w^{-1} nu_0.  A clan with no such alcove
-    has no entry.
-
-    One ``walk`` carries the wall roots along, and ``walked_signs`` reads each
-    sign vector off the images: no alcove point is built and no root is
-    evaluated."""
-    point, found = omega.group.walk(omega.base_point, bound, wall_roots(omega))
-    out: dict[Sign, dict[Vec, int]] = {}
-    for (x, _), sign in walked_signs(omega.group, found):
-        out.setdefault(sign, {})[point(x)] = 1
-    return out
-
-
-def orbit_character(omega: OrderFunction, bound: int) -> dict[Vec, int]:
-    """The character of the quotient of a weight projective: stabilizer size everywhere."""
-    group = omega.group
-    _, stab = group.stabilizer(omega.base_point)
-    return {pt: len(stab) for pt in group.orbit_reach(omega.base_point, bound)}
-
-
-def hyperplane_cover_count(points, rank: int) -> int:
-    """Greedy number of affine hyperplanes needed to cover the points (rank <= 2).
-
-    In rank 2 the next line always passes through the least remaining point,
-    taken with its largest parallel class; deterministic, and stable between
-    growing windows exactly when the set is covered by finitely many lines.
+    The weight ``X^gamma w lambda_0`` lies in the alcove ``(X^gamma w)^{-1}
+    nu_0``, whose sign on a wall a is that of the image ``X^gamma w a``, as in
+    ``walked_signs``.  Every w in W is taken, not only the coset
+    representatives: a weight on a wall lies in the alcoves of its whole
+    stabiliser coset, and these can lie in different clans.
     """
-    pts = sorted(set(points))
-    if rank == 1:
-        return len(pts)
-    if rank != 2:
-        raise NotImplementedError("hyperplane cover implemented for rank <= 2")
-    count = 0
-    remaining = pts
-    while remaining:
-        if len(remaining) <= 2:
-            count += 1  # one or two points lie on a single line
-            break
-        p = remaining[0]
-        classes: dict[tuple, list] = {}
-        for q in remaining[1:]:
-            dx, dy = q[0] - p[0], q[1] - p[1]
-            if dx == 0:
-                key = (0, 1)
-            else:
-                s = dy / dx
-                key = (1, s)
-            classes.setdefault(key, []).append(q)
-        best = max(classes.values(), key=len)
-        covered = {p} | set(best)
-        remaining = [r for r in remaining if r not in covered]
-        count += 1
-    return count
-
-
-def kernel_clan_test(omega: OrderFunction, dec: ClanDecomposition, character: dict,
-                     reach: dict[Vec, int], bound: int = 12, growth_n: int = 60) -> KernelReport:
-    """Decide kernel membership three ways and require agreement; dec is the
-    clan decomposition of the order function and reach is
-    ``group.orbit_reach(base_point, 2 * bound)``, shared by every character
-    a sweep tests."""
-    group = omega.group
-    rank = group.rs.rank
-    char = {vec(k): int(v) for k, v in character.items() if int(v) != 0}
-    chars = clan_characters(omega, bound)
-    vanishes = not any(pt in char for sign in dec.generic_clans() for pt in chars.get(sign, ()))
-    # hyperplane confinement: the cover count must stabilize between two windows
-    far = 10 ** 9
-    small = [pt for pt in char if reach.get(pt, far) <= bound]
-    large = [pt for pt in char if reach.get(pt, far) <= 2 * bound]
-    confined = (
-        hyperplane_cover_count(small, rank) == hyperplane_cover_count(large, rank)
-        if char else True
-    )
-    report = gk_growth(group, char, growth_n)
-    if report.exponent is None:
-        small_growth = True
-    else:
-        small_growth = report.exponent <= rank - 1 + 0.1
-    return KernelReport(
-        vanishes_on_generic=vanishes,
-        confined_to_hyperplanes=confined,
-        growth_exponent=report.exponent,
-        growth_small=small_growth,
-        in_kernel=vanishes,
-    )
+    xg = group.translation(gamma)
+    positive = group.ars.is_positive
+    met = set()
+    for w in group.finite.elements:
+        g = group.compose(xg, group.from_finite(w))
+        met.add(tuple(1 if positive(group.act_root(g, a)) else -1 for a in walls))
+    return met

@@ -1,18 +1,12 @@
-"""Graded dimensions, growth exponents, and the parabolic factorization check.
+"""Graded dimensions and the parabolic factorization check.
 
 Hom spaces between weight projectives are free over the polynomial ring with
 one basis element per group element matching the weights; their graded
-dimensions are Laurent series assembled from the basis degrees.  Growth of a
-weight character is measured by exact counting of the weights reachable within
-a given length, and the Gelfand-Kirillov exponent is a log-log slope fitted on
-the tail of those counts.
+dimensions are Laurent series assembled from the basis degrees.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from math import log
-from typing import Mapping
 
 from .algebra import Algebra
 from .rootsys import Vec, vec
@@ -95,51 +89,6 @@ def _free_series(rank: int, truncation: int) -> dict[int, int]:
                 acc[k] = acc.get(k, 0) + c
         out = acc
     return out
-
-
-@dataclass
-class GrowthReport:
-    counts: list[int]            # D(n) for n = 0..n_max
-    exponent: float | None       # fitted slope, None for the zero character
-    window: tuple[int, int]      # fit range
-
-
-def gk_growth(group: AffineWeylGroup, character: Mapping[Vec, int], n_max: int) -> GrowthReport:
-    """Exact growth counting of a weight character.
-
-    D(n) sums the character over weights reachable from a seed weight by
-    elements of length <= n; the exponent is the least-squares slope of
-    log D against log n on the top half of the range.
-    """
-    char = {vec(k): int(v) for k, v in character.items() if int(v) != 0}
-    if not char:
-        return GrowthReport(counts=[0] * (n_max + 1), exponent=None, window=(0, n_max))
-    reach = group.orbit_reach(min(char), n_max)
-    # the character by least reaching length, then its running sum
-    by_length = [0] * (n_max + 1)
-    for pt, c in char.items():
-        if pt in reach:
-            by_length[reach[pt]] += c
-    counts = list(accumulate(by_length))
-    lo = max(2, n_max // 2)
-    pts = [(log(n), log(counts[n])) for n in range(lo, n_max + 1) if counts[n] > 0]
-    if len(pts) < 2:
-        return GrowthReport(counts=counts, exponent=0.0, window=(lo, n_max))
-    xbar = sum(x for x, _ in pts) / len(pts)
-    ybar = sum(y for _, y in pts) / len(pts)
-    denom = sum((x - xbar) ** 2 for x, _ in pts)
-    slope = 0.0 if denom == 0 else sum((x - xbar) * (y - ybar) for x, y in pts) / denom
-    return GrowthReport(counts=counts, exponent=slope, window=(lo, n_max))
-
-
-def classify_growth(report: GrowthReport, rank: int, tol: float = 0.1) -> tuple[int, bool]:
-    """Round the exponent to the nearest integer, flag whether it is < rank."""
-    if report.exponent is None:
-        return (0, True)
-    nearest = round(report.exponent)
-    if abs(report.exponent - nearest) > tol:
-        raise ArithmeticError(f"growth exponent {report.exponent} is not near an integer")
-    return (nearest, nearest <= rank - 1)
 
 
 # ----- parabolic factorization -----

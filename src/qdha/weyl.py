@@ -523,12 +523,3 @@ class AffineWeylGroup:
         """
         point, found = self.walk(lam0, length_bound)
         return {point(x): g for (x, _), g in self._walk_elements(found).items()}
-
-    def orbit_reach(self, lam0: Vec, length_bound: int) -> dict[Vec, int]:
-        """All distinct w lam0 with l(w) <= bound, each with its least such length.
-
-        The points and lengths are the states and layers of ``walk`` with no
-        roots, so no element is built and no length formula runs.
-        """
-        point, found = self.walk(lam0, length_bound)
-        return {point(x): n for (x, _), (n, _, _) in found.items()}

@@ -1,17 +1,17 @@
-"""Clan decomposition: sign vectors, enumeration, genericity."""
+"""Clan decomposition: sign vectors, enumeration, recession cone dimensions, genericity."""
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from qdha import fm
 from qdha.clans import (
     enumerate_clans,
-    is_generic_sign,
     sign_vector_feasible,
     wall_roots,
 )
 from qdha.instances import load_instance
-from qdha.kz import choose_gamma
+from qdha.kz import choose_gamma, clans_met
 from qdha.orderfun import OrderFunction
 from qdha.rootsys import AffineRoot, AffineRootSystem, affinise, vec
 from qdha.weyl import AffineWeylGroup
@@ -61,6 +61,14 @@ def generic_reference_elements(omega, gamma):
         # u^{-1} nu_0 = w^{-1} X^{-gamma} nu_0
         out.setdefault(clan_of(omega, u, walls), []).append(w)
     return out
+
+
+def strictly_feasible_cone(omega, walls, sigma):
+    """Whether some v has s <da, v> > 0 on every wall: the recession cone is full dimensional."""
+    rs = omega.group.rs
+    rows = [[s * rs.pair_root_coroot(a.alpha, rs.simple_root(i)) for i in range(rs.rank)]
+            for s, a in zip(sigma, walls)]
+    return fm.feasible([fm.make_constraint(r, 0) for r in rows], rs.rank)
 
 
 def rank1_omega():
@@ -166,12 +174,27 @@ def test_a2_delta_walls_clan_count():
 
 
 def test_generic_flags_agree_with_deep_translate_membership():
-    for omega in [rank1_omega(), a2_omega()]:
+    files = [load_instance(p).omega for p in sorted(INSTANCES.glob("*.json"))]
+    for omega in [rank1_omega(), a2_omega()] + files:
         gamma = choose_gamma(omega).gamma
         dec = enumerate_clans(omega)
         reference = generic_reference_elements(omega, gamma)
         # clans containing some w^{-1} X^{-gamma} nu_0 are exactly the generic ones
         assert set(reference) == set(dec.generic_clans())
+        # and clans_met reads the same signs off the images of the walls
+        assert clans_met(omega.group, dec.walls, gamma) == set(reference)
+
+
+@pytest.mark.parametrize("rows,dimension", [
+    ([], 2),
+    ([[1, 0]], 2),
+    ([[1, 0], [-1, 0]], 1),                 # a line
+    ([[1, -1], [-1, 1], [1, 0]], 1),        # a ray
+    ([[1, 1], [-1, 0], [0, -1]], 0),        # only the origin, no row an equality alone
+    ([[1, 0], [-1, 0], [0, 1], [0, -1]], 0),
+])
+def test_cone_dimension_examples(rows, dimension):
+    assert fm.cone_dimension(rows, 2) == dimension
 
 
 def test_feasibility_rejects_contradictory_signs():
@@ -199,7 +222,7 @@ def test_census_equals_the_reference_census(name):
     dec = enumerate_clans(omega)
     assert dec.walls == walls
     assert dec.clans == sorted(first)
-    assert dec.generic == {s: is_generic_sign(omega, walls, s) for s in first}
+    assert dec.generic == {s: strictly_feasible_cone(omega, walls, s) for s in first}
     assert dec.representative == first
 
 

@@ -149,8 +149,9 @@ def test_value_error_inside_a_sweep_is_undecided(monkeypatch, capsys):
     assert captured.err.startswith("undecided: ValueError: block ")
 
 
-def test_a3_kernel_is_undecided(tmp_path, capsys):
-    # the hyperplane cover behind the kernel criterion stops at rank 2
+def test_a3_kernel_decides(tmp_path, capsys):
+    # the kernel criterion is exact in every rank: idempotent weights against
+    # recession cone dimensions
     inst = tmp_path / "a3.json"
     inst.write_text(json.dumps({
         "type": "A3", "lambda0": ["1/5", "1/7", "1/11"],
@@ -158,6 +159,5 @@ def test_a3_kernel_is_undecided(tmp_path, capsys):
                   for alpha, level in [([-1, -1, -1], 1), ([1, 0, 0], 0), ([0, 1, 0], 0), ([0, 0, 1], 0)]],
     }))
     code = main(["verify", "--instance", str(inst), "--check", "kernel"])
-    assert code == cli.EXIT_UNDECIDED
-    assert capsys.readouterr().err.endswith(
-        "undecided: NotImplementedError: hyperplane cover implemented for rank <= 2\n")
+    assert code == 0
+    assert capsys.readouterr().out == "PASS kernel: 16 instances, 0 failures\n"

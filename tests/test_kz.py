@@ -6,18 +6,19 @@ from pathlib import Path
 import pytest
 
 from qdha.algebra import Algebra
+from qdha import cli
 from qdha.bqha import BAlgebra
 from qdha.instances import load_instance
+from qdha.cli import check_kernel
+from qdha.clans import enumerate_clans, walked_signs, wall_roots
 from qdha.kz import (
     choose_gamma,
-    clan_characters,
+    clans_met,
     e_gamma_weights,
     gamma_change,
     integral_b_order_function,
     iso_check,
-    kernel_clan_test,
     lift,
-    orbit_character,
     pregamma_group,
     pregamma_point,
     product_formula_check,
@@ -301,35 +302,33 @@ def test_gamma_change_a2():
 
 def test_kernel_criteria_rank1_characters():
     alg, B, gamma = rank1_setup()
-    from qdha.clans import enumerate_clans
     dec = enumerate_clans(alg.omega)
     nongeneric = [s for s in dec.clans if not dec.generic[s]]
     assert nongeneric == [(1, 1)]
-    # the bounded-clan character: in the kernel, growth exponent 0
-    char0 = clan_characters(alg.omega, 60)[(1, 1)]
-    reach = alg.group.orbit_reach(alg.omega.base_point, 2 * 12)
-    rep0 = kernel_clan_test(alg.omega, dec, char0, reach, bound=12, growth_n=60)
-    assert rep0.consistent() and rep0.in_kernel
-    assert abs(rep0.growth_exponent - 0) <= 0.1
-    # the two unbounded-clan characters: not in the kernel, exponent 1
+    met = clans_met(alg.group, dec.walls, gamma)
+    # the bounded clan: in the kernel, recession cone of dimension 0
+    assert (1, 1) not in met and dec.dimension[(1, 1)] == 0
+    # the two unbounded clans: not in the kernel, recession cones of dimension 1
     for sign in dec.generic_clans():
-        char = clan_characters(alg.omega, 80)[sign]
-        rep = kernel_clan_test(alg.omega, dec, char, reach, bound=12, growth_n=60)
-        assert rep.consistent() and not rep.in_kernel
-        assert abs(rep.growth_exponent - 1) <= 0.1
-    # zero character: vacuously in the kernel
-    repz = kernel_clan_test(alg.omega, dec, {},
-                            alg.group.orbit_reach(alg.omega.base_point, 2 * 8),
-                            bound=8, growth_n=30)
-    assert repz.consistent() and repz.in_kernel
+        assert sign in met and dec.dimension[sign] == 1
+
+
+def walked_characters(omega, bound):
+    """The weights w lambda_0 of each clan, one per alcove w^{-1} nu_0 within
+    the length bound, with the sign vectors that ``walked_signs`` reads off the
+    walked wall images."""
+    point, found = omega.group.walk(omega.base_point, bound, wall_roots(omega))
+    out = {}
+    for (x, _), sign in walked_signs(omega.group, found):
+        out.setdefault(sign, {})[point(x)] = 1
+    return out
 
 
 def test_clan_characters_against_one_clan_at_a_time():
     alg, B, gamma = a2_setup()
-    from qdha.clans import enumerate_clans
     omega, W = alg.omega, alg.group
     dec = enumerate_clans(omega)
-    chars = clan_characters(omega, 10)
+    chars = walked_characters(omega, 10)
     assert set(chars) <= set(dec.clans)
     for sign in dec.clans:
         expected = {W.act_point(g, omega.base_point): 1 for g in element_ball(W, 10)
@@ -341,33 +340,57 @@ def test_clan_characters_against_one_clan_at_a_time():
 def test_clan_characters_against_one_clan_at_a_time_on_instance_files(name):
     # the sign vectors read off the walked wall images against the walls
     # evaluated at the alcove point of every element of the element ball
-    from qdha.clans import wall_roots
     omega = load_instance(ROOT / "instances" / f"{name}.json").omega
     W, walls = omega.group, wall_roots(omega)
     expected = {}
     for g in element_ball(W, 12):
         expected.setdefault(clan_of(omega, g, walls), {})[W.act_point(g, omega.base_point)] = 1
-    assert clan_characters(omega, 12) == expected
+    assert walked_characters(omega, 12) == expected
 
 
-@pytest.mark.parametrize("name", ["a1_quarter", "a2_wall"])
-def test_orbit_character_against_the_ball(name):
-    omega = load_instance(ROOT / "instances" / f"{name}.json").omega
-    W = omega.group
-    size = len(W.stabilizer(omega.base_point)[1])
-    assert size == (2 if name == "a2_wall" else 1)
-    expected = {W.act_point(g, omega.base_point): size for g in element_ball(W, 12)}
-    assert orbit_character(omega, 12) == expected
+def test_clans_met_takes_all_of_w_at_a_wall_point():
+    # a2_wall's base point lies on a wall, so each idempotent weight lies in
+    # the alcoves of a whole stabiliser coset: the coset representatives
+    # alone miss the clan (1, -1)
+    spec = load_instance(ROOT / "instances" / "a2_wall.json")
+    W, gamma, walls = spec.group, spec.gamma_choice.gamma, wall_roots(spec.omega)
+    xg = W.translation(gamma)
+    from_reps = {clan_of(spec.omega, W.compose(xg, W.from_finite(w)), walls)
+                 for w in spec.omega.torus.cosets.values()}
+    assert clans_met(W, walls, gamma) - from_reps == {(1, -1)}
+
+
+RANK_AT_MOST_3 = sorted(p.stem for p in (ROOT / "instances").glob("*.json")
+                        if p.stem != "a4_generic")
+
+
+@pytest.mark.parametrize("name", RANK_AT_MOST_3)
+def test_kernel_report_unchanged_when_the_exploration_bound_doubles(name, monkeypatch):
+    spec = load_instance(ROOT / "instances" / f"{name}.json")
+    report = check_kernel(spec, spec.ball, 0)
+    assert report["pass"]
+    omega = spec.omega
+    doubled = 4 * (omega.support_level_radius() + 1) * omega.group.rs.coxeter_number
+    monkeypatch.setattr(cli, "enumerate_clans", lambda om: enumerate_clans(om, doubled))
+    assert check_kernel(spec, spec.ball, 0) == report
+
+
+@pytest.mark.parametrize("name", RANK_AT_MOST_3)
+def test_clans_met_unchanged_at_the_deeper_lift(name):
+    # the lift 2 gamma - 2 rho^vee that the gamma sweep changes to
+    spec = load_instance(ROOT / "instances" / f"{name}.json")
+    W, gamma, walls = spec.group, spec.gamma_choice.gamma, wall_roots(spec.omega)
+    deeper = vec(tuple(2 * c - r for c, r in zip(gamma, two_rho_coroot(W))))
+    assert clans_met(W, walls, deeper) == clans_met(W, walls, gamma)
 
 
 def test_kernel_projective_character_not_in_kernel():
+    # the projective survives truncation: a clan holds an idempotent weight
+    # and is generic; its largest recession cone has the rank's dimension
     alg, B, gamma = rank1_setup()
-    from qdha.clans import enumerate_clans
-    char = orbit_character(alg.omega, 80)
-    reach = alg.group.orbit_reach(alg.omega.base_point, 2 * 12)
-    rep = kernel_clan_test(alg.omega, enumerate_clans(alg.omega), char, reach, bound=12, growth_n=60)
-    assert rep.consistent() and not rep.in_kernel
-    assert abs(rep.growth_exponent - 1) <= 0.1
+    dec = enumerate_clans(alg.omega)
+    assert any(dec.generic[s] for s in clans_met(alg.group, dec.walls, gamma))
+    assert max(dec.dimension.values()) == 1
 
 
 def nil_flavour_setup():

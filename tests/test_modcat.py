@@ -1,16 +1,13 @@
-"""Graded dimensions, growth exponents, parabolic factorization."""
+"""Graded dimensions, parabolic factorization."""
 from fractions import Fraction
 
 from qdha.algebra import Algebra
 from qdha.modcat import (
-    classify_growth,
     elements_mapping,
-    gk_growth,
     graded_dim_hom,
     parabolic_decomposition_check,
     stabilizer_poincare,
 )
-from qdha.kz import clan_characters, orbit_character
 from qdha.clans import enumerate_clans
 from qdha.orderfun import OrderFunction
 from qdha.rootsys import affinise, vec
@@ -80,54 +77,6 @@ def test_graded_dim_counts_weight_multiplicity():
 def test_stabilizer_poincare_wall_point():
     W = AffineWeylGroup(affinise("A2"))
     assert stabilizer_poincare(W, vec((Fraction(1, 7), Fraction(2, 7)))) == {0: 1, 2: 1}
-
-
-def test_gk_growth_single_weight_exponent_zero():
-    A = rank1_algebra()
-    char = {A.omega.base_point: 1}
-    rep = gk_growth(A.group, char, 60)
-    assert rep.exponent == 0.0
-    assert classify_growth(rep, 1) == (0, True)
-
-
-def test_gk_growth_clan_character_exponent_one():
-    A = rank1_algebra()
-    dec = enumerate_clans(A.omega)
-    plus = next(s for s in dec.generic_clans())
-    char = clan_characters(A.omega, 80)[plus]
-    rep = gk_growth(A.group, char, 60)
-    exp, small = classify_growth(rep, 1)
-    assert exp == 1
-    assert not small
-
-
-def test_gk_growth_full_orbit_matches_rank():
-    # rank 1: ball growth is linear
-    A = rank1_algebra()
-    char = orbit_character(A.omega, 80)
-    rep = gk_growth(A.group, char, 60)
-    exp, small = classify_growth(rep, 1)
-    assert exp == 1 and not small
-    # rank 2: ball growth is quadratic
-    W2 = AffineWeylGroup(affinise("A2"))
-    lam0 = vec((Fraction(1, 5), Fraction(1, 7)))
-    om2 = OrderFunction(W2, lam0, {})
-    char2 = orbit_character(om2, 46)
-    rep2 = gk_growth(W2, char2, 40)
-    exp2, small2 = classify_growth(rep2, 2)
-    assert exp2 == 2 and not small2
-
-
-def test_gk_growth_counts_against_direct_scan():
-    # D(n) sums the character over the weights reached within length n
-    W = AffineWeylGroup(affinise("A2"))
-    om = OrderFunction(W, vec((Fraction(1, 5), Fraction(1, 7))), {a: 1 for a in W.ars.delta})
-    for char in clan_characters(om, 12).values():
-        char = {pt: 1 + k % 3 for k, pt in enumerate(char)}
-        reach = W.orbit_reach(min(char), 10)
-        expected = [sum(c for pt, c in char.items() if pt in reach and reach[pt] <= n)
-                    for n in range(11)]
-        assert gk_growth(W, char, 10).counts == expected
 
 
 def test_parabolic_check_rank1():

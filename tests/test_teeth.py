@@ -9,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from qdha import kz
+from qdha import cli, kz
 from qdha.algebra import RatOperator
 from qdha.bqha import BAlgebra
 from qdha.cli import main
 from qdha.instances import load_instance
+from qdha.rootsys import vec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -110,3 +111,24 @@ def test_frobenius_fails_on_twists_composed_in_the_wrong_order(monkeypatch, caps
     code, report = verify("a2_generic", "frobenius", capsys)
     assert code == 1 and not report["pass"]
     assert [f["reason"] for f in report["failures"]] == ["gram rank"]
+
+
+# the number of clans whose idempotent-weight flag the fault flips; on C2 and
+# G2 the walls pass through the origin and the fault changes nothing
+AT_ZERO = {"a1_quarter": 2, "a1_ddaha_half": 2, "a2_generic": 4, "a2_wall": 3, "a3_generic": 8}
+
+
+@pytest.mark.parametrize("name", sorted(AT_ZERO))
+def test_kernel_fails_on_idempotent_weights_taken_at_gamma_zero(name, monkeypatch, capsys):
+    code, report = verify(name, "kernel", capsys)
+    assert code == 0 and report["pass"]
+    clans_met = kz.clans_met
+
+    def at_zero(group, walls, gamma):
+        # the weights w lambda_0 in place of their deep lifts X^gamma w lambda_0
+        return clans_met(group, walls, vec((0,) * len(gamma)))
+
+    monkeypatch.setattr(cli, "clans_met", at_zero)
+    code, report = verify(name, "kernel", capsys)
+    assert code == 1 and not report["pass"]
+    assert [f["reason"] for f in report["failures"]] == ["criteria disagree"] * AT_ZERO[name]
