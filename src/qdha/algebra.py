@@ -26,7 +26,6 @@ the torus orbit of a finite order function, with finite Weyl elements as basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .orderfun import OrderFunction
@@ -37,6 +36,8 @@ from .weyl import AffineWeylElement, AffineWeylGroup, Perm
 EntryKey = tuple[Vec, Vec, Perm]
 # a basis element: affine in the affine algebra, finite in the finite quotient
 Element = AffineWeylElement | Perm
+# the order of s_i s_j by the product a_ij a_ji of Cartan integers
+_COXETER_ORDER = {0: 2, 1: 3, 2: 4, 3: 6}
 
 
 class NotInAlgebra(ValueError):
@@ -216,15 +217,6 @@ class OperatorAlgebra:
                 out[key] = out[key] + term if key in out else term
         return RatOperator.from_dict(out)
 
-    def product(self, ops: Sequence[RatOperator]) -> RatOperator:
-        """Compose left to right: product([x, y, z]) = x y z."""
-        if not ops:
-            raise ValueError("empty product")
-        acc = ops[-1]
-        for op in reversed(ops[:-1]):
-            acc = self.mul(op, acc)
-        return acc
-
     def tau_word(self, word: Sequence[int], lam: Vec) -> RatOperator:
         """tau_{a_{word[0]}} ... tau_{a_{word[-1]}} e(lambda), rightmost letter first."""
         lam = self._weight(lam)
@@ -250,16 +242,6 @@ class OperatorAlgebra:
             hit = self._tau_elt[key] = (op, lead, None if lead is None else lead.inverse())
         return hit
 
-    def apply(self, x: RatOperator, lam: Vec, f: Poly) -> list[tuple[Vec, RatFunc]]:
-        """Apply x to the vector with f in slot lambda; returns (weight, value) pairs."""
-        out: dict[Vec, RatFunc] = {}
-        for (src, tgt, u), r in x.entries:
-            if src != vec(lam):
-                continue
-            val = r * RatFunc.from_poly(self.act_poly(u, f))
-            out[tgt] = out[tgt] + val if tgt in out else val
-        return sorted((k, v) for k, v in out.items() if not v.is_zero())
-
     # ----- degrees -----
 
     def tau_element_degree(self, g: Element, lam: Vec) -> int:
@@ -275,18 +257,6 @@ class OperatorAlgebra:
             total += m + self._letter(i, target)[1]
             lam = target
         return total
-
-    def normal_form_degree(self, nf: NormalForm) -> int | None:
-        """Top graded degree of a normal form (polynomial degree counts doubled)."""
-        degs = [
-            f.graded_degree() + self.tau_element_degree(g, nf.source)
-            for g, f in nf.coeffs.items() if not f.is_zero()
-        ]
-        return max(degs) if degs else None
-
-    def filtration_degree(self, nf: NormalForm) -> int | None:
-        sup = nf.support()
-        return max(map(self._length, sup)) if sup else None
 
     # ----- leading coefficients and normal forms -----
 
@@ -423,9 +393,6 @@ class Algebra(OperatorAlgebra):
             table = self._moved[lam] = self.omega.moved(wit)
         return table
 
-    def omega_value(self, lam: Vec, a: AffineRoot) -> int:
-        return self.moved(lam).get(a, 0)
-
     def _weight(self, lam: Vec) -> Vec:
         lam = vec(lam)
         if lam not in self._moved:
@@ -470,28 +437,14 @@ class Algebra(OperatorAlgebra):
 
     # ----- derived operations -----
 
-    def commutation_defect(self, f: Poly, word: Sequence[int], lam: Vec) -> NormalForm:
-        """Normal form of f tau_word - tau_word w^{-1}(f); degree < len(word)."""
-        lam = vec(lam)
-        g = self.group.from_word(word)
-        if len(word) != self.group.length(g):
-            raise ValueError("word is not reduced")
-        tgt = self.group.act_point(g, lam)
-        op = self.tau_word(word, lam)
-        lhs = self.mul(self.poly_mult(f, tgt), op)
-        winv_f = self.act_poly(self.group.inverse(g).w, f)
-        rhs = self.mul(op, self.poly_mult(winv_f, lam))
-        return self.normal_form(lhs - rhs)
+    def braid_order(self, i: int, j: int) -> int | None:
+        """The order of s_i s_j in the affine Weyl group, None when infinite.
 
-    def braid_order(self, i: int, j: int, cap: int = 12) -> int | None:
-        """The order of s_i s_j in the affine Weyl group, None when infinite."""
-        prod = self.group.compose(self.group.simple_reflection(i), self.group.simple_reflection(j))
-        acc = prod
-        for m in range(1, cap + 1):
-            if acc == self.group.identity:
-                return m
-            acc = self.group.compose(acc, prod)
-        return None
+        It is read off the product ``a_ij a_ji`` of the Cartan integers of the
+        two affine simple roots; only affine A1 has a product outside 0..3.
+        """
+        a, b = self.ars.delta[i].alpha, self.ars.delta[j].alpha
+        return _COXETER_ORDER.get(self.rs.pair_root_coroot(a, b) * self.rs.pair_root_coroot(b, a))
 
     def braid_defect(self, i: int, j: int, lam: Vec) -> tuple[int | None, NormalForm]:
         """Filtration degree of the braid difference at lambda; None means exact zero."""
@@ -504,38 +457,3 @@ class Algebra(OperatorAlgebra):
         diff = self.tau_word(wa, lam) - self.tau_word(wb, lam)
         nf = self.normal_form(diff)
         return nf.filtration_degree(self.group), nf
-
-    def intertwiner_phi(self, i: int, lam: Vec) -> RatOperator:
-        """phi_a e(lambda): the tau generator corrected to have unit square on walls."""
-        lam = vec(lam)
-        a = self.ars.delta[i]
-        if self.omega_value(lam, a) == -1:
-            da = self.root_poly(a.alpha)
-            return self.mul(self.poly_mult(da, lam), self.tau_letter(i, lam)) + self.idempotent(lam)
-        return self.tau_letter(i, lam)
-
-    def phi_square_exponent(self, i: int, lam: Vec) -> int:
-        """n with phi_a^2 e(lambda) = ±(da)^n e(lambda): max(omega_lambda(±a) summed, 0)."""
-        a = self.ars.delta[i]
-        table = self.moved(lam)
-        neg = AffineRoot(tuple(-c for c in a.alpha), -a.level)
-        return max(table.get(a, 0) + table.get(neg, 0), 0)
-
-    # ----- centre -----
-
-    def central_operator(self, f: Poly, weights: Iterable[Vec]) -> RatOperator:
-        """The diagonal action of an invariant polynomial via witness twists."""
-        entries: dict[EntryKey, RatFunc] = {}
-        for lam in weights:
-            lam = self._weight(lam)
-            tw = self.act_poly(self.omega.witness(lam).w, f)
-            entries[(lam, lam, self.group.finite.identity)] = RatFunc.from_poly(tw)
-        return RatOperator.from_dict(entries)
-
-    def reynolds(self, f: Poly) -> Poly:
-        """Average of f over the stabilizer of the base point (an element of the centre)."""
-        _, stab = self.group.stabilizer(self.omega.base_point)
-        acc = Poly.zero(self.rank)
-        for g in stab:
-            acc = acc + self.act_poly(g.w, f)
-        return acc.scale(Fraction(1, len(stab)))

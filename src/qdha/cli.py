@@ -66,17 +66,22 @@ def check_length(spec: InstanceSpec, ball: int, seed: int) -> dict:
     return _report("length", spec, count, failures)
 
 
-def check_basis(spec: InstanceSpec, ball: int, seed: int) -> dict:
+def _sampled_words(spec: InstanceSpec, seed: int):
+    """The 50 (word, weight) draws of ``basis`` and ``filtration``: words of 1 to 6
+    letters, weights from the orbit window of length 2 around the base point."""
     rng = random.Random(seed)
-    alg = spec.algebra()
-    W = spec.group
-    nletters = len(W.ars.delta)
-    window = sorted(W.orbit_window(spec.omega.base_point, 2))
-    failures = []
-    count = 0
+    nletters = len(spec.group.ars.delta)
+    window = sorted(spec.group.orbit_window(spec.omega.base_point, 2))
     for _ in range(50):
         word = [rng.randrange(nletters) for _ in range(rng.randrange(1, 7))]
-        lam = window[rng.randrange(len(window))]
+        yield word, window[rng.randrange(len(window))]
+
+
+def check_basis(spec: InstanceSpec, ball: int, seed: int) -> dict:
+    alg = spec.algebra()
+    failures = []
+    count = 0
+    for word, lam in _sampled_words(spec, seed):
         count += 1
         op = alg.tau_word(word, lam)
         try:
@@ -110,19 +115,12 @@ def check_braid(spec: InstanceSpec, ball: int, seed: int) -> dict:
 
 
 def check_filtration(spec: InstanceSpec, ball: int, seed: int) -> dict:
-    rng = random.Random(seed)
     alg = spec.algebra()
-    W = spec.group
-    nletters = len(W.ars.delta)
-    window = sorted(W.orbit_window(spec.omega.base_point, 2))
     failures = []
     count = 0
-    for _ in range(50):
-        word = [rng.randrange(nletters) for _ in range(rng.randrange(1, 7))]
-        lam = window[rng.randrange(len(window))]
+    for word, lam in _sampled_words(spec, seed):
         count += 1
-        nf = alg.normal_form(alg.tau_word(word, lam))
-        deg = nf.filtration_degree(W)
+        deg = alg.normal_form(alg.tau_word(word, lam)).filtration_degree(spec.group)
         if deg is not None and deg > len(word):
             failures.append({"word": word, "degree": deg})
     return _report("filtration", spec, count, failures)

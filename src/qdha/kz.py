@@ -73,34 +73,6 @@ def check_gamma(group: AffineWeylGroup, gamma: Vec, margin: int) -> None:
             raise ValueError(f"<{alpha}, gamma> > -{margin}; gamma not deep enough")
 
 
-def skewed_gamma(omega: OrderFunction, i: int, factor: int = 64) -> Vec:
-    """A deep gamma pairing much more with every simple root except the i-th.
-
-    Used to witness the length inequality that makes the single finite
-    reflection the shortest conjugated element.
-    """
-    group = omega.group
-    rs = group.rs
-    m = omega.support_level_radius() + 1
-    k = -(-m // 2)
-    base = [-k * c for c in two_rho_coroot(group)]
-    # exponent of the coweight lattice modulo the coroot lattice
-    index = 1
-    while not all(
-        rs.in_coroot_lattice(vec(tuple(index * c for c in rs.fundamental_coweights[j])))
-        for j in range(rs.rank)
-    ):
-        index += 1
-    big = factor * m * rs.coxeter_number * index
-    for j in range(rs.rank):
-        if j == i:
-            continue
-        base = [b - Fraction(big) * c for b, c in zip(base, rs.fundamental_coweights[j])]
-    gamma = vec(base)
-    check_gamma(group, gamma, m)
-    return gamma
-
-
 def pregamma_group(group: AffineWeylGroup, gamma: Vec, w: Perm) -> AffineWeylElement:
     """The section of the finite Weyl group: w -> X^gamma w X^{-gamma}."""
     xg = group.translation(gamma)

@@ -135,10 +135,6 @@ class Poly:
             return -1
         return max(sum(m) for m in self.numer)
 
-    def graded_degree(self) -> int:
-        """Degree in the grading where each variable has degree 2."""
-        return 2 * self.total_degree() if self.numer else -1
-
     def items_sorted(self):
         return sorted(self.coeffs.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
 
@@ -337,10 +333,6 @@ def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     dg = g.denom
     return (_canonical(f.nvars, {m: c * dg for m, c in q.items()}, den),
             _canonical(f.nvars, r, den))
-
-
-def poly_divides(g: Poly, f: Poly) -> bool:
-    return poly_divmod(f, g)[1].is_zero()
 
 
 def _exact_quotient(f: Poly, p: Poly) -> Poly | None:

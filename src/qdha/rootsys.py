@@ -181,9 +181,6 @@ class FiniteRootSystem:
     def height(self, key: RootKey) -> int:
         return sum(key)
 
-    def inner(self, a: RootKey, b: RootKey) -> Fraction:
-        return self._inner[(a, b)]
-
     def norm2(self, a: RootKey) -> Fraction:
         return self._inner[(a, a)]
 
@@ -203,17 +200,8 @@ class FiniteRootSystem:
         """``s_by(a) = a - <by^vee, a> by``."""
         return self._reflect[(by, a)]
 
-    def reflect_point(self, by: RootKey, x: Vec) -> Vec:
-        """Reflection of a point (coroot coordinates) in the wall of the finite root ``by``."""
-        c = self.pair_root_point(by, x)
-        cv = self.coroot_coords(by)
-        return tuple(xi - c * vi for xi, vi in zip(x, cv))
-
     def in_coroot_lattice(self, x: Vec) -> bool:
         return all(Fraction(c).denominator == 1 for c in x)
-
-    def in_coweight_lattice(self, x: Vec) -> bool:
-        return all(self.pair_root_point(self.simple_root(j), x).denominator == 1 for j in range(self.rank))
 
 
 _AN = re.compile(r"^A(\d+)$")
@@ -268,26 +256,8 @@ class AffineRootSystem:
             raise ValueError(f"{a} is not an affine root of {self.finite.label}")
         return a.level > 0 or (a.level == 0 and self.finite.is_positive_root(a.alpha))
 
-    def differential(self, a: AffineRoot) -> RootKey:
-        return a.alpha
-
-    def reflect(self, a: AffineRoot, b: AffineRoot) -> AffineRoot:
-        """``s_a(b) = b - <a^vee, b> a`` as affine functions."""
-        c = int(self.finite.pair_root_coroot(b.alpha, a.alpha))
-        return AffineRoot(
-            tuple(bi - c * ai for bi, ai in zip(b.alpha, a.alpha)),
-            b.level - c * a.level,
-        )
-
     def evaluate(self, a: AffineRoot, x: Vec) -> Fraction:
         return self.finite.pair_root_point(a.alpha, x) + a.level
-
-    def delta_coordinates(self, a: AffineRoot) -> tuple[Fraction, ...]:
-        """Coordinates of ``a`` in the affine basis (a_0 first); integral for roots."""
-        c0 = Fraction(a.level)
-        theta = self.finite.highest_root
-        rest = tuple(Fraction(ai) + c0 * ti for ai, ti in zip(a.alpha, theta))
-        return (c0,) + rest
 
     def positive_window(self, level_bound: int) -> list[AffineRoot]:
         """All positive affine roots with |level| <= level_bound, sorted."""

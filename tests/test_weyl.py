@@ -148,47 +148,13 @@ def test_subadditivity_of_length():
         assert (luv == lu + lv) == disjoint
 
 
-def test_min_coset_rep_zero_and_dominant():
-    W = group("A2")
-    g = W.min_coset_rep((0, 0))
-    assert g == W.identity
-    w0 = W.finite.longest_element()
-    mu = vec((2, 2))  # strictly dominant
-    assert all(W.rs.pair_root_point(W.rs.simple_root(i), mu) > 0 for i in range(2))
-    assert W.min_coset_rep(mu).w == w0
-
-
-def test_min_coset_rep_characterisation_brute_force():
-    # w_mu is the unique element whose inverse flips exactly the positive
-    # roots pairing strictly positively with mu.
-    W = group("A2")
-    rs = W.rs
-    for mu in [(1, 0), (0, 1), (-1, 2), (1, 1), (-2, -1)]:
-        muv = vec(mu)
-        g = W.min_coset_rep(muv)
-        matches = []
-        for w in W.finite.elements:
-            winv = W.finite.inverse(w)
-            ok = all(
-                (not rs.is_positive_root(W.finite.act_root(winv, a))) == (rs.pair_root_point(a, muv) > 0)
-                for a in rs.positive_roots
-            )
-            if ok:
-                matches.append(w)
-        assert matches == [g.w]
-
-
 def test_min_coset_rep_is_unique_minimum_of_coset():
+    # every coset X^mu W_R has exactly one element of least length
     W = group("A2")
     for mu in [(1, 0), (-1, -1), (2, -1)]:
-        g = W.min_coset_rep(mu)
-        lengths = {}
-        for w in W.finite.elements:
-            h = W.compose(W.translation(mu), W.from_finite(w))
-            lengths[w] = W.length_formula(h)
-        lmin = min(lengths.values())
-        assert lengths[g.w] == lmin
-        assert sum(1 for v in lengths.values() if v == lmin) == 1
+        lengths = [W.length_formula(W.compose(W.translation(mu), W.from_finite(w)))
+                   for w in W.finite.elements]
+        assert lengths.count(min(lengths)) == 1
 
 
 def test_stabilizer_a1_quarter_is_trivial():
@@ -239,12 +205,13 @@ def test_orbit_window_size_trivial_stabilizer():
 def test_witness_and_fundamental_domain():
     W = group("A2")
     lam0 = vec((Fraction(1, 5), Fraction(1, 7)))
+    walk0 = W.to_fundamental_domain(lam0)
     for g in W.ball(3):
         lam = W.act_point(g, lam0)
-        wit = W.witness(lam, lam0)
+        wit = W.witness_from(lam, walk0)
         assert wit is not None
         assert W.act_point(wit, lam0) == lam
-    assert W.witness(vec((Fraction(1, 2), Fraction(1, 2))), lam0) is None
+    assert W.witness_from(vec((Fraction(1, 2), Fraction(1, 2))), walk0) is None
 
 
 # ----- the orbit walk against the search on elements -----
