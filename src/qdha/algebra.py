@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .orderfun import OrderFunction
-from .polyring import Poly, RatFunc, apply_linear, apply_linear_rat
-from .rootsys import AffineRoot, RootKey, Vec, vec
+from .polyring import Poly, RatFunc, apply_linear_rat
+from .rootsys import AffineRoot, RootKey, Vec, lattice_vector, vec
 from .weyl import AffineWeylElement, AffineWeylGroup, Perm
 
 EntryKey = tuple[Vec, Vec, Perm]
@@ -141,34 +141,31 @@ class OperatorAlgebra:
         self.fin = group.finite
         self.rs = group.rs
         self.rank = self.rs.rank
-        self._images: dict[Perm, list[Poly]] = {}
         # tau_g e(lambda) with its leading block and that block's inverse (None if absent)
         self._tau_elt: dict[tuple[Element, Vec], tuple[RatOperator, RatFunc | None, RatFunc | None]] = {}
-        self._root_poly: dict[RootKey, Poly] = {}
+        # variable j is the fundamental weight x -> x_j, the j-th simple-coroot
+        # coordinate, so w sends it to x_j(w^-1 x): row j of the integer point
+        # matrix of w^-1; a root a is the form <a, x> = sum_i <a, alpha_i^vee> x_i
+        self._images: dict[Perm, tuple[Poly, ...]] = {
+            w: tuple(map(Poly.linear, zip(*self.fin._cols[self.fin.inverse(w)])))
+            for w in self.fin.elements
+        }
+        self._root_poly: dict[RootKey, Poly] = {
+            a: Poly.linear([self.rs.pair_root_coroot(a, self.rs.simple_root(i)) for i in range(self.rank)])
+            for a in self.rs.roots
+        }
 
     # ----- scalars and actions -----
 
     def root_poly(self, alpha: RootKey) -> Poly:
-        if alpha not in self._root_poly:
-            self._root_poly[alpha] = Poly.linear(
-                [self.rs.pair_root_coroot(alpha, self.rs.simple_root(i)) for i in range(self.rank)]
-            )
         return self._root_poly[alpha]
 
-    def images(self, w: Perm) -> list[Poly]:
-        """Variable images of the automorphism w (variables are fundamental weights)."""
-        if w not in self._images:
-            images = [Poly.variable(self.rank, i) for i in range(self.rank)]
-            for letter in reversed(self.fin.word(w)):
-                # s_j(varpi_i) = varpi_i - delta_ij alpha_j
-                simple = [Poly.variable(self.rank, i) for i in range(self.rank)]
-                simple[letter] = simple[letter] - self.root_poly(self.rs.simple_root(letter))
-                images = [img.substitute(simple) for img in images]
-            self._images[w] = images
+    def images(self, w: Perm) -> tuple[Poly, ...]:
+        """The images of the variables under the automorphism w."""
         return self._images[w]
 
     def act_poly(self, w: Perm, f: Poly) -> Poly:
-        return apply_linear(f, self.images(w))
+        return f.substitute(self._images[w])
 
     def act_rat(self, w: Perm, r: RatFunc) -> RatFunc:
         return apply_linear_rat(r, self.images(w))
@@ -259,10 +256,6 @@ class OperatorAlgebra:
         return total
 
     # ----- leading coefficients and normal forms -----
-
-    def leading_coefficient(self, g: Element, lam: Vec) -> RatFunc:
-        """The coefficient of the block [g] inside tau_g e(lambda)."""
-        return self._leading_block(g, lam)[1]
 
     def _leading_block(self, g: Element, lam: Vec) -> tuple[RatOperator, RatFunc, RatFunc]:
         """tau_g e(lambda), its leading block and the block's inverse."""
@@ -424,10 +417,10 @@ class Algebra(OperatorAlgebra):
         """The unique affine element represented by a block key."""
         src, tgt, u = key
         usrc = self.fin.act_point(u, src)
-        mu = vec(tuple(t - s for t, s in zip(tgt, usrc)))
-        if not self.rs.in_coroot_lattice(mu):
-            raise ValueError(f"block {key} does not come from an affine Weyl element")
-        return AffineWeylElement(mu, u)
+        try:
+            return AffineWeylElement(lattice_vector([t - s for t, s in zip(tgt, usrc)]), u)
+        except ValueError:
+            raise ValueError(f"block {key} does not come from an affine Weyl element") from None
 
     def inversion_orders(self, g: AffineWeylElement, lam: Vec) -> list[tuple[RootKey, int]]:
         """The nonzero pairs: roots b of omega at lam with b positive and g b negative."""

@@ -131,7 +131,7 @@ def check_integral(spec: InstanceSpec, ball: int, seed: int) -> dict:
     W = spec.group
     alg = spec.algebra()
     g1 = spec.gamma_choice.gamma
-    g2 = vec(tuple(c * 2 - r for c, r in zip(g1, two_rho_coroot(W))))
+    g2 = tuple(c * 2 - r for c, r in zip(g1, two_rho_coroot(W)))
     bof = integral_b_order_function(omega)
     failures = []
     count = 0
@@ -229,7 +229,7 @@ def check_gamma(spec: InstanceSpec, ball: int, seed: int) -> dict:
     alg = spec.algebra()
     B = spec.b_algebra()
     g1 = spec.gamma_choice.gamma
-    g2 = vec(tuple(c * 2 - r for c, r in zip(g1, two_rho_coroot(spec.group))))
+    g2 = tuple(c * 2 - r for c, r in zip(g1, two_rho_coroot(spec.group)))
     rep = gamma_change(alg, B, g1, g2)
     failures = []
     if not rep.left_identity:
@@ -416,6 +416,13 @@ def cmd_example_a1(as_json: bool) -> int:
     return 0 if data["pass"] else 1
 
 
+def _length_bound(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"a length bound is >= 0, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="qdha", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -427,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a named verification sweep")
     v.add_argument("--instance", required=True)
     v.add_argument("--check", required=True, choices=CHECKS)
-    v.add_argument("--ball", type=int, default=None)
+    v.add_argument("--ball", type=_length_bound, default=None)
     v.add_argument("--seed", type=int, default=20250808)
     v.add_argument("--json", action="store_true")
 
@@ -444,7 +451,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         spec = load_instance(args.instance) if args.command != "example-a1" else None
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

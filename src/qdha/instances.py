@@ -26,7 +26,7 @@ from .algebra import Algebra
 from .bqha import BAlgebra
 from .kz import GammaChoice, check_gamma, choose_gamma, integral_b_order_function
 from .orderfun import OrderFunction, from_ddaha_h
-from .rootsys import AffineRoot, affinise, vec
+from .rootsys import AffineRoot, Vec, affinise
 from .weyl import AffineWeylGroup
 
 
@@ -63,10 +63,17 @@ def _parse_h(raw):
     return Fraction(raw)
 
 
+def _rank_vector(data: dict, key: str, rank: int) -> Vec:
+    xs = tuple(Fraction(c) for c in data[key])
+    if len(xs) != rank:
+        raise ValueError(f"'{key}' needs {rank} entries, one per simple root; it has {len(xs)}")
+    return xs
+
+
 def instance_from_data(data: dict) -> InstanceSpec:
     label = data["type"]
     group = AffineWeylGroup(affinise(label))
-    lam0 = vec([Fraction(c) for c in data["lambda0"]])
+    lam0 = _rank_vector(data, "lambda0", group.rank)
     has_omega = "omega" in data
     has_h = "ddaha_h" in data
     if has_omega == has_h:
@@ -83,18 +90,20 @@ def instance_from_data(data: dict) -> InstanceSpec:
         ddaha_h = _parse_h(data["ddaha_h"])
         omega = from_ddaha_h(group, ddaha_h, lam0, window=int(data.get("window", 12)))
     if "gamma" in data:
-        gamma = vec([Fraction(c) for c in data["gamma"]])
         margin = omega.support_level_radius() + 1
-        check_gamma(group, gamma, margin)
+        gamma = check_gamma(group, _rank_vector(data, "gamma", group.rank), margin)
         gc = GammaChoice(gamma=gamma, margin=margin)
     else:
         gc = choose_gamma(omega)
+    ball = int(data.get("ball", 8))
+    if ball < 0:
+        raise ValueError(f"'ball' is {ball}; a length bound is >= 0")
     return InstanceSpec(
         label=label,
         group=group,
         omega=omega,
         gamma_choice=gc,
-        ball=int(data.get("ball", 8)),
+        ball=ball,
         ddaha_h=ddaha_h,
     )
 

@@ -29,24 +29,20 @@ from .algebra import RatOperator
 from .clans import Sign
 from .orderfun import BOrderFunction, OrderFunction
 from .polyring import Poly
-from .rootsys import AffineRoot, RootKey, Vec, vec
+from .rootsys import AffineRoot, Lattice, RootKey, Vec, lattice_vector
 from .weyl import AffineWeylElement, AffineWeylGroup, Perm
 
 
 @dataclass(frozen=True)
 class GammaChoice:
-    gamma: Vec
+    gamma: Lattice
     margin: int
 
 
-def two_rho_coroot(group: AffineWeylGroup) -> Vec:
+def two_rho_coroot(group: AffineWeylGroup) -> Lattice:
     """The sum of all positive coroots, an element of the coroot lattice."""
     rs = group.rs
-    total = [Fraction(0)] * rs.rank
-    for alpha in rs.positive_roots:
-        cv = rs.coroot_coords(alpha)
-        total = [t + c for t, c in zip(total, cv)]
-    return vec(total)
+    return tuple(map(sum, zip(*map(rs.coroot_coords, rs.positive_roots))))
 
 
 def choose_gamma(omega: OrderFunction) -> GammaChoice:
@@ -59,33 +55,34 @@ def choose_gamma(omega: OrderFunction) -> GammaChoice:
     m = omega.support_level_radius() + 1
     two_rho = two_rho_coroot(group)
     k = -(-m // 2)  # ceil(M/2)
-    gamma = vec(tuple(-k * c for c in two_rho))
-    check_gamma(group, gamma, m)
+    gamma = check_gamma(group, tuple(-k * c for c in two_rho), m)
     return GammaChoice(gamma=gamma, margin=m)
 
 
-def check_gamma(group: AffineWeylGroup, gamma: Vec, margin: int) -> None:
+def check_gamma(group: AffineWeylGroup, gamma: Sequence, margin: int) -> Lattice:
+    """gamma as a lattice vector, after checking that it pairs at most ``-margin``
+    with every positive root."""
     rs = group.rs
-    if not rs.in_coroot_lattice(gamma):
-        raise ValueError("gamma must lie in the coroot lattice")
+    gamma = lattice_vector(gamma, "gamma")
     for alpha in rs.positive_roots:
         if rs.pair_root_point(alpha, gamma) > -margin:
             raise ValueError(f"<{alpha}, gamma> > -{margin}; gamma not deep enough")
+    return gamma
 
 
-def pregamma_group(group: AffineWeylGroup, gamma: Vec, w: Perm) -> AffineWeylElement:
+def pregamma_group(group: AffineWeylGroup, gamma: Lattice, w: Perm) -> AffineWeylElement:
     """The section of the finite Weyl group: w -> X^gamma w X^{-gamma}."""
     xg = group.translation(gamma)
     return group.compose(group.compose(xg, group.from_finite(w)), group.inverse(xg))
 
 
-def pregamma_point(omega: OrderFunction, gamma: Vec, ell: Sequence) -> Vec:
+def pregamma_point(omega: OrderFunction, gamma: Lattice, ell: Sequence) -> Vec:
     """The lift X^gamma w lambda_0 of a torus orbit point, w its chosen representative."""
     pt = omega.torus.lifts[omega.torus.point(ell)]
-    return vec(tuple(p + g for p, g in zip(pt, gamma)))
+    return tuple(p + g for p, g in zip(pt, gamma))
 
 
-def e_gamma_weights(omega: OrderFunction, gamma: Vec) -> list[Vec]:
+def e_gamma_weights(omega: OrderFunction, gamma: Lattice) -> list[Vec]:
     """The idempotent weight set: the lifts of the whole torus orbit, sorted."""
     return sorted(pregamma_point(omega, gamma, ell) for ell in omega.torus.points)
 
@@ -114,7 +111,7 @@ def integral_b_order_function(omega: OrderFunction) -> BOrderFunction:
 
 # ----- lifts of finite-quotient operators -----
 
-def lift(omega: OrderFunction, gamma: Vec, op: RatOperator) -> RatOperator:
+def lift(omega: OrderFunction, gamma: Lattice, op: RatOperator) -> RatOperator:
     """Move a finite-quotient operator to the deep lifts, block by block.
 
     A block from ell to ell' with twist u becomes the block with the same
@@ -137,7 +134,7 @@ class ProductFormulaReport:
     ok: bool
 
 
-def product_formula_check(alg, B, gamma: Vec, w: Perm, ell: Sequence) -> ProductFormulaReport:
+def product_formula_check(alg, B, gamma: Lattice, w: Perm, ell: Sequence) -> ProductFormulaReport:
     """Compare the affine inversion product with the finite one, up to ±2^k.
 
     Left side: prod over the inversion set of the conjugated reflection word of
@@ -178,7 +175,7 @@ class IsoReport:
         return not self.discrepancies
 
 
-def iso_check(alg, B, gamma: Vec) -> IsoReport:
+def iso_check(alg, B, gamma: Lattice) -> IsoReport:
     """Check that lifting is onto the idempotent subalgebra ``e_gamma A e_gamma``.
 
     Three things are checked, each of which can fail:
@@ -248,11 +245,11 @@ class GammaChangeReport:
         return self.left_identity and self.right_identity and not self.conjugation_failures
 
 
-def gamma_change_intertwiner(alg, gamma: Vec, gamma2: Vec):
+def gamma_change_intertwiner(alg, gamma: Lattice, gamma2: Lattice):
     """phi_{gamma, gamma2}: the translation intertwiner between the two lifts."""
     omega = alg.omega
     group = alg.group
-    diff = vec(tuple(a - b for a, b in zip(gamma, gamma2)))
+    diff = tuple(a - b for a, b in zip(gamma, gamma2))
     out = alg.zero()
     for ell in omega.torus.points:
         src = pregamma_point(omega, gamma2, ell)
@@ -260,14 +257,14 @@ def gamma_change_intertwiner(alg, gamma: Vec, gamma2: Vec):
     return out
 
 
-def e_gamma_idempotent(alg, gamma: Vec):
+def e_gamma_idempotent(alg, gamma: Lattice):
     out = alg.zero()
     for lam in e_gamma_weights(alg.omega, gamma):
         out = out + alg.idempotent(lam)
     return out
 
 
-def gamma_change(alg, B, gamma: Vec, gamma2: Vec) -> GammaChangeReport:
+def gamma_change(alg, B, gamma: Lattice, gamma2: Lattice) -> GammaChangeReport:
     """Check phi phi' = e and that phi conjugates the lift at gamma2 of every
     finite generator into its lift at gamma.
 
@@ -294,7 +291,7 @@ def gamma_change(alg, B, gamma: Vec, gamma2: Vec) -> GammaChangeReport:
 
 # ----- the kernel criterion -----
 
-def clans_met(group: AffineWeylGroup, walls: Sequence[AffineRoot], gamma: Vec) -> set[Sign]:
+def clans_met(group: AffineWeylGroup, walls: Sequence[AffineRoot], gamma: Lattice) -> set[Sign]:
     """The sign vectors of the clans that hold an idempotent weight.
 
     The weight ``X^gamma w lambda_0`` lies in the alcove ``(X^gamma w)^{-1}

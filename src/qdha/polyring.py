@@ -271,42 +271,30 @@ class Poly:
         return s.replace("+ -", "- ")
 
 
-def _divide(f: IntTerms, g: IntTerms, exact: bool):
-    """Divide the integer polynomial f by g in graded lex order.
+def _exact_quotient(f: Poly, p: Poly) -> Poly | None:
+    """f / p for a primitive integer polynomial p, or None when p does not divide f.
 
-    Returns ``(s, q, r)`` with integer polynomials q, r and a positive integer
-    s such that ``s f = q g + r`` and no term of r is divisible by the leading
-    term of g; s grows only when a leading coefficient is not divisible by the
-    one of g.  With ``exact`` set, returns None at the first term that would go
-    to r or need s > 1.  For a primitive g that happens exactly when g does
-    not divide f, since then the quotient has integer coefficients.
+    Divides the numerators in graded lex order and stops at the first term
+    that the leading term of p does not divide, or whose coefficient the
+    leading coefficient of p does not divide.  For a primitive p that happens
+    exactly when p does not divide f, since the quotient then has integer
+    coefficients (Gauss's lemma).  It has the content of f, so it stays in
+    lowest terms over f's denominator.
     """
+    g = p.numer
     lg = max(g, key=_grlex_key)
     cg = g[lg]
     tail = [(m, c) for m, c in g.items() if m != lg]
-    work = dict(f)
+    work = dict(f.numer)
     q: IntTerms = {}
-    r: IntTerms = {}
-    s = 1
     while work:
         m = max(work, key=_grlex_key)
         shift = tuple(map(sub, m, lg))
         if min(shift) < 0:
-            if exact:
-                return None
-            r[m] = work.pop(m)
-            continue
-        c = work.pop(m)
-        t, rem = divmod(c, cg)
+            return None
+        t, rem = divmod(work.pop(m), cg)
         if rem:
-            if exact:
-                return None
-            k = abs(cg) // gcd(c, cg)
-            work = {wm: wc * k for wm, wc in work.items()}
-            q = {qm: qc * k for qm, qc in q.items()}
-            r = {rm: rc * k for rm, rc in r.items()}
-            s *= k
-            t = c * k // cg
+            return None
         q[shift] = t
         get = work.get
         for gm, gc in tail:
@@ -316,31 +304,7 @@ def _divide(f: IntTerms, g: IntTerms, exact: bool):
                 work[wm] = v
             else:
                 del work[wm]
-    return s, q, r
-
-
-def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """Division with remainder by the single divisor ``g`` in graded lex order.
-
-    The remainder is zero exactly when g divides f, since a single polynomial
-    is a Groebner basis of the ideal it generates.
-    """
-    if g.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    s, q, r = _divide(f.numer, g.numer, False)
-    # s F = q G + r with f = F / df and g = G / dg, so f = (q dg / (s df)) g + r / (s df)
-    den = s * f.denom
-    dg = g.denom
-    return (_canonical(f.nvars, {m: c * dg for m, c in q.items()}, den),
-            _canonical(f.nvars, r, den))
-
-
-def _exact_quotient(f: Poly, p: Poly) -> Poly | None:
-    """f / p for a primitive integer polynomial p, or None when p does not divide f."""
-    res = _divide(f.numer, p.numer, True)
-    # the integer quotient has the content of f (Gauss's lemma), so it stays
-    # in lowest terms over f's denominator
-    return None if res is None else _make(f.nvars, res[1], f.denom)
+    return _make(f.nvars, q, f.denom)
 
 
 def normalize_factor(f: Poly) -> tuple[Poly, Fraction]:
@@ -523,11 +487,6 @@ def monomials(nvars: int, max_degree: int) -> list[Monomial]:
     return sorted(m for m in out if sum(m) <= max_degree)
 
 
-def apply_linear(f: Poly, images: Sequence[Poly]) -> Poly:
-    """Apply the ring automorphism determined by variable images to f."""
-    return f.substitute(images)
-
-
 def apply_linear_rat(r: RatFunc, images: Sequence[Poly]) -> RatFunc:
     """r under a Weyl automorphism, given by the variable images.  A lattice
     automorphism keeps a fraction reduced and a factor primitive, so only the
@@ -551,9 +510,3 @@ def divide_exact(f: Poly, g: Poly) -> Poly:
     if q is None:
         raise ArithmeticError("exact division left a remainder")
     return q.scale(1 / scalar)
-
-
-def demazure(f: Poly, alpha: Poly, reflected: Poly) -> Poly:
-    """Divided difference ``(reflected - f) / alpha``, with ``reflected`` the
-    reflection of f in the wall of alpha; a remainder raises ArithmeticError."""
-    return divide_exact(reflected - f, alpha)

@@ -4,7 +4,9 @@ A finite root system is realized once in an ambient rational vector space, then
 converted to intrinsic data: every root is stored by its integer coordinates in
 the simple-root basis, and all pairings go through the Gram matrix of the simple
 roots.  Points of the reflection space E are stored by their coordinates in the
-simple-coroot basis, so that lattice membership and root evaluation are exact.
+simple-coroot basis, so that lattice membership and root evaluation are exact;
+a vector of the coroot lattice, a coroot or a translation, is a tuple of ints,
+checked once by ``lattice_vector``.
 
 An affine root ``a = alpha + k`` is the affine function ``x -> <alpha, x> + k``
 on E; the affine roots are ``{alpha + k : alpha in R, k in Z}``.  Every system
@@ -19,10 +21,20 @@ from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 RootKey = tuple[int, ...]
+# a coroot-lattice vector in simple-coroot coordinates
+Lattice = tuple[int, ...]
 
 
 def vec(xs: Iterable) -> Vec:
     return tuple(Fraction(x) for x in xs)
+
+
+def lattice_vector(x: Sequence, what: str = "vector") -> Lattice:
+    """x as integer simple-coroot coordinates; ValueError off the coroot lattice."""
+    out = tuple(map(int, x))
+    if out != tuple(x):
+        raise ValueError(f"{what} [{', '.join(map(str, x))}] is not in the coroot lattice")
+    return out
 
 
 def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
@@ -130,8 +142,10 @@ class FiniteRootSystem:
             if c.denominator != 1:
                 raise ValueError(f"<{a}, {b}^vee> = {c} is not an integer")
             self._pairing[(a, b)] = int(c)
-        self._coroot: dict[RootKey, Vec] = {
-            a: tuple(a[i] * self.gram[i][i] / self._inner[(a, a)] for i in r) for a in roots
+        self._coroot: dict[RootKey, Lattice] = {
+            a: lattice_vector([a[i] * self.gram[i][i] / self._inner[(a, a)] for i in r],
+                              f"the coroot of {a}")
+            for a in roots
         }
         # <a, x> = sum_i x_i <a, alpha_i^vee>, kept as the nonzero (i, pairing) terms
         self._point_terms: dict[RootKey, tuple[tuple[int, int], ...]] = {
@@ -188,20 +202,18 @@ class FiniteRootSystem:
         """``<a, b^vee> = 2(a,b)/(b,b)``; an integer for roots a, b."""
         return self._pairing[(a, b)]
 
-    def coroot_coords(self, a: RootKey) -> Vec:
-        """Coordinates of ``a^vee`` in the simple-coroot basis; integers."""
+    def coroot_coords(self, a: RootKey) -> Lattice:
+        """Coordinates of ``a^vee`` in the simple-coroot basis."""
         return self._coroot[a]
 
-    def pair_root_point(self, a: RootKey, x: Vec) -> Fraction:
-        """``<a, x>`` for a point x given in simple-coroot coordinates."""
+    def pair_root_point(self, a: RootKey, x: Sequence) -> Fraction:
+        """``<a, x>`` for a point x given in simple-coroot coordinates; an integer
+        for a lattice vector x."""
         return _int_combination(self._point_terms[a], x)
 
     def reflect_root(self, by: RootKey, a: RootKey) -> RootKey:
         """``s_by(a) = a - <by^vee, a> by``."""
         return self._reflect[(by, a)]
-
-    def in_coroot_lattice(self, x: Vec) -> bool:
-        return all(Fraction(c).denominator == 1 for c in x)
 
 
 _AN = re.compile(r"^A(\d+)$")

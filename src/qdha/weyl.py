@@ -1,19 +1,19 @@
 """The (extended) affine Weyl group of an affinised root system.
 
-Elements are pairs ``X^mu * w`` with ``mu`` a translation (coroot coordinates)
-and ``w`` in the finite Weyl group.  Finite elements are stored as permutations
-of the root list, so equality is by action; each element's lexicographically
-least reduced word, integer point matrix, inverse and length are tabulated
-when the group is built.
+Elements are pairs ``X^mu * w`` with ``mu`` a translation, an integer vector
+of the coroot lattice in simple-coroot coordinates, and ``w`` in the finite
+Weyl group.  Finite elements are stored as permutations of the root list, so
+equality is by action; each element's lexicographically least reduced word,
+integer point matrix, inverse and length are tabulated when the group is
+built.
 
 Lengths come in two independent flavours: an inversion-set count obtained by
-enumerating the finitely many affine roots a given element can invert, and the
-closed formula
+enumerating the finitely many affine roots a given element can invert, and,
+for ``g = X^mu w``, the closed formula in integers
 
-    l(w X^mu) = sum_{a in R+, w a < 0} |<a, mu> + 1|
-              + sum_{a in R+, w a > 0} |<a, mu>|
+    l(X^mu w) = sum_{a in R+} |<a, mu> - [w^{-1} a < 0]|.
 
-together with its ``X^mu w`` variant.  The two are cross-checked in the tests.
+The ``length`` sweep compares the two.
 
 Orbits are explored by ``walk``, a breadth-first search over integer states
 rather than over group elements.  A state is a pair ``(x, images)``: x holds
@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rootsys import (AffineRoot, AffineRootSystem, FiniteRootSystem, RootKey, Vec,
-                      _int_combination, vec)
+from .rootsys import (AffineRoot, AffineRootSystem, FiniteRootSystem, Lattice, RootKey, Vec,
+                      _int_combination, lattice_vector, vec)
 
 Perm = tuple[int, ...]
 # a state of ``AffineWeylGroup.walk``: integer point numerators and root images
@@ -180,9 +180,10 @@ class _PointsOver(dict):
 
 @dataclass(frozen=True, order=True)
 class AffineWeylElement:
-    """The element ``X^mu * w`` with mu in coroot coordinates and w a root permutation."""
+    """The element ``X^mu * w`` with mu integral, in simple-coroot coordinates, and w
+    a root permutation."""
 
-    mu: Vec
+    mu: Lattice
     w: Perm
 
 
@@ -194,13 +195,13 @@ class AffineWeylGroup:
         self.rs = ars.finite
         self.rank = self.rs.rank
         self.finite = FiniteWeylGroup(self.rs)
-        self.identity = AffineWeylElement(vec((0,) * self.rank), self.finite.identity)
+        self.identity = AffineWeylElement((0,) * self.rank, self.finite.identity)
         self._simple_affine = [self.reflection_of(a) for a in ars.delta]
         # the alcove walk in integers: points scaled by their common
         # denominator; the simple reflections translate by integral coroots
         self._walk_steps = tuple(
             (self.rs._point_terms[a.alpha], a.level, self.finite._point_rows[s.w],
-             tuple(map(int, s.mu)), s.w)
+             s.mu, s.w)
             for a, s in zip(ars.delta, self._simple_affine)
         )
         # per simple reflection s, the image s(alpha_j + 0) = alpha_i + c of
@@ -223,30 +224,26 @@ class AffineWeylGroup:
         return self._simple_affine[i]
 
     def translation(self, mu: Sequence) -> AffineWeylElement:
-        return AffineWeylElement(vec(mu), self.finite.identity)
+        return AffineWeylElement(lattice_vector(mu, "translation"), self.finite.identity)
 
     def from_finite(self, w: Perm) -> AffineWeylElement:
-        return AffineWeylElement(vec((0,) * self.rank), w)
+        return AffineWeylElement((0,) * self.rank, w)
 
     def reflection_of(self, a: AffineRoot) -> AffineWeylElement:
-        w = self.finite.reflection(a.alpha)
-        mu = tuple(-Fraction(a.level) * c for c in self.rs.coroot_coords(a.alpha))
-        return AffineWeylElement(vec(mu), w)
+        mu = tuple(-a.level * c for c in self.rs.coroot_coords(a.alpha))
+        return AffineWeylElement(mu, self.finite.reflection(a.alpha))
 
     # ----- group law and actions -----
 
     def compose(self, u: AffineWeylElement, v: AffineWeylElement) -> AffineWeylElement:
         # (mu, w)(nu, y) = (mu + w nu, w y)
         wnu = self.finite.act_point(u.w, v.mu)
-        return AffineWeylElement(
-            vec(tuple(a + b for a, b in zip(u.mu, wnu))),
-            self.finite.compose(u.w, v.w),
-        )
+        return AffineWeylElement(tuple(a + b for a, b in zip(u.mu, wnu)),
+                                 self.finite.compose(u.w, v.w))
 
     def inverse(self, g: AffineWeylElement) -> AffineWeylElement:
         wi = self.finite.inverse(g.w)
-        mu = self.finite.act_point(wi, tuple(-c for c in g.mu))
-        return AffineWeylElement(vec(mu), wi)
+        return AffineWeylElement(self.finite.act_point(wi, tuple(-c for c in g.mu)), wi)
 
     def act_point(self, g: AffineWeylElement, x: Vec) -> Vec:
         wx = self.finite.act_point(g.w, x)
@@ -255,10 +252,7 @@ class AffineWeylGroup:
     def act_root(self, g: AffineWeylElement, a: AffineRoot) -> AffineRoot:
         # X^mu smashes the level: X^mu b = b - <db, mu>; the finite part permutes roots.
         beta = self.finite.act_root(g.w, a.alpha)
-        shift = self.rs.pair_root_point(beta, g.mu)
-        if shift.denominator != 1:
-            raise ValueError("translation does not preserve the affine root lattice")
-        return AffineRoot(beta, a.level - int(shift))
+        return AffineRoot(beta, a.level - self.rs.pair_root_point(beta, g.mu))
 
     # ----- lengths -----
 
@@ -288,43 +282,11 @@ class AffineWeylGroup:
         return len(self.inversion_set(g))
 
     def length_formula(self, g: AffineWeylElement) -> int:
-        """Closed-form length, evaluated in both factorizations as a consistency check."""
-        mu, w = g.mu, g.w
-        # g = X^mu w
-        total_a = self._length_formula_xw(mu, w)
-        # g = w X^nu with nu = w^{-1} mu
-        nu = self.finite.act_point(self.finite.inverse(w), mu)
-        total_b = self._length_formula_wx(nu, w)
-        if total_a != total_b:
-            raise ArithmeticError("the two length formulas disagree; length data corrupt")
-        return total_a
-
-    def _length_formula_wx(self, mu: Vec, w: Perm) -> int:
-        rs = self.rs
-        total = Fraction(0)
-        for alpha in rs.positive_roots:
-            pairing = rs.pair_root_point(alpha, mu)
-            if rs.is_positive_root(self.finite.act_root(w, alpha)):
-                total += abs(pairing)
-            else:
-                total += abs(pairing + 1)
-        if total.denominator != 1:
-            raise ArithmeticError("length formula gave a non-integer")
-        return int(total)
-
-    def _length_formula_xw(self, mu: Vec, w: Perm) -> int:
-        rs = self.rs
-        total = Fraction(0)
-        for alpha in rs.positive_roots:
-            pairing = rs.pair_root_point(alpha, mu)
-            # alpha in R+ cap w R- means w^{-1} alpha in R-
-            if rs.is_positive_root(self.finite.act_root(self.finite.inverse(w), alpha)):
-                total += abs(pairing)
-            else:
-                total += abs(pairing - 1)
-        if total.denominator != 1:
-            raise ArithmeticError("length formula gave a non-integer")
-        return int(total)
+        """``l(X^mu w) = sum_{a > 0} |<a, mu> - [w^{-1} a < 0]|``, in integers."""
+        fin, rs = self.finite, self.rs
+        winv = fin.inverse(g.w)
+        return sum(abs(rs.pair_root_point(rs.roots[i], g.mu) - (winv[i] in fin._negative))
+                   for i in fin._counted)
 
     def length(self, g: AffineWeylElement) -> int:
         return self.length_formula(g)
@@ -392,20 +354,21 @@ class AffineWeylGroup:
 
         Reflects in the first affine simple root that is negative at the current
         point until none is, on integer numerators over a common denominator.
-        Only the finite part w of g is tracked; g = X^nu w with nu = rep - w lam.
+        Only the finite part w of g is tracked; g = X^nu w with nu = rep - w lam,
+        read off the numerators as ``(x - w x0) // den``, which is exact.
         """
         lam = vec(lam)
         den = math.lcm(*(c.denominator for c in lam))
-        x = [c.numerator * (den // c.denominator) for c in lam]
+        x0 = x = [c.numerator * (den // c.denominator) for c in lam]
         w = self.finite.identity
         while True:
             for terms, level, rows, shift, s in self._walk_steps:
                 if sum(p * x[j] for j, p in terms) + level * den < 0:
                     break
             else:
-                rep = tuple(Fraction(c, den) for c in x)
-                wlam = self.finite.act_point(w, lam)
-                return rep, AffineWeylElement(tuple(r - c for r, c in zip(rep, wlam)), w)
+                wx0 = self.finite.act_point(w, x0)
+                return (tuple(Fraction(c, den) for c in x),
+                        AffineWeylElement(tuple((c - c0) // den for c, c0 in zip(x, wx0)), w))
             x = [sum(c * x[i] for i, c in row) + t * den for row, t in zip(rows, shift)]
             w = self.finite.compose(s, w)
 

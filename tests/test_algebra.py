@@ -438,10 +438,16 @@ def test_lost_leading_block_raises(finite, monkeypatch):
     monkeypatch.setattr(broken, "tau_word", lambda word, mu: RatOperator(
         tuple((k, v) for k, v in tau_word(word, mu).entries if k != lead)))
     with pytest.raises(ArithmeticError, match="lost its leading block"):
-        broken.leading_coefficient(g, lam)
+        broken._leading_block(g, lam)
     with pytest.raises(ArithmeticError, match="lost its leading block"):
         broken.normal_form(x)
     assert A.normal_form(x).coeffs == {g: Poly.const(2, 1)}
+
+
+def leading_coefficient(alg, g, lam):
+    """The coefficient of the block [g] inside tau_g e(lambda), read off its blocks."""
+    lam = alg._weight(lam)
+    return alg.tau_element(g, lam).to_dict()[(lam, alg._target(g, lam), alg._twist(g))]
 
 
 def test_leading_coefficient_matches_inversion_product():
@@ -452,7 +458,7 @@ def test_leading_coefficient_matches_inversion_product():
     lam0 = A.omega.base_point
     for g in W.ball(4):
         lam = lam0
-        direct = A.leading_coefficient(g, lam)
+        direct = leading_coefficient(A, g, lam)
         closed = A.inversion_leading_coefficient(g, lam)
         assert direct == closed
 

@@ -10,9 +10,10 @@ from qdha.bqha import BAlgebra, gram_rank_at_point
 from qdha.instances import instance_from_data, load_instance
 from qdha.kz import integral_b_order_function
 from qdha.orderfun import BOrderFunction, OrderFunction, torus_point
-from qdha.polyring import Poly, RatFunc, demazure
+from qdha.polyring import Poly, RatFunc
 from qdha.rootsys import affinise, vec
 from qdha.weyl import AffineWeylGroup
+from test_polyring import demazure
 
 
 def instance_b_algebra(name):

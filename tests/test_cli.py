@@ -10,6 +10,7 @@ import pytest
 from qdha import cli, kz
 from qdha.algebra import NonTerminating, RatOperator
 from qdha.clans import IncompleteExploration
+from qdha.instances import load_instance
 from qdha.cli import main
 from qdha.rootsys import vec
 
@@ -88,6 +89,55 @@ def test_malformed_instance_rejected(tmp_path, capsys):
     }))
     code = main(["describe", "--instance", str(bad)])
     assert code == 2
+
+
+def a2_variant(tmp_path, **changes):
+    data = json.loads(Path(A2).read_text())
+    data.update(changes)
+    path = tmp_path / "a2_variant.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,changes,message", [
+    (["describe"], {"lambda0": ["1/5"]}, "'lambda0' needs 2 entries, one per simple root; it has 1"),
+    (["describe"], {"lambda0": ["1/5", "1/7", "1/11"]},
+     "'lambda0' needs 2 entries, one per simple root; it has 3"),
+    (["verify", "--check", "iso"], {"lambda0": ["1/5", "1/7", "1/11"]},
+     "'lambda0' needs 2 entries, one per simple root; it has 3"),
+    (["verify", "--check", "iso"], {"gamma": ["-2", "-2", "-2"]},
+     "'gamma' needs 2 entries, one per simple root; it has 3"),
+    (["verify", "--check", "iso"], {"gamma": ["-5/2", "-2"]},
+     "gamma [-5/2, -2] is not in the coroot lattice"),
+    (["verify", "--check", "length"], {"ball": -1}, "'ball' is -1; a length bound is >= 0"),
+])
+def test_malformed_instance_is_a_usage_error(tmp_path, capsys, argv, changes, message):
+    code = main([argv[0], "--instance", a2_variant(tmp_path, **changes), *argv[1:]])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '{"type": "A2", "lambda0": 5, "omega": []}'])
+def test_instance_of_the_wrong_shape_is_a_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "shape.json"
+    path.write_text(text)
+    code = main(["describe", "--instance", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_instance_gamma_is_stored_as_integers(tmp_path):
+    gamma = load_instance(a2_variant(tmp_path, gamma=["-2", "-4/2"])).gamma_choice.gamma
+    assert gamma == (-2, -2) and all(type(c) is int for c in gamma)
+
+
+def test_negative_ball_option_is_a_usage_error(capsys):
+    code = main(["verify", "--instance", A2, "--check", "length", "--ball", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        "error: argument --ball: a length bound is >= 0, got -1")
 
 
 def test_example_a1(capsys):

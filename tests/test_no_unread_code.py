@@ -4,21 +4,12 @@ Every function, method and class, dunder methods aside, must be named somewhere 
 package outside its own definition, by code that is itself read; and no
 module may import a name it never uses.  Names are matched bare, so a method
 counts as read when any name, attribute or import in the package spells it.
-Definitions that only tests read are allowed when they are listed in
-``KEPT_AS_REFERENCE``, each with the test that compares live code against it.
+A reference that only tests read lives in the tests.
 """
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qdha"
-TESTS = Path(__file__).resolve().parent
-
-KEPT_AS_REFERENCE = {
-    "algebra.OperatorAlgebra.leading_coefficient":
-        "test_algebra.py::test_leading_coefficient_matches_inversion_product",
-    "polyring.demazure": "test_tables.py::test_coefficient_trace_matches_demazure_words",
-    "polyring.poly_divmod": "test_polyring.py::test_exact_quotient_matches_sympy",
-}
 
 
 def _modules():
@@ -97,15 +88,7 @@ def unused_imports(modules) -> list[str]:
 
 
 def test_every_definition_is_read():
-    assert [q for q in unread_definitions(_modules()) if q not in KEPT_AS_REFERENCE] == []
-
-
-def test_kept_references_are_unread_and_tested():
-    unread = unread_definitions(_modules())
-    for qual, test in KEPT_AS_REFERENCE.items():
-        assert qual in unread, f"{qual} is read by the package; drop it from KEPT_AS_REFERENCE"
-        path, name = test.split("::")
-        assert f"def {name}(" in (TESTS / path).read_text(), test
+    assert unread_definitions(_modules()) == []
 
 
 def test_no_unused_imports():

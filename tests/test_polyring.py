@@ -6,14 +6,7 @@ from math import gcd
 import pytest
 
 from qdha.algebra import OperatorAlgebra
-from qdha.polyring import (
-    Poly,
-    RatFunc,
-    apply_linear,
-    apply_linear_rat,
-    demazure,
-    poly_divmod,
-)
+from qdha.polyring import Poly, RatFunc, apply_linear_rat, divide_exact
 from qdha.rootsys import affinise, build_finite
 from qdha.weyl import AffineWeylGroup, FiniteWeylGroup
 
@@ -24,6 +17,12 @@ def random_poly(rng, nvars, deg=3, terms=4):
         m = tuple(rng.randrange(deg + 1) for _ in range(nvars))
         coeffs[m] = Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
     return Poly(nvars, coeffs)
+
+
+def demazure(f, alpha, reflected):
+    """Divided difference ``(reflected - f) / alpha``, with ``reflected`` the
+    reflection of f in the wall of alpha; a remainder raises ArithmeticError."""
+    return divide_exact(reflected - f, alpha)
 
 
 def root_poly(rs, key):
@@ -42,20 +41,19 @@ def reflection_images(rs, key):
     return images
 
 
-def test_poly_divmod_exact_and_inexact():
+def test_exact_division_exact_and_inexact():
     x = Poly.variable(2, 0)
     y = Poly.variable(2, 1)
     f = (x + y) * (x - y)
-    q, r = poly_divmod(f, x + y)
-    assert r.is_zero() and q == x - y
-    q, r = poly_divmod(f + Poly.const(2, 1), x + y)
-    assert not r.is_zero()
-    assert poly_divmod(f, x + y)[1].is_zero()
+    assert divide_exact(f, x + y) == x - y
+    assert divide_exact(f.scale(Fraction(2, 3)), (x + y).scale(2)) == (x - y).scale(Fraction(1, 3))
+    with pytest.raises(ArithmeticError):
+        divide_exact(f + Poly.const(2, 1), x + y)
     # a leading coefficient that the divisor's does not divide: 2x + y does not
     # divide x^2, but does divide (2x + y)(x - y)/3
     g = x.scale(2) + y
-    q, r = poly_divmod(x * x, g)
-    assert not r.is_zero() and q * g + r == x * x
+    with pytest.raises(ArithmeticError):
+        divide_exact(x * x, g)
     assert not RatFunc(x * x, {g: 1}).is_poly()
     third = Fraction(1, 3)
     assert RatFunc((g * (x - y)).scale(third), {g: 1}).as_poly() == (x - y).scale(third)
@@ -67,10 +65,10 @@ def test_weyl_act_identity_and_rank1_sign_flip():
     W = FiniteWeylGroup(rs)
     x = Poly.variable(1, 0)
     f = x * x + x.scale(3)
-    assert apply_linear(f, [Poly.variable(1, 0)]) == f
+    assert f.substitute([Poly.variable(1, 0)]) == f
     images = reflection_images(rs, rs.simple_root(0))
-    assert apply_linear(x, images) == -x
-    assert apply_linear(f, images) == x * x - x.scale(3)
+    assert x.substitute(images) == -x
+    assert f.substitute(images) == x * x - x.scale(3)
 
 
 def test_weyl_act_multiplicative_random():
@@ -80,7 +78,7 @@ def test_weyl_act_multiplicative_random():
     for _ in range(25):
         f = random_poly(rng, 2)
         g = random_poly(rng, 2)
-        assert apply_linear(f * g, images) == apply_linear(f, images) * apply_linear(g, images)
+        assert (f * g).substitute(images) == f.substitute(images) * g.substitute(images)
 
 
 def test_weyl_act_preserves_degree():
@@ -89,7 +87,7 @@ def test_weyl_act_preserves_degree():
     images = reflection_images(rs, rs.highest_root)
     for _ in range(20):
         f = random_poly(rng, 2)
-        assert apply_linear(f, images).total_degree() == f.total_degree()
+        assert f.substitute(images).total_degree() == f.total_degree()
 
 
 def test_demazure_rank1_linear_case():
@@ -97,7 +95,7 @@ def test_demazure_rank1_linear_case():
     alpha = root_poly(rs, rs.simple_root(0))  # 2x in these coordinates
     x = Poly.variable(1, 0)
     images = reflection_images(rs, rs.simple_root(0))
-    out = demazure(x, alpha, apply_linear(x, images))
+    out = demazure(x, alpha, x.substitute(images))
     # (-x - x) / (2x) = -1
     assert out == Poly.const(1, -1)
 
@@ -108,8 +106,8 @@ def test_demazure_kills_invariants():
     alpha = root_poly(rs, key)
     images = reflection_images(rs, key)
     f = alpha * alpha  # s-invariant
-    assert apply_linear(f, images) == f
-    assert demazure(f, alpha, apply_linear(f, images)).is_zero()
+    assert f.substitute(images) == f
+    assert demazure(f, alpha, f.substitute(images)).is_zero()
 
 
 def test_demazure_twisted_leibniz_random():
@@ -120,13 +118,13 @@ def test_demazure_twisted_leibniz_random():
     images = reflection_images(rs, key)
 
     def dem(f):
-        return demazure(f, alpha, apply_linear(f, images))
+        return demazure(f, alpha, f.substitute(images))
 
     for _ in range(20):
         f = random_poly(rng, 2)
         g = random_poly(rng, 2)
         lhs = dem(f * g)
-        rhs = dem(f) * g + apply_linear(f, images) * dem(g)
+        rhs = dem(f) * g + f.substitute(images) * dem(g)
         assert lhs == rhs
 
 
@@ -138,7 +136,7 @@ def test_demazure_nil_property():
         images = reflection_images(rs, key)
 
         def dem(f):
-            return demazure(f, alpha, apply_linear(f, images))
+            return demazure(f, alpha, f.substitute(images))
 
         for _ in range(10):
             f = random_poly(rng, 2)
@@ -159,7 +157,7 @@ def test_demazure_braid_relations(label, i, j, m):
     def dem_op(idx, f):
         key = rs.simple_root(idx)
         alpha = root_poly(rs, key)
-        return demazure(f, alpha, apply_linear(f, reflection_images(rs, key)))
+        return demazure(f, alpha, f.substitute(reflection_images(rs, key)))
 
     wa, wb = braid_words(i, j, m)
     for _ in range(10):
@@ -289,18 +287,20 @@ def test_exact_quotient_matches_sympy(nvars):
         hyp.assume(not g.is_zero())
         xs = sympy.symbols(f"x0:{nvars}")
         G = _to_sympy(sympy, g)
-        # an exact multiple: the quotient comes back, through divmod and RatFunc
-        q, r = poly_divmod(p * g, g)
-        assert q == p and not r.coeffs
+        # an exact multiple: the quotient comes back, exactly and through RatFunc
+        assert divide_exact(p * g, g) == p
         reduced = RatFunc(p * g, {g: 1})
         assert reduced.is_poly() and reduced.as_poly() == p
-        # any dividend: the remainder is empty exactly when g divides it
+        # any dividend: g divides it exactly when sympy's remainder is zero
         f = p * g + noise
-        q, r = poly_divmod(f, g)
-        assert q * g + r == f
         _, sympy_rem = sympy.div(_to_sympy(sympy, f), G, *xs)
-        assert (not r.coeffs) == (sympy.expand(sympy_rem) == 0)
-        assert RatFunc(f, {g: 1}).is_poly() == (not r.coeffs)
+        divides = sympy.expand(sympy_rem) == 0
+        assert RatFunc(f, {g: 1}).is_poly() == divides
+        if divides:
+            assert divide_exact(f, g) * g == f
+        else:
+            with pytest.raises(ArithmeticError):
+                divide_exact(f, g)
 
     check()
 

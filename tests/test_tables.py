@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from qdha.algebra import OperatorAlgebra
 from qdha.bqha import BAlgebra
 from qdha.orderfun import BOrderFunction, TorusOrbit, torus_point
-from qdha.polyring import Poly, demazure
+from qdha.polyring import Poly
 from qdha.rootsys import affinise, build_finite, vec
 from qdha.weyl import AffineWeylGroup
+from test_polyring import demazure
 
 LABELS = ["A1", "A2", "A3", "B2", "C2", "G2"]
 
@@ -60,11 +62,41 @@ def test_root_tables_against_gram(label):
         n2 = gram_inner(rs, a, a)
         assert rs.norm2(a) == n2
         assert rs.coroot_coords(a) == tuple(Fraction(a[i]) * rs.gram[i][i] / n2 for i in range(rs.rank))
+        assert all(type(c) is int for c in rs.coroot_coords(a))
         for b in rs.roots:
             pairing = 2 * gram_inner(rs, a, b) / gram_inner(rs, b, b)
             assert type(rs.pair_root_coroot(a, b)) is int
             assert rs.pair_root_coroot(a, b) == pairing
             assert rs.reflect_root(b, a) == tuple(ai - int(pairing) * bi for ai, bi in zip(a, b))
+
+
+def reference_root_poly(rs, a):
+    """The root a as the linear form ``sum_i <a, alpha_i^vee> x_i``, from the Gram matrix."""
+    simple = [rs.simple_root(i) for i in range(rs.rank)]
+    return Poly.linear([2 * gram_inner(rs, a, s) / gram_inner(rs, s, s) for s in simple])
+
+
+def substituted_images(rs, fin, w):
+    """The variable images of w, one simple reflection at a time along its word:
+    ``s_j x_i = x_i - delta_ij alpha_j``."""
+    images = [Poly.variable(rs.rank, i) for i in range(rs.rank)]
+    for letter in reversed(fin.word(w)):
+        simple = [Poly.variable(rs.rank, i) for i in range(rs.rank)]
+        simple[letter] = simple[letter] - reference_root_poly(rs, rs.simple_root(letter))
+        images = [img.substitute(simple) for img in images]
+    return images
+
+
+@pytest.mark.parametrize("label", LABELS + ["A4"])
+def test_variable_images_and_root_forms_against_substitution(label):
+    W = AffineWeylGroup(affinise(label))
+    alg = OperatorAlgebra(W)
+    for a in W.rs.roots:
+        assert alg.root_poly(a) == reference_root_poly(W.rs, a)
+        assert alg.root_poly(a) == Poly.linear(
+            [W.rs.pair_root_coroot(a, W.rs.simple_root(i)) for i in range(W.rank)])
+    for w in W.finite.elements:
+        assert list(alg.images(w)) == substituted_images(W.rs, W.finite, w)
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -305,4 +337,5 @@ def test_integer_alcove_walk_against_stepwise(label):
         rep, g = W.to_fundamental_domain(lam)
         assert (rep, g) == stepwise_fundamental_domain(W, lam)
         assert W.act_point(g, lam) == rep
-        assert all(type(c) is Fraction for c in rep + g.mu)
+        assert all(type(c) is Fraction for c in rep)
+        assert all(type(c) is int for c in g.mu)

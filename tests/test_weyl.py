@@ -94,6 +94,30 @@ def test_length_formula_equals_inversions_on_ball(label):
         assert layer == W.length_formula(g)
 
 
+def length_wx(W, g):
+    """The length of ``g = X^mu w`` written as ``w X^nu`` with ``nu = w^-1 mu``:
+    ``sum_{a > 0} |<a, nu> + [w a < 0]|``."""
+    fin, rs = W.finite, W.rs
+    nu = fin.act_point(fin.inverse(g.w), g.mu)
+    return sum(abs(rs.pair_root_point(a, nu) + (not rs.is_positive_root(fin.act_root(g.w, a))))
+               for a in rs.positive_roots)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C2", "G2"])
+def test_length_formula_in_both_factorisations(label):
+    W = group(label)
+    for g in W.ball(6):
+        assert all(type(c) is int for c in g.mu)
+        assert W.length_formula(g) == length_wx(W, g)
+
+
+def test_translation_off_the_coroot_lattice_raises():
+    W = group("A2")
+    assert W.translation((Fraction(2), 0)).mu == (2, 0)
+    with pytest.raises(ValueError, match="not in the coroot lattice"):
+        W.translation((Fraction(1, 2), 0))
+
+
 @pytest.mark.parametrize("label,bound", [("A1", 14), ("A2", 12), ("A3", 9), ("A4", 7),
                                          ("B2", 12), ("C2", 12), ("G2", 14)])
 def test_ball_is_the_element_search(label, bound):
