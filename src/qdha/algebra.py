@@ -22,6 +22,12 @@ polynomial coefficients exactly when the operator belongs to the algebra.
 ``OperatorAlgebra`` holds this calculus once.  ``Algebra`` runs it on the
 affine weight orbit of an order function; ``qdha.bqha.BAlgebra`` runs it on
 the torus orbit of a finite order function, with finite Weyl elements as basis.
+
+A weight, and so the source and target of a block key, is the tuple of its
+integer numerators over the order function's one denominator D
+(``rootsys.PointKey``), so blocks, caches and tables hash ints;
+``OperatorAlgebra.over`` turns a key back into its ``Fraction`` point for a
+message or a report.
 """
 from __future__ import annotations
 
@@ -30,10 +36,11 @@ from typing import Iterable, Mapping, Sequence
 
 from .orderfun import OrderFunction
 from .polyring import Poly, RatFunc, apply_linear_rat
-from .rootsys import AffineRoot, RootKey, Vec, lattice_vector, vec
-from .weyl import AffineWeylElement, AffineWeylGroup, Perm
+from .rootsys import AffineRoot, PointKey, RootKey
+from .weyl import AffineWeylElement, AffineWeylGroup, Perm, PointsOver
 
-EntryKey = tuple[Vec, Vec, Perm]
+# (source, target, twist); source and target are weight keys over D
+EntryKey = tuple[PointKey, PointKey, Perm]
 # a basis element: affine in the affine algebra, finite in the finite quotient
 Element = AffineWeylElement | Perm
 # the order of s_i s_j by the product a_ij a_ji of Cartan integers
@@ -69,7 +76,7 @@ class RatOperator:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def sources(self) -> list[Vec]:
+    def sources(self) -> list[PointKey]:
         return sorted({k[0] for k, _ in self.entries})
 
     def __add__(self, other: "RatOperator") -> "RatOperator":
@@ -104,7 +111,7 @@ class NormalForm:
     group elements in the finite quotient.
     """
 
-    source: Vec
+    source: PointKey
     coeffs: dict[Element, Poly]
 
     def support(self) -> list[Element]:
@@ -136,13 +143,17 @@ class OperatorAlgebra:
       inversion set of g; pairs with value 0 may be left out.
     """
 
-    def __init__(self, group: AffineWeylGroup):
+    def __init__(self, group: AffineWeylGroup, over: PointsOver):
         self.group = group
         self.fin = group.finite
         self.rs = group.rs
         self.rank = self.rs.rank
+        # weights are keys over over.den; over turns a key back into its point
+        self.over = over
+        self.den = over.den
         # tau_g e(lambda) with its leading block and that block's inverse (None if absent)
-        self._tau_elt: dict[tuple[Element, Vec], tuple[RatOperator, RatFunc | None, RatFunc | None]] = {}
+        self._tau_elt: dict[tuple[Element, PointKey],
+                            tuple[RatOperator, RatFunc | None, RatFunc | None]] = {}
         # variable j is the fundamental weight x -> x_j, the j-th simple-coroot
         # coordinate, so w sends it to x_j(w^-1 x): row j of the integer point
         # matrix of w^-1; a root a is the form <a, x> = sum_i <a, alpha_i^vee> x_i
@@ -175,14 +186,15 @@ class OperatorAlgebra:
     def zero(self) -> RatOperator:
         return RatOperator(())
 
-    def idempotent(self, lam: Vec) -> RatOperator:
+    def idempotent(self, lam: PointKey) -> RatOperator:
         return self.poly_mult(Poly.const(self.rank, 1), lam)
 
-    def poly_mult(self, f: Poly, lam: Vec) -> RatOperator:
+    def poly_mult(self, f: Poly, lam: PointKey) -> RatOperator:
         lam = self._weight(lam)
         return RatOperator.from_dict({(lam, lam, self.fin.identity): RatFunc.from_poly(f)})
 
-    def two_case_generator(self, alpha: RootKey, m: int, src: Vec, tgt: Vec) -> RatOperator:
+    def two_case_generator(self, alpha: RootKey, m: int, src: PointKey,
+                           tgt: PointKey) -> RatOperator:
         """The generator from src to tgt for the reflection in alpha with order value m:
         ``(d alpha)^{-1} (s - 1)`` if m = -1, else ``(d alpha)^m s``."""
         s = self.fin.reflection(alpha)
@@ -197,7 +209,7 @@ class OperatorAlgebra:
             })
         return RatOperator.from_dict({(src, tgt, s): RatFunc.from_poly(da ** m)})
 
-    def tau_letter(self, i: int, lam: Vec) -> RatOperator:
+    def tau_letter(self, i: int, lam: PointKey) -> RatOperator:
         """The generator tau_{a_i} e(lambda)."""
         lam = self._weight(lam)
         alpha, m, target = self._letter(i, lam)
@@ -214,7 +226,7 @@ class OperatorAlgebra:
                 out[key] = out[key] + term if key in out else term
         return RatOperator.from_dict(out)
 
-    def tau_word(self, word: Sequence[int], lam: Vec) -> RatOperator:
+    def tau_word(self, word: Sequence[int], lam: PointKey) -> RatOperator:
         """tau_{a_{word[0]}} ... tau_{a_{word[-1]}} e(lambda), rightmost letter first."""
         lam = self._weight(lam)
         acc = self.idempotent(lam)
@@ -224,11 +236,11 @@ class OperatorAlgebra:
             lam = target
         return acc
 
-    def tau_element(self, g: Element, lam: Vec) -> RatOperator:
+    def tau_element(self, g: Element, lam: PointKey) -> RatOperator:
         """tau_g e(lambda) along the canonical (lex-least) reduced word of g."""
         return self._tau(g, lam)[0]
 
-    def _tau(self, g: Element, lam: Vec) -> tuple[RatOperator, RatFunc | None, RatFunc | None]:
+    def _tau(self, g: Element, lam: PointKey) -> tuple[RatOperator, RatFunc | None, RatFunc | None]:
         lam = self._weight(lam)
         key = (g, lam)
         hit = self._tau_elt.get(key)
@@ -241,7 +253,7 @@ class OperatorAlgebra:
 
     # ----- degrees -----
 
-    def tau_element_degree(self, g: Element, lam: Vec) -> int:
+    def tau_element_degree(self, g: Element, lam: PointKey) -> int:
         """Degree of tau_g e(lambda) along the canonical word, in the algebra grading.
 
         Each letter contributes the order values of its root on the two sides
@@ -257,11 +269,11 @@ class OperatorAlgebra:
 
     # ----- leading coefficients and normal forms -----
 
-    def _leading_block(self, g: Element, lam: Vec) -> tuple[RatOperator, RatFunc, RatFunc]:
+    def _leading_block(self, g: Element, lam: PointKey) -> tuple[RatOperator, RatFunc, RatFunc]:
         """tau_g e(lambda), its leading block and the block's inverse."""
         op, lead, inv = self._tau(g, lam)
         if lead is None:
-            raise ArithmeticError(f"tau_{g} e({lam}) lost its leading block")
+            raise ArithmeticError(f"tau_{g} e({self.over(lam)}) lost its leading block")
         return op, lead, inv
 
     def inversion_product(self, pairs: Iterable[tuple[RootKey, int]]) -> RatFunc:
@@ -273,7 +285,7 @@ class OperatorAlgebra:
             acc = acc * (RatFunc.from_poly(db ** m) if m >= 0 else RatFunc(one, {db: -m}))
         return acc
 
-    def inversion_leading_coefficient(self, g: Element, lam: Vec) -> RatFunc:
+    def inversion_leading_coefficient(self, g: Element, lam: PointKey) -> RatFunc:
         """The closed form of the leading coefficient: ``w( prod (-db)^{omega(b)} )``.
 
         The product runs over the inversion set of g and w is the twist of g;
@@ -287,7 +299,7 @@ class OperatorAlgebra:
     def _basis_key(self, g: Element):
         return (self._length(g), g)
 
-    def normal_form_rational(self, x: RatOperator) -> tuple[Vec, dict[Element, RatFunc]]:
+    def normal_form_rational(self, x: RatOperator) -> tuple[PointKey, dict[Element, RatFunc]]:
         """Peel a single-source operator into the tau basis; coefficients may be rational.
 
         Blocks are peeled by descending element length: subtracting a peeled
@@ -298,7 +310,7 @@ class OperatorAlgebra:
         if len(sources) > 1:
             raise ValueError("normal form expects a single-source operator")
         if not sources:
-            return vec((0,) * self.rank), {}
+            return (0,) * self.rank, {}
         src = sources[0]
         elts: dict[EntryKey, tuple[int, Element]] = {}
 
@@ -344,7 +356,7 @@ class OperatorAlgebra:
         offenders = sorted((g for g, f in coeffs.items() if not f.is_poly()), key=self._basis_key)
         if offenders:
             raise NotInAlgebra(
-                f"operator is not in the algebra at source {src}", offenders=offenders
+                f"operator is not in the algebra at source {self.over(src)}", offenders=offenders
             )
         return NormalForm(source=src, coeffs={g: f.as_poly() for g, f in coeffs.items()})
 
@@ -367,35 +379,33 @@ class Algebra(OperatorAlgebra):
     """
 
     def __init__(self, omega: OrderFunction):
-        super().__init__(omega.group)
+        super().__init__(omega.group, omega.over)
         self.omega = omega
         self.ars = self.group.ars
-        self._moved: dict[Vec, dict[AffineRoot, int]] = {}
+        self._moved: dict[PointKey, dict[AffineRoot, int]] = {}
 
     # ----- weights and basis elements -----
 
-    def moved(self, lam: Vec) -> dict[AffineRoot, int]:
+    def moved(self, lam: PointKey) -> dict[AffineRoot, int]:
         """omega at lam: the table a letter carried there, else ``OrderFunction.moved``
         at a walked witness of lam."""
-        lam = vec(lam)
         table = self._moved.get(lam)
         if table is None:
             wit = self.omega.witness(lam)
             if wit is None:
-                raise ValueError(f"{lam} is not in the weight orbit")
+                raise ValueError(f"{self.over(lam)} is not in the weight orbit")
             table = self._moved[lam] = self.omega.moved(wit)
         return table
 
-    def _weight(self, lam: Vec) -> Vec:
-        lam = vec(lam)
+    def _weight(self, lam: PointKey) -> PointKey:
         if lam not in self._moved:
             self.moved(lam)
         return lam
 
-    def _letter(self, i: int, lam: Vec) -> tuple[RootKey, int, Vec]:
+    def _letter(self, i: int, lam: PointKey) -> tuple[RootKey, int, PointKey]:
         a = self.ars.delta[i]
         s = self.group.simple_reflection(i)
-        target = self.group.act_point(s, lam)
+        target = self.group.act_point(s, lam, self.den)
         table = self.moved(lam)
         if target not in self._moved:
             self._moved[target] = {self.group.act_root(s, b): v for b, v in table.items()}
@@ -410,19 +420,23 @@ class Algebra(OperatorAlgebra):
     def _length(self, g: AffineWeylElement) -> int:
         return self.group.length(g)
 
-    def _target(self, g: AffineWeylElement, lam: Vec) -> Vec:
-        return self.group.act_point(g, lam)
+    def _target(self, g: AffineWeylElement, lam: PointKey) -> PointKey:
+        return self.group.act_point(g, lam, self.den)
 
     def element_of_entry(self, key: EntryKey) -> AffineWeylElement:
-        """The unique affine element represented by a block key."""
+        """The unique affine element represented by a block key: ``X^mu u`` with
+        ``mu = (tgt - u src) / D``, which must be integral."""
         src, tgt, u = key
-        usrc = self.fin.act_point(u, src)
-        try:
-            return AffineWeylElement(lattice_vector([t - s for t, s in zip(tgt, usrc)]), u)
-        except ValueError:
-            raise ValueError(f"block {key} does not come from an affine Weyl element") from None
+        mu = []
+        for t, s in zip(tgt, self.fin.act_point(u, src)):
+            q, r = divmod(t - s, self.den)
+            if r:
+                raise ValueError(f"block {(self.over(src), self.over(tgt), u)} does not come "
+                                 "from an affine Weyl element")
+            mu.append(q)
+        return AffineWeylElement(tuple(mu), u)
 
-    def inversion_orders(self, g: AffineWeylElement, lam: Vec) -> list[tuple[RootKey, int]]:
+    def inversion_orders(self, g: AffineWeylElement, lam: PointKey) -> list[tuple[RootKey, int]]:
         """The nonzero pairs: roots b of omega at lam with b positive and g b negative."""
         pos = self.ars.is_positive
         return [(b.alpha, v) for b, v in sorted(self.moved(lam).items())
@@ -439,12 +453,11 @@ class Algebra(OperatorAlgebra):
         a, b = self.ars.delta[i].alpha, self.ars.delta[j].alpha
         return _COXETER_ORDER.get(self.rs.pair_root_coroot(a, b) * self.rs.pair_root_coroot(b, a))
 
-    def braid_defect(self, i: int, j: int, lam: Vec) -> tuple[int | None, NormalForm]:
+    def braid_defect(self, i: int, j: int, lam: PointKey) -> tuple[int | None, NormalForm]:
         """Filtration degree of the braid difference at lambda; None means exact zero."""
         m = self.braid_order(i, j)
         if m is None:
             raise ValueError(f"letters {i}, {j} generate an infinite dihedral group")
-        lam = vec(lam)
         wa = [i if k % 2 == 0 else j for k in range(m)]
         wb = [j if k % 2 == 0 else i for k in range(m)]
         diff = self.tau_word(wa, lam) - self.tau_word(wb, lam)

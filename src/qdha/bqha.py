@@ -39,7 +39,7 @@ from .algebra import EntryKey, NotInAlgebra, OperatorAlgebra, RatOperator
 from .fm import rank
 from .orderfun import BOrderFunction
 from .polyring import Poly, RatFunc, divide_exact, monomials
-from .rootsys import RootKey, Vec
+from .rootsys import PointKey, RootKey
 from .weyl import Perm
 
 
@@ -47,34 +47,36 @@ class BAlgebra(OperatorAlgebra):
     """The operator calculus for a finite order function on its torus orbit."""
 
     def __init__(self, bof: BOrderFunction):
-        super().__init__(bof.group)
+        super().__init__(bof.group, bof.over)
         self.bof = bof
         self.torus = bof.torus
         self.orbit = bof.torus.points
         # per orbit point ell = v ell0: the stabilizer elements w as
         # (v^-1 w, sgn w), and the negated pulled-back positive roots' product
-        self.trace_terms: dict[Vec, tuple[tuple[tuple[Perm, int], ...], Poly]] = {}
+        self.trace_terms: dict[PointKey, tuple[tuple[tuple[Perm, int], ...], Poly]] = {}
         for ell, v in self.torus.cosets.items():
             v_inv = self.fin.inverse(v)
             signed = tuple((self.fin.compose(v_inv, w), (-1) ** self.fin.length(w))
                            for w in self.fin.elements if self.act_ell(w, ell) == ell)
             den = Poly.const(self.rank, 1)
             for alpha in self.rs.positive_roots:
-                if self.rs.pair_root_point(alpha, ell).denominator == 1:
+                if self.rs.pair_root_point(alpha, ell) % self.den == 0:
                     den = -(den * self.act_poly(v_inv, self.root_poly(alpha)))
             self.trace_terms[ell] = (signed, den)
 
     # ----- points and basis elements -----
 
-    def act_ell(self, w: Perm, ell: Vec) -> Vec:
+    def act_ell(self, w: Perm, ell: PointKey) -> PointKey:
         return self.torus.act(w, ell)
 
-    def _weight(self, ell: Vec) -> Vec:
+    def _weight(self, ell: PointKey) -> PointKey:
         return self.torus.point(ell)
 
-    def _letter(self, i: int, ell: Vec) -> tuple[RootKey, int, Vec]:
+    def _letter(self, i: int, ell: PointKey) -> tuple[RootKey, int, PointKey]:
+        # ell is a canonical orbit point, as every caller passes it through _weight
         alpha = self.rs.simple_root(i)
-        return alpha, self.bof.value(ell, alpha), self.act_ell(self.fin.reflection(alpha), ell)
+        return (alpha, self.bof.table.get((ell, alpha), 0),
+                self.torus._act[self.fin.reflection(alpha), ell])
 
     def _word(self, w: Perm) -> tuple[int, ...]:
         return self.fin.word(w)
@@ -91,15 +93,16 @@ class BAlgebra(OperatorAlgebra):
         """The twist of a block key, after checking that it moves the source to the target."""
         src, tgt, u = key
         if tgt != self.act_ell(u, src):
-            raise ValueError(f"block {key} is inconsistent with the orbit action")
+            raise ValueError(f"block {(self.over(src), self.over(tgt), u)} is inconsistent "
+                             "with the orbit action")
         return u
 
-    def inversion_orders(self, w: Perm, ell: Vec) -> list[tuple[RootKey, int]]:
+    def inversion_orders(self, w: Perm, ell: PointKey) -> list[tuple[RootKey, int]]:
         return [(beta, self.bof.value(ell, beta)) for beta in self.fin.inversions(w)]
 
     # ----- Frobenius structure -----
 
-    def top_coefficients(self, x: RatOperator) -> dict[Vec, Poly]:
+    def top_coefficients(self, x: RatOperator) -> dict[PointKey, Poly]:
         """The nonzero tau_{w0} coefficients of x by source, read off their blocks;
         one with a denominator raises NotInAlgebra (the others are not checked)."""
         w0 = self.fin.longest_element()
@@ -108,12 +111,12 @@ class BAlgebra(OperatorAlgebra):
             if u == w0 and tgt == self.act_ell(w0, src):
                 f = r * self._leading_block(w0, src)[2]
                 if not f.is_poly():
-                    raise NotInAlgebra(f"operator is not in the algebra at source {src}",
+                    raise NotInAlgebra(f"operator is not in the algebra at source {self.over(src)}",
                                        offenders=[w0])
                 out[src] = f.as_poly()
         return out
 
-    def coefficient_trace(self, ell: Vec, f: Poly) -> Poly:
+    def coefficient_trace(self, ell: PointKey, f: Poly) -> Poly:
         """The trace of ``f tau_{w0} e(ell)``, as the signed sum over the stabilizer."""
         signed, den = self.trace_terms[ell]
         num = Poly.zero(self.rank)
@@ -129,7 +132,7 @@ class BAlgebra(OperatorAlgebra):
             total = total + self.coefficient_trace(ell, f)
         return total
 
-    def spanning_set(self, degree_bound: int) -> list[tuple[Vec, Perm, Poly]]:
+    def spanning_set(self, degree_bound: int) -> list[tuple[PointKey, Perm, Poly]]:
         """All (ell, w, monomial) with 2|monomial| + deg tau_w e(ell) <= bound."""
         out = []
         monos = monomials(self.rank, degree_bound // 2)
@@ -158,7 +161,7 @@ class BAlgebra(OperatorAlgebra):
                 out[key] = out[key] + term if key in out else term
         return RatOperator.from_dict(out)
 
-    def gram_matrix(self, degree_bound: int) -> tuple[list[tuple[Vec, Perm, Poly]],
+    def gram_matrix(self, degree_bound: int) -> tuple[list[tuple[PointKey, Perm, Poly]],
                                                       dict[tuple[int, int], Poly]]:
         """The exact trace-pairing matrix on the bounded spanning set, as its
         nonzero entries keyed by (row, column).
@@ -173,13 +176,13 @@ class BAlgebra(OperatorAlgebra):
         ``g(f)`` are taken once per product and ``g(m_i)`` once per monomial.
         """
         span = self.spanning_set(degree_bound)
-        columns: dict[Vec, list[int]] = {}
+        columns: dict[PointKey, list[int]] = {}
         ops = []
         for j, (ell, w, m) in enumerate(span):
             tgt = self.act_ell(w, ell)
             columns.setdefault(tgt, []).append(j)
             ops.append(self.mul(self.poly_mult(m, tgt), self.tau_element(w, ell)))
-        groups: dict[tuple[Vec, Perm], list[int]] = {}
+        groups: dict[tuple[PointKey, Perm], list[int]] = {}
         for i, (ell, w, _) in enumerate(span):
             groups.setdefault((ell, w), []).append(i)
         images: dict[tuple[Perm, Poly], Poly] = {}
@@ -204,7 +207,7 @@ class BAlgebra(OperatorAlgebra):
         return span, matrix
 
     def expected_gram_rank(self) -> int:
-        _, stab = self.group.stabilizer(self.bof.base_point)
+        _, stab = self.group.stabilizer(self.over.key(self.bof.base_point), self.den)
         return len(self.orbit) * len(self.fin.elements) * len(stab)
 
 

@@ -96,7 +96,7 @@ def enumerate_clans(omega: OrderFunction, exploration_bound: int | None = None) 
     walls = wall_roots(omega)
     if exploration_bound is None:
         exploration_bound = 2 * (omega.support_level_radius() + 1) * group.rs.coxeter_number
-    _, walked = group.walk(group.alcove_point, exploration_bound, walls)
+    walked = group.walk(group.alcove_point, exploration_bound, walls)
     found: dict[Sign, WalkState] = {}
     for state, sigma in walked_signs(group, walked):
         found.setdefault(sigma, state)

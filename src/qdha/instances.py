@@ -63,6 +63,14 @@ def _parse_h(raw):
     return Fraction(raw)
 
 
+def _integer(x, key: str) -> int:
+    """x as an int; ValueError naming key if the exact value of x is not an integer."""
+    q = Fraction(x)
+    if q.denominator != 1:
+        raise ValueError(f"'{key}' is {x}; it must be an integer")
+    return int(q)
+
+
 def _rank_vector(data: dict, key: str, rank: int) -> Vec:
     xs = tuple(Fraction(c) for c in data[key])
     if len(xs) != rank:
@@ -83,19 +91,21 @@ def instance_from_data(data: dict) -> InstanceSpec:
         support = {}
         for item in data["omega"]:
             root = item["root"]
-            a = AffineRoot(tuple(int(c) for c in root["alpha"]), int(root["level"]))
-            support[a] = int(item["value"])
+            a = AffineRoot(tuple(_integer(c, "alpha") for c in root["alpha"]),
+                           _integer(root["level"], "level"))
+            support[a] = _integer(item["value"], "value")
         omega = OrderFunction(group, lam0, support)
     else:
         ddaha_h = _parse_h(data["ddaha_h"])
-        omega = from_ddaha_h(group, ddaha_h, lam0, window=int(data.get("window", 12)))
+        window = _integer(data.get("window", 12), "window")
+        omega = from_ddaha_h(group, ddaha_h, lam0, window=window)
     if "gamma" in data:
         margin = omega.support_level_radius() + 1
         gamma = check_gamma(group, _rank_vector(data, "gamma", group.rank), margin)
         gc = GammaChoice(gamma=gamma, margin=margin)
     else:
         gc = choose_gamma(omega)
-    ball = int(data.get("ball", 8))
+    ball = _integer(data.get("ball", 8), "ball")
     if ball < 0:
         raise ValueError(f"'ball' is {ball}; a length bound is >= 0")
     return InstanceSpec(

@@ -29,7 +29,7 @@ from .algebra import RatOperator
 from .clans import Sign
 from .orderfun import BOrderFunction, OrderFunction
 from .polyring import Poly
-from .rootsys import AffineRoot, Lattice, RootKey, Vec, lattice_vector
+from .rootsys import AffineRoot, Lattice, PointKey, RootKey, lattice_vector
 from .weyl import AffineWeylElement, AffineWeylGroup, Perm
 
 
@@ -76,13 +76,15 @@ def pregamma_group(group: AffineWeylGroup, gamma: Lattice, w: Perm) -> AffineWey
     return group.compose(group.compose(xg, group.from_finite(w)), group.inverse(xg))
 
 
-def pregamma_point(omega: OrderFunction, gamma: Lattice, ell: Sequence) -> Vec:
-    """The lift X^gamma w lambda_0 of a torus orbit point, w its chosen representative."""
+def pregamma_point(omega: OrderFunction, gamma: Lattice, ell: PointKey) -> PointKey:
+    """The lift X^gamma w lambda_0 of a torus orbit point, w its chosen representative;
+    keys over D, so the translation adds ``D gamma``."""
+    den = omega.over.den
     pt = omega.torus.lifts[omega.torus.point(ell)]
-    return tuple(p + g for p, g in zip(pt, gamma))
+    return tuple(p + den * g for p, g in zip(pt, gamma))
 
 
-def e_gamma_weights(omega: OrderFunction, gamma: Lattice) -> list[Vec]:
+def e_gamma_weights(omega: OrderFunction, gamma: Lattice) -> list[PointKey]:
     """The idempotent weight set: the lifts of the whole torus orbit, sorted."""
     return sorted(pregamma_point(omega, gamma, ell) for ell in omega.torus.points)
 
@@ -100,7 +102,7 @@ def integral_b_order_function(omega: OrderFunction) -> BOrderFunction:
     """
     group = omega.group
     rs = group.rs
-    table: dict[tuple[Vec, RootKey], int] = {}
+    table: dict[tuple[PointKey, RootKey], int] = {}
     for ell, w in omega.torus.cosets.items():
         for a, v in omega.support.items():
             beta = group.finite.act_root(w, a.alpha)
@@ -129,12 +131,12 @@ def lift(omega: OrderFunction, gamma: Lattice, op: RatOperator) -> RatOperator:
 @dataclass
 class ProductFormulaReport:
     w: Perm
-    ell: Vec
+    ell: PointKey
     scalar: Fraction
     ok: bool
 
 
-def product_formula_check(alg, B, gamma: Lattice, w: Perm, ell: Sequence) -> ProductFormulaReport:
+def product_formula_check(alg, B, gamma: Lattice, w: Perm, ell: PointKey) -> ProductFormulaReport:
     """Compare the affine inversion product with the finite one, up to ±2^k.
 
     Left side: prod over the inversion set of the conjugated reflection word of
@@ -195,16 +197,18 @@ def iso_check(alg, B, gamma: Lattice) -> IsoReport:
     ``lift`` is multiplicative and injective by construction (both algebras
     share ``OperatorAlgebra.mul``, and lifting relabels orbit points); the
     tests pin both.  ``generators`` counts a tau letter and a coordinate
-    variable per simple root at each orbit point."""
+    variable per simple root at each orbit point.  A discrepancy names its
+    orbit points as ``Fraction`` points."""
     omega = alg.omega
     group = alg.group
     generators = 2 * group.rs.rank * len(B.orbit)
+    point = omega.over
     lifts = {ell: pregamma_point(omega, gamma, ell) for ell in B.orbit}
-    first: dict[Vec, Vec] = {}
+    first: dict[PointKey, PointKey] = {}
     discrepancies = []
     for ell, lam in lifts.items():
         if first.setdefault(lam, ell) != ell:
-            discrepancies.append(("coverage", first[lam], ell))
+            discrepancies.append(("coverage", point(first[lam]), point(ell)))
     if discrepancies:
         return IsoReport(generators=generators, discrepancies=discrepancies, scalars={})
 
@@ -219,7 +223,7 @@ def iso_check(alg, B, gamma: Lattice) -> IsoReport:
             op = lift(omega, gamma, B.tau_element(w, ell))
             if group.finite.length(w) == 1 and not all(
                     f.is_poly() for f in alg.normal_form_rational(op)[1].values()):
-                discrepancies.append(("membership", ell, w))
+                discrepancies.append(("membership", point(ell), w))
                 continue
             blocks = {ranked(key): r for key, r in op.entries}
             expected = ranked((lam, lifts[omega.torus.act(w, ell)], w))
@@ -227,7 +231,7 @@ def iso_check(alg, B, gamma: Lattice) -> IsoReport:
             if expected in blocks and all(b[0] < expected[0] for b in blocks if b != expected):
                 lead = blocks[expected] / alg.inversion_leading_coefficient(expected[1], lam)
             if lead is None or not lead.is_constant():
-                discrepancies.append(("triangularity", ell, w))
+                discrepancies.append(("triangularity", point(ell), w))
             else:
                 scalars[(ell, w)] = lead.num.constant_value()
     return IsoReport(generators=generators, discrepancies=discrepancies, scalars=scalars)
@@ -270,7 +274,7 @@ def gamma_change(alg, B, gamma: Lattice, gamma2: Lattice) -> GammaChangeReport:
 
     B's finite order function does not depend on the lift, so B is lifted
     to both (the ``integral`` sweep compares it with the integral along
-    each lift)."""
+    each lift).  A failure names its orbit point as a ``Fraction`` point."""
     omega = alg.omega
     rank = alg.group.rs.rank
     phi12 = gamma_change_intertwiner(alg, gamma, gamma2)
@@ -279,8 +283,9 @@ def gamma_change(alg, B, gamma: Lattice, gamma2: Lattice) -> GammaChangeReport:
     right = alg.mul(phi21, phi12) == e_gamma_idempotent(alg, gamma2)
     failures = []
     for ell in B.orbit:
-        gens = [(("tau", i, ell), B.tau_letter(i, ell)) for i in range(rank)]
-        gens.append((("poly", ell), B.poly_mult(Poly.variable(rank, 0), ell)))
+        pt = omega.over(ell)
+        gens = [(("tau", i, pt), B.tau_letter(i, ell)) for i in range(rank)]
+        gens.append((("poly", pt), B.poly_mult(Poly.variable(rank, 0), ell)))
         for where, x in gens:
             conj = alg.mul(alg.mul(phi12, lift(omega, gamma2, x)), phi21)
             if conj != lift(omega, gamma, x):

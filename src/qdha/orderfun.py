@@ -18,14 +18,21 @@ representatives).  The orbit itself is tabulated once, by ``TorusOrbit``.
 Both extraction recipes from deformation parameters ``h`` are exact: the
 affine one reads off orders of vanishing of ``(z - h_a)/z`` at rational
 points, the finite one reduces to congruences of exponents modulo 1.
+
+Weights and torus points are integers.  Every weight ``w lambda_0 + mu`` is an
+integer vector over the denominator D of ``lambda_0``, so it is keyed by its
+numerators over D (``rootsys.PointKey``), and a torus point by the canonical
+numerators in ``[0, D)``.  The order function holds D as ``over``, a
+``weyl.PointsOver``, which turns a ``Fraction`` point into its key and back;
+only the input ``lambda_0`` and written reports hold ``Fraction`` points.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .rootsys import AffineRoot, RootKey, Vec, vec
-from .weyl import AffineWeylElement, AffineWeylGroup, Perm
+from .rootsys import AffineRoot, PointKey, RootKey, vec
+from .weyl import AffineWeylElement, AffineWeylGroup, Perm, PointsOver, common_denominator
 
 
 class InvalidOrderFunction(ValueError):
@@ -36,13 +43,12 @@ class WindowTooSmall(ValueError):
     pass
 
 
-def torus_point(x: Vec) -> Vec:
-    """Canonical representative of a point of E modulo the coroot lattice."""
-    return tuple(c - (c.numerator // c.denominator) for c in map(Fraction, x))
-
-
 class TorusOrbit:
     """The finite Weyl orbit of the torus point of ``base``, tabulated once.
+
+    A point is keyed by its numerators over the denominator D of ``base``
+    (``over.den``); a torus point, a point modulo the coroot lattice, by its
+    canonical numerators in ``[0, D)``.
 
     * ``points``: the canonical torus points of the orbit, sorted;
     * ``cosets``: per point, the shortest finite element sending the base
@@ -58,36 +64,43 @@ class TorusOrbit:
     def __init__(self, group: AffineWeylGroup, base: Sequence):
         fin = group.finite
         self.base = vec(base)
-        image: dict[Perm, Vec] = {}
-        cosets: dict[Vec, Perm] = {}
-        lifts: dict[Vec, Vec] = {}
+        self.over = PointsOver(common_denominator(self.base))
+        den = self.over.den
+        base_key = self.over.key(self.base)
+        image: dict[Perm, PointKey] = {}
+        cosets: dict[PointKey, Perm] = {}
+        lifts: dict[PointKey, PointKey] = {}
         for w in fin.shortlex:
-            lam = fin.act_point(w, self.base)
-            ell = image[w] = torus_point(lam)
+            lam = fin.act_point(w, base_key)
+            ell = image[w] = tuple(c % den for c in lam)
             if ell not in cosets:
                 cosets[ell] = w
                 lifts[ell] = lam
-        self.points: tuple[Vec, ...] = tuple(sorted(cosets))
-        self.cosets: dict[Vec, Perm] = {ell: cosets[ell] for ell in self.points}
-        self.lifts: dict[Vec, Vec] = {ell: lifts[ell] for ell in self.points}
+        self.points: tuple[PointKey, ...] = tuple(sorted(cosets))
+        self.cosets: dict[PointKey, Perm] = {ell: cosets[ell] for ell in self.points}
+        self.lifts: dict[PointKey, PointKey] = {ell: lifts[ell] for ell in self.points}
         # w (v base) = (w v) base
-        self._act: dict[tuple[Perm, Vec], Vec] = {
+        self._act: dict[tuple[Perm, PointKey], PointKey] = {
             (w, ell): image[fin.compose(w, v)] for w in fin.elements for ell, v in self.cosets.items()
         }
 
-    def point(self, x: Sequence) -> Vec:
-        """The canonical torus point of x, which must lie in the orbit."""
-        ell = torus_point(vec(x))
+    def _outside(self, ell: PointKey) -> ValueError:
+        return ValueError(f"{self.over(ell)} is not in the torus orbit of {self.base}")
+
+    def point(self, x: PointKey) -> PointKey:
+        """The canonical torus point of the weight keyed x, which must lie in the orbit."""
+        den = self.over.den
+        ell = tuple(c % den for c in x)
         if ell not in self.cosets:
-            raise ValueError(f"{ell} is not in the torus orbit of {self.base}")
+            raise self._outside(ell)
         return ell
 
-    def act(self, w: Perm, ell: Vec) -> Vec:
+    def act(self, w: Perm, ell: PointKey) -> PointKey:
         """The canonical point of ``w ell`` for an orbit point ell."""
         try:
             return self._act[w, ell]
         except KeyError:
-            raise ValueError(f"{ell} is not in the torus orbit of {self.base}") from None
+            raise self._outside(ell) from None
 
 
 class OrderFunction:
@@ -105,10 +118,13 @@ class OrderFunction:
         self.support: dict[AffineRoot, int] = {
             a: int(v) for a, v in sorted(support.items()) if int(v) != 0
         }
-        self.validate()
         self.torus = TorusOrbit(group, self.base_point)
+        # D, and the conversions between weights and their keys over it
+        self.over = self.torus.over
+        self.base_key = self.over.key(self.base_point)
+        self.validate()
         # the base point's walk to the fundamental alcove, for every witness
-        self.base_walk = group.to_fundamental_domain(self.base_point)
+        self.base_walk = group.to_fundamental_domain(self.base_key, self.over.den)
 
     # ----- validation -----
 
@@ -121,7 +137,7 @@ class OrderFunction:
                 raise InvalidOrderFunction(f"value {v} at {a} is below -1")
             if v == -1 and ars.evaluate(a, self.base_point) != 0:
                 raise InvalidOrderFunction(f"value -1 at {a} but a(lambda0) != 0")
-        _, stab = self.group.stabilizer(self.base_point)
+        _, stab = self.group.stabilizer(self.base_key, self.over.den)
         for g in stab:
             for a, v in self.support.items():
                 if self.value(self.group.act_root(g, a)) != v:
@@ -139,9 +155,9 @@ class OrderFunction:
         """omega at ``w lambda0`` as the table ``{w a: omega(a)}``, the same for every witness w."""
         return {self.group.act_root(witness, a): v for a, v in self.support.items()}
 
-    def witness(self, lam: Sequence) -> AffineWeylElement | None:
+    def witness(self, lam: PointKey) -> AffineWeylElement | None:
         """Some w with w lambda0 = lam, or None if lam is not in the orbit."""
-        return self.group.witness_from(vec(lam), self.base_walk)
+        return self.group.witness_from(lam, self.over.den, self.base_walk)
 
     def support_level_radius(self) -> int:
         if not self.support:
@@ -187,19 +203,20 @@ def from_ddaha_h(group: AffineWeylGroup, h, base_point: Sequence, window: int) -
 class BOrderFunction:
     """The finite order function on the torus orbit of ``exp(lambda0)``.
 
-    Stored as a table over (canonical torus point, positive root).
+    Stored as a table over (canonical torus point key, positive root).
     """
 
     def __init__(self, group: AffineWeylGroup, base_point: Sequence,
-                 table: Mapping[tuple[Vec, RootKey], int]):
+                 table: Mapping[tuple[PointKey, RootKey], int]):
         self.group = group
         self.rs = group.rs
         self.base_point = vec(base_point)
         self.table = {k: int(v) for k, v in table.items()}
         self.torus = TorusOrbit(group, self.base_point)
+        self.over = self.torus.over
         self.validate()
 
-    def value(self, ell: Vec, alpha: RootKey) -> int:
+    def value(self, ell: PointKey, alpha: RootKey) -> int:
         return self.table.get((self.torus.point(ell), alpha), 0)
 
     def validate(self) -> None:
@@ -207,9 +224,10 @@ class BOrderFunction:
         fin = self.group.finite
         for (ell, alpha), v in self.table.items():
             if v < -1:
-                raise InvalidOrderFunction(f"value {v} below -1 at {(ell, alpha)}")
-            if v == -1 and rs.pair_root_point(alpha, ell).denominator != 1:
-                raise InvalidOrderFunction(f"-1 at {(ell, alpha)} but Y^alpha(ell) != 1")
+                raise InvalidOrderFunction(f"value {v} below -1 at {(self.over(ell), alpha)}")
+            if v == -1 and rs.pair_root_point(alpha, ell) % self.over.den:
+                raise InvalidOrderFunction(
+                    f"-1 at {(self.over(ell), alpha)} but Y^alpha(ell) != 1")
         # equivariance on positive pairs
         for (ell, alpha), v in self.table.items():
             for w in fin.elements:
@@ -217,7 +235,8 @@ class BOrderFunction:
                 if rs.is_positive_root(walpha):
                     key = (self.torus.act(w, ell), walpha)
                     if key in self.table and self.table[key] != v:
-                        raise InvalidOrderFunction(f"not equivariant at {(ell, alpha)} vs {key}")
+                        raise InvalidOrderFunction(f"not equivariant at {(self.over(ell), alpha)} "
+                                                   f"vs {(self.over(key[0]), walpha)}")
 
 
 def from_ddaha_k(group: AffineWeylGroup, h, base_point: Sequence) -> BOrderFunction:
@@ -228,17 +247,15 @@ def from_ddaha_k(group: AffineWeylGroup, h, base_point: Sequence) -> BOrderFunct
     by congruences of the exponents modulo 1; no complex numbers are needed.
     """
     rs = group.rs
-    base_point = vec(base_point)
-    bof_table: dict[tuple[Vec, RootKey], int] = {}
-
-    def congruent(x: Fraction, y: Fraction) -> bool:
-        return (x - y).denominator == 1
-
-    for ell in TorusOrbit(group, base_point).points:
+    torus = TorusOrbit(group, base_point)
+    den = torus.over.den
+    bof_table: dict[tuple[PointKey, RootKey], int] = {}
+    for ell in torus.points:
         for alpha in rs.positive_roots:
-            yexp = rs.pair_root_point(alpha, ell)            # Y^alpha(ell) = e(yexp)
+            yexp = rs.pair_root_point(alpha, ell)            # Y^alpha(ell) = e(yexp / D)
             halpha = _orbit_parameter(h, rs, alpha)          # v_alpha^2 = e(h_alpha)
-            order = (1 if congruent(yexp, halpha) else 0) - (1 if congruent(yexp, 0) else 0)
+            order = ((1 if (Fraction(yexp, den) - halpha).denominator == 1 else 0)
+                     - (1 if yexp % den == 0 else 0))
             if order:
                 bof_table[(ell, alpha)] = order
     return BOrderFunction(group, base_point, bof_table)

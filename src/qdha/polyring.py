@@ -241,13 +241,20 @@ class Poly:
         return _canonical(nvars, out, self.denom * d ** top)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        total = Fraction(0)
+        """The value at a rational point, in integers: with ``point = xs / q`` over
+        its common denominator q and d the total degree, it is
+        ``sum_m c_m xs^m q^(d - |m|)`` over ``q^d denom``, one ``Fraction`` in all."""
+        point = [Fraction(x) for x in point]
+        q = lcm(*(x.denominator for x in point))
+        xs = [x.numerator * (q // x.denominator) for x in point]
+        d = max(self.total_degree(), 0)
+        total = 0
         for m, c in self.numer.items():
-            v = Fraction(c)
-            for x, e in zip(point, m):
-                v *= Fraction(x) ** e
-            total += v
-        return total / self.denom
+            for x, e in zip(xs, m):
+                if e:
+                    c *= x ** e
+            total += c * q ** (d - sum(m))
+        return Fraction(total, q ** d * self.denom)
 
     # ----- printing -----
 

@@ -6,7 +6,8 @@ the simple-root basis, and all pairings go through the Gram matrix of the simple
 roots.  Points of the reflection space E are stored by their coordinates in the
 simple-coroot basis, so that lattice membership and root evaluation are exact;
 a vector of the coroot lattice, a coroot or a translation, is a tuple of ints,
-checked once by ``lattice_vector``.
+checked once by ``lattice_vector``.  A weight of an instance is a tuple of
+ints too, its numerators over the instance's denominator (``PointKey``).
 
 An affine root ``a = alpha + k`` is the affine function ``x -> <alpha, x> + k``
 on E; the affine roots are ``{alpha + k : alpha in R, k in Z}``.  Every system
@@ -19,10 +20,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+# a point of E in simple-coroot coordinates, as exact rationals: an input such
+# as the base point lambda_0, or a weight written out in a report
 Vec = tuple[Fraction, ...]
 RootKey = tuple[int, ...]
 # a coroot-lattice vector in simple-coroot coordinates
 Lattice = tuple[int, ...]
+# a weight of an instance: the integer numerators of its simple-coroot
+# coordinates over the instance's one denominator D (``weyl.PointsOver``)
+PointKey = tuple[int, ...]
 
 
 def vec(xs: Iterable) -> Vec:
@@ -208,7 +214,8 @@ class FiniteRootSystem:
 
     def pair_root_point(self, a: RootKey, x: Sequence) -> Fraction:
         """``<a, x>`` for a point x given in simple-coroot coordinates; an integer
-        for a lattice vector x."""
+        for a lattice vector x, and the numerator of ``<a, x>`` over D for the
+        key x of a weight over D."""
         return _int_combination(self._point_terms[a], x)
 
     def reflect_root(self, by: RootKey, a: RootKey) -> RootKey:

@@ -27,6 +27,13 @@ elements g that reach it, and the states found within n steps are exactly
 ``{(g lambda_0, g roots) : l(g) <= n}``.  ``walk`` is the only breadth-first
 search over the group: ``ball`` is the walk from ``alcove_point``, whose
 stabiliser is trivial, so there each state is one element.
+
+The weights of an instance are handled the same way everywhere: every weight
+``w lambda_0 + mu``, mu in the coroot lattice, is an integer vector over the
+denominator D of ``lambda_0``, so it is keyed by its numerators
+(``PointKey``).  ``act_point``, ``to_fundamental_domain``, ``witness_from``
+and ``stabilizer`` work on keys over a given D, in integers only;
+``PointsOver`` converts between keys and ``Fraction`` points.
 """
 from __future__ import annotations
 
@@ -35,8 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rootsys import (AffineRoot, AffineRootSystem, FiniteRootSystem, Lattice, RootKey, Vec,
-                      _int_combination, lattice_vector, vec)
+from .rootsys import (AffineRoot, AffineRootSystem, FiniteRootSystem, Lattice, PointKey, RootKey,
+                      Vec, _int_combination, lattice_vector, vec)
 
 Perm = tuple[int, ...]
 # a state of ``AffineWeylGroup.walk``: integer point numerators and root images
@@ -163,8 +170,17 @@ def _invert(w: Perm) -> Perm:
     return tuple(out)
 
 
-class _PointsOver(dict):
-    """Points from integer numerators over one denominator; each ``Fraction`` is built once."""
+def common_denominator(x: Vec) -> int:
+    """The least common denominator of a rational point's coordinates."""
+    return math.lcm(*(c.denominator for c in x))
+
+
+class PointsOver(dict):
+    """The weights over one denominator ``den``, keyed by their integer numerators.
+
+    ``key(x)`` turns a ``Fraction`` point into its key, and calling turns a
+    key back into its point, each ``Fraction`` built once.
+    """
 
     def __init__(self, den: int):
         super().__init__()
@@ -174,8 +190,19 @@ class _PointsOver(dict):
         f = self[c] = Fraction(c, self.den)
         return f
 
-    def __call__(self, x: tuple[int, ...]) -> Vec:
+    def __call__(self, x: PointKey) -> Vec:
         return tuple(map(self.__getitem__, x))
+
+    def key(self, x: Sequence) -> PointKey:
+        """The numerators of x over ``den``; ValueError if a denominator of x does not divide it."""
+        out = []
+        for c in map(Fraction, x):
+            scale, rest = divmod(self.den, c.denominator)
+            if rest:
+                raise ValueError(f"[{', '.join(map(str, x))}] is not a weight over the "
+                                 f"denominator {self.den}")
+            out.append(c.numerator * scale)
+        return tuple(out)
 
 
 @dataclass(frozen=True, order=True)
@@ -245,9 +272,10 @@ class AffineWeylGroup:
         wi = self.finite.inverse(g.w)
         return AffineWeylElement(self.finite.act_point(wi, tuple(-c for c in g.mu)), wi)
 
-    def act_point(self, g: AffineWeylElement, x: Vec) -> Vec:
+    def act_point(self, g: AffineWeylElement, x: PointKey, den: int) -> PointKey:
+        """``g x`` for the key x of a weight over den: ``w x + den mu`` in integers."""
         wx = self.finite.act_point(g.w, x)
-        return tuple(a + b if b else a for a, b in zip(wx, g.mu))
+        return tuple(a + den * b if b else a for a, b in zip(wx, g.mu))
 
     def act_root(self, g: AffineWeylElement, a: AffineRoot) -> AffineRoot:
         # X^mu smashes the level: X^mu b = b - <db, mu>; the finite part permutes roots.
@@ -323,19 +351,20 @@ class AffineWeylGroup:
 
     # ----- stabilizers, orbits, witnesses -----
 
-    def vanishing_roots(self, lam: Vec) -> list[AffineRoot]:
-        """Positive affine roots vanishing at lam (one per wall through lam)."""
+    def vanishing_roots(self, x: PointKey, den: int) -> list[AffineRoot]:
+        """Positive affine roots vanishing at the weight keyed x over den (one per wall
+        through it)."""
         out = []
         for alpha in self.rs.positive_roots:
-            v = self.rs.pair_root_point(alpha, lam)
-            if v.denominator == 1:
-                out.append(AffineRoot(alpha, -int(v)))
+            v = self.rs.pair_root_point(alpha, x)
+            if v % den == 0:
+                out.append(AffineRoot(alpha, -(v // den)))
         return sorted(out)
 
-    def stabilizer(self, lam: Vec) -> tuple[list[AffineWeylElement], list[AffineWeylElement]]:
-        """Generating reflections and the full (finite) stabilizer of a point."""
-        lam = vec(lam)
-        gens = [self.reflection_of(a) for a in self.vanishing_roots(lam)]
+    def stabilizer(self, x: PointKey, den: int) -> tuple[list[AffineWeylElement],
+                                                         list[AffineWeylElement]]:
+        """Generating reflections and the full (finite) stabilizer of the weight keyed x over den."""
+        gens = [self.reflection_of(a) for a in self.vanishing_roots(x, den)]
         elements = {self.identity}
         frontier = [self.identity]
         while frontier:
@@ -349,17 +378,16 @@ class AffineWeylGroup:
             frontier = nxt
         return gens, sorted(elements, key=lambda g: (self.length(g), g.mu, g.w))
 
-    def to_fundamental_domain(self, lam: Vec) -> tuple[Vec, AffineWeylElement]:
-        """The representative of lam in the closed fundamental alcove, with g: g lam = rep.
+    def to_fundamental_domain(self, x0: PointKey, den: int) -> tuple[PointKey, AffineWeylElement]:
+        """The representative in the closed fundamental alcove of the weight keyed x0
+        over den, with g: g x0 = rep; rep is a key over den too.
 
         Reflects in the first affine simple root that is negative at the current
-        point until none is, on integer numerators over a common denominator.
-        Only the finite part w of g is tracked; g = X^nu w with nu = rep - w lam,
-        read off the numerators as ``(x - w x0) // den``, which is exact.
+        point until none is, on the integer numerators.  Only the finite part w
+        of g is tracked; g = X^nu w with nu = rep - w x0, read off the
+        numerators as ``(x - w x0) // den``, which is exact.
         """
-        lam = vec(lam)
-        den = math.lcm(*(c.denominator for c in lam))
-        x0 = x = [c.numerator * (den // c.denominator) for c in lam]
+        x = x0
         w = self.finite.identity
         while True:
             for terms, level, rows, shift, s in self._walk_steps:
@@ -367,29 +395,30 @@ class AffineWeylGroup:
                     break
             else:
                 wx0 = self.finite.act_point(w, x0)
-                return (tuple(Fraction(c, den) for c in x),
+                return (tuple(x),
                         AffineWeylElement(tuple((c - c0) // den for c, c0 in zip(x, wx0)), w))
             x = [sum(c * x[i] for i, c in row) + t * den for row, t in zip(rows, shift)]
             w = self.finite.compose(s, w)
 
-    def witness_from(self, lam: Vec, walk0: tuple[Vec, AffineWeylElement]) -> AffineWeylElement | None:
-        """Some w with w lam0 = lam, given ``walk0 = to_fundamental_domain(lam0)``;
-        None if lam is not in the orbit of lam0."""
-        rep1, g1 = self.to_fundamental_domain(vec(lam))
+    def witness_from(self, x: PointKey, den: int,
+                     walk0: tuple[PointKey, AffineWeylElement]) -> AffineWeylElement | None:
+        """Some w with w x0 = x, given ``walk0 = to_fundamental_domain(x0, den)``;
+        None if x is not in the orbit of x0.  Both are keys over den."""
+        rep1, g1 = self.to_fundamental_domain(x, den)
         rep0, g0 = walk0
         if rep1 != rep0:
             return None
         return self.compose(self.inverse(g1), g0)
 
     def walk(self, lam0: Vec, length_bound: int,
-             roots: Sequence[AffineRoot] = ()) -> tuple[_PointsOver, dict[WalkState, WalkEdge]]:
+             roots: Sequence[AffineRoot] = ()) -> dict[WalkState, WalkEdge]:
         """Every state ``(g lam0, g roots)`` with l(g) <= length_bound, by breadth-first search.
 
-        Returns ``point``, which turns a state's integer numerators back into
-        the point, and, in discovery order, each state with the edge it was
-        found by: ``(layer, parent, letter)``, the state being ``s_letter``
-        applied to ``parent`` (None and None for the start).  An image is
-        stored as ``(root index, level)``.
+        Returns, in discovery order, each state with the edge it was found by:
+        ``(layer, parent, letter)``, the state being ``s_letter`` applied to
+        ``parent`` (None and None for the start).  A state's point is its key
+        over the common denominator of lam0, and an image is stored as
+        ``(root index, level)``.
 
         Exactness: a product of k simple reflections has length <= k, and
         every element of length n is a product of n of them (a reduced word).
@@ -397,7 +426,7 @@ class AffineWeylGroup:
         length <= n, and the layer of a state is the least length reaching it.
         """
         lam0 = vec(lam0)
-        den = math.lcm(*(c.denominator for c in lam0))
+        den = common_denominator(lam0)
         steps = [(rows, tuple(t * den for t in shift), images)
                  for (_, _, rows, shift, _), images in zip(self._walk_steps, self._root_steps)]
         index = self.finite._index
@@ -424,7 +453,7 @@ class AffineWeylGroup:
                         found[new] = (n, state, letter)
                         nxt.append(new)
             frontier = nxt
-        return _PointsOver(den), found
+        return found
 
     def _walk_elements(self, found: dict[WalkState, WalkEdge]) -> dict[WalkState, AffineWeylElement]:
         """An element reaching each state of a ``walk``, in discovery order.
@@ -444,12 +473,12 @@ class AffineWeylGroup:
         These are the elements of ``walk(alcove_point, length_bound)``: the
         stabiliser of ``alcove_point`` is trivial, so each state is one element.
         """
-        return list(self._walk_elements(self.walk(self.alcove_point, length_bound)[1]).values())
+        return list(self._walk_elements(self.walk(self.alcove_point, length_bound)).values())
 
-    def orbit_window(self, lam0: Vec, length_bound: int) -> dict[Vec, AffineWeylElement]:
+    def orbit_window(self, lam0: Vec, length_bound: int) -> dict[PointKey, AffineWeylElement]:
         """All distinct w lam0 with l(w) <= bound, each with a minimal-length witness.
 
-        The points are those of ``walk``, the witnesses its elements.
+        The points are those of ``walk``, keys over the common denominator of
+        lam0; the witnesses are its elements.
         """
-        point, found = self.walk(lam0, length_bound)
-        return {point(x): g for (x, _), g in self._walk_elements(found).items()}
+        return {x: g for (x, _), g in self._walk_elements(self.walk(lam0, length_bound)).items()}

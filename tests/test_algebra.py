@@ -11,9 +11,9 @@ import pytest
 from qdha import cli
 from qdha.algebra import Algebra, NotInAlgebra, RatOperator
 from qdha.bqha import BAlgebra
-from qdha.instances import load_instance
+from qdha.instances import instance_from_data, load_instance
 from qdha.kz import integral_b_order_function, pregamma_point, two_rho_coroot
-from qdha.orderfun import OrderFunction, torus_point
+from qdha.orderfun import OrderFunction
 from qdha.polyring import Poly, RatFunc
 from qdha.rootsys import AffineRoot, affinise, vec
 from qdha.weyl import AffineWeylGroup
@@ -32,7 +32,7 @@ def apply(A, x, lam, f):
     """x applied to the vector with f in slot lam, as sorted (weight, value) pairs."""
     out = {}
     for (src, tgt, u), r in x.entries:
-        if src == vec(lam):
+        if src == lam:
             val = r * RatFunc.from_poly(A.act_poly(u, f))
             out[tgt] = out[tgt] + val if tgt in out else val
     return sorted((k, v) for k, v in out.items() if not v.is_zero())
@@ -43,7 +43,7 @@ def commutation_defect(A, f, word, lam):
     g = A.group.from_word(word)
     assert len(word) == A.group.length(g)
     op = A.tau_word(word, lam)
-    lhs = A.mul(A.poly_mult(f, A.group.act_point(g, lam)), op)
+    lhs = A.mul(A.poly_mult(f, A.group.act_point(g, lam, A.den)), op)
     rhs = A.mul(op, A.poly_mult(A.act_poly(A.group.inverse(g).w, f), lam))
     return A.normal_form(lhs - rhs)
 
@@ -67,7 +67,7 @@ def phi_square_exponent(A, i, lam):
 
 def reynolds(A, f):
     """The average of f over the stabiliser of the base point."""
-    _, stab = A.group.stabilizer(A.omega.base_point)
+    _, stab = A.group.stabilizer(A.omega.base_key, A.den)
     acc = Poly.zero(A.rank)
     for g in stab:
         acc = acc + A.act_poly(g.w, f)
@@ -105,16 +105,16 @@ def a2_generic_algebra():
 
 def test_idempotents():
     A = rank1_algebra()
-    lam = A.omega.base_point
+    lam = A.omega.base_key
     e = A.idempotent(lam)
     assert A.mul(e, e) == e
-    mu = A.group.act_point(A.group.simple_reflection(0), lam)
+    mu = A.group.act_point(A.group.simple_reflection(0), lam, A.den)
     assert A.mul(A.idempotent(mu), e).is_zero()
 
 
 def test_tau_letter_shapes():
     A = a2_wall_algebra()
-    lam = A.omega.base_point
+    lam = A.omega.base_key
     # on the wall with value -1: two blocks (divided difference)
     t = A.tau_letter(1, lam)
     assert len(t.entries) == 2
@@ -127,7 +127,7 @@ def test_tau_letter_shapes():
 
 def test_tau_minus_one_kills_invariants():
     A = a2_wall_algebra()
-    lam = A.omega.base_point
+    lam = A.omega.base_key
     t = A.tau_letter(1, lam)
     alpha = A.root_poly(A.rs.simple_root(0))
     out = apply(A, t, lam, alpha * alpha)
@@ -136,8 +136,8 @@ def test_tau_minus_one_kills_invariants():
 
 def test_rank1_worked_example_products():
     A = rank1_algebra()
-    lp = vec((Fraction(-3, 4),))
-    lm = vec((Fraction(-5, 4),))
+    lp = A.over.key([Fraction(-3, 4)])
+    lm = A.over.key([Fraction(-5, 4)])
     da = A.root_poly(A.rs.simple_root(0))
     s = A.group.finite.reflection(A.rs.simple_root(0))
     for lam, tgt in [(lp, lm), (lm, lp)]:
@@ -148,7 +148,7 @@ def test_rank1_worked_example_products():
 
 def test_normal_form_roundtrip_basis_element():
     A = a2_generic_algebra()
-    lam = A.omega.base_point
+    lam = A.omega.base_key
     g = A.group.from_word((0, 1, 2))
     nf = A.normal_form(A.tau_element(g, lam))
     assert list(nf.coeffs) == [g]
@@ -158,10 +158,11 @@ def test_normal_form_roundtrip_basis_element():
 def test_normal_form_roundtrip_random_words():
     rng = random.Random(101)
     A = a2_generic_algebra()
-    lam0 = A.omega.base_point
+    lam0 = A.omega.base_key
     for _ in range(25):
         word = [rng.randrange(3) for _ in range(rng.randrange(1, 6))]
-        start = A.group.act_point(A.group.from_word([rng.randrange(3) for _ in range(2)]), lam0)
+        g = A.group.from_word([rng.randrange(3) for _ in range(2)])
+        start = A.group.act_point(g, lam0, A.den)
         op = A.tau_word(word, start)
         nf = A.normal_form(op)
         assert nf.filtration_degree(A.group) is None or nf.filtration_degree(A.group) <= len(word)
@@ -170,9 +171,9 @@ def test_normal_form_roundtrip_random_words():
 
 def test_normal_form_rejects_raw_reflection_off_wall():
     A = a2_generic_algebra()
-    lam = A.omega.base_point
+    lam = A.omega.base_key
     s = A.group.simple_reflection(1)
-    tgt = A.group.act_point(s, lam)
+    tgt = A.group.act_point(s, lam, A.den)
     da = A.root_poly(A.rs.simple_root(0))
     bad = RatOperator.from_dict({
         (lam, tgt, s.w): RatFunc(Poly.const(2, 1), {da: 1}),
@@ -183,7 +184,7 @@ def test_normal_form_rejects_raw_reflection_off_wall():
 
 def test_commutation_defect_single_letter():
     A = a2_generic_algebra()
-    lam = A.omega.base_point
+    lam = A.omega.base_key
     x = Poly.variable(2, 0)
     # omega >= 0 everywhere here: single letters commute up to twist exactly
     nf = commutation_defect(A, x, (1,), lam)
@@ -195,7 +196,7 @@ def test_commutation_defect_single_letter():
 
 def test_commutation_defect_divided_difference_constant():
     A = a2_wall_algebra()
-    lam = A.omega.base_point
+    lam = A.omega.base_key
     da = A.root_poly(A.rs.simple_root(0))
     nf = commutation_defect(A, da, (1,), lam)
     assert nf.filtration_degree(A.group) == 0
@@ -205,8 +206,7 @@ def test_commutation_defect_divided_difference_constant():
 def test_commutation_defect_degree_bound_random():
     rng = random.Random(7)
     A = a2_wall_algebra()
-    lam0 = A.omega.base_point
-    window = A.group.orbit_window(lam0, 3)
+    window = A.group.orbit_window(A.omega.base_point, 3)
     pts = sorted(window)
     for _ in range(10):
         word = [rng.randrange(3) for _ in range(rng.randrange(1, 4))]
@@ -224,14 +224,13 @@ def test_braid_defect_zero_function_is_exact():
     W = AffineWeylGroup(affinise("A2"))
     lam0 = vec((Fraction(1, 5), Fraction(1, 7)))
     A = Algebra(OrderFunction(W, lam0, {}))
-    deg, nf = A.braid_defect(0, 1, lam0)
+    deg, nf = A.braid_defect(0, 1, A.omega.base_key)
     assert deg is None and nf.is_zero()
 
 
 def test_braid_defect_bound_a2():
     A = a2_generic_algebra()
-    lam0 = A.omega.base_point
-    for lam in sorted(A.group.orbit_window(lam0, 2)):
+    for lam in sorted(A.group.orbit_window(A.omega.base_point, 2)):
         for (i, j) in [(0, 1), (0, 2), (1, 2)]:
             m = A.braid_order(i, j)
             assert m == 3
@@ -242,7 +241,7 @@ def test_braid_defect_bound_a2():
 def test_braid_defect_infinite_pair_rejected():
     A = rank1_algebra()
     with pytest.raises(ValueError):
-        A.braid_defect(0, 1, A.omega.base_point)
+        A.braid_defect(0, 1, A.omega.base_key)
 
 
 def test_braid_orders_c2():
@@ -276,7 +275,7 @@ def test_braid_order_matches_composition(label):
 
 def test_phi_square_on_wall_is_identity():
     A = a2_wall_algebra()
-    lam = A.omega.base_point  # on the alpha_1 wall with omega = -1
+    lam = A.omega.base_key  # on the alpha_1 wall with omega = -1
     phi = intertwiner_phi(A, 1, lam)
     sq = A.mul(phi, phi)
     assert sq == A.idempotent(lam)
@@ -285,12 +284,11 @@ def test_phi_square_on_wall_is_identity():
 
 def test_phi_square_power_matches_exponent():
     A = rank1_algebra()
-    lam0 = A.omega.base_point
     da = A.root_poly(A.rs.simple_root(0))
-    for lam in sorted(A.group.orbit_window(lam0, 3)):
+    for lam in sorted(A.group.orbit_window(A.omega.base_point, 3)):
         n = phi_square_exponent(A, 1, lam)
         phi1 = intertwiner_phi(A, 1, lam)
-        back = intertwiner_phi(A, 1, A.group.act_point(A.group.simple_reflection(1), lam))
+        back = intertwiner_phi(A, 1, A.group.act_point(A.group.simple_reflection(1), lam, A.den))
         sq = A.mul(back, phi1)
         expect_plus = A.poly_mult(da ** n, lam)
         expect_minus = A.poly_mult(-(da ** n), lam)
@@ -300,7 +298,7 @@ def test_phi_square_power_matches_exponent():
 def test_phi_square_nonunit_across_order_one_wall():
     A = rank1_algebra()
     # lambda_0 = 1/4: crossing a_1 (omega = 1, and omega(-a_1 side) = 1 transported)
-    lam0 = A.omega.base_point
+    lam0 = A.omega.base_key
     assert phi_square_exponent(A, 1, lam0) == 1
     assert phi_square_exponent(A, 0, lam0) == 1
 
@@ -309,21 +307,20 @@ def test_zero_order_function_gives_group_algebra():
     W = AffineWeylGroup(affinise("A2"))
     lam0 = vec((Fraction(1, 5), Fraction(1, 7)))
     A = Algebra(OrderFunction(W, lam0, {}))
-    lam = lam0
+    lam = A.omega.base_key
     phi = intertwiner_phi(A, 1, lam)
     t = A.tau_letter(1, lam)
     assert phi == t
-    back = A.tau_letter(1, A.group.act_point(A.group.simple_reflection(1), lam))
+    back = A.tau_letter(1, A.group.act_point(A.group.simple_reflection(1), lam, A.den))
     assert A.mul(back, t) == A.idempotent(lam)
 
 
 def test_centre_commutes_with_generators():
     A = a2_wall_algebra()
-    lam0 = A.omega.base_point
-    window = sorted(A.group.orbit_window(lam0, 5))
+    window = sorted(A.group.orbit_window(A.omega.base_point, 5))
     x, y = Poly.variable(2, 0), Poly.variable(2, 1)
     candidates = [x, y, x * x, x * y, y * y, x * x * y, x * y * y]
-    inner = sorted(A.group.orbit_window(lam0, 3))
+    inner = sorted(A.group.orbit_window(A.omega.base_point, 3))
     for f in candidates:
         z = reynolds(A, f)
         if z.is_zero():
@@ -337,7 +334,7 @@ def test_centre_commutes_with_generators():
 
 def test_normal_form_degree_grading():
     A = rank1_algebra()
-    lp = vec((Fraction(-3, 4),))
+    lp = A.over.key([Fraction(-3, 4)])
     nf = A.normal_form(A.tau_word([1, 0, 1, 0, 1], lp))
     g = list(nf.coeffs)[0]
     # the sigma operator is alpha^1 * s: its degree is 2 (alpha has degree 2);
@@ -351,9 +348,9 @@ def test_intertwiner_path_within_clan_composes_to_idempotent():
     # adjacent alcoves across a wall with no order value: the two crossing
     # intertwiners are inverse to each other
     A = rank1_algebra()
-    lam = vec((Fraction(-3, 4),))
-    mu = A.group.act_point(A.group.simple_reflection(0), lam)
-    assert mu == vec((Fraction(7, 4),))
+    lam = A.over.key([Fraction(-3, 4)])
+    mu = A.group.act_point(A.group.simple_reflection(0), lam, A.den)
+    assert mu == A.over.key([Fraction(7, 4)])
     phi_out = intertwiner_phi(A, 0, lam)
     phi_back = intertwiner_phi(A, 0, mu)
     assert A.mul(phi_back, phi_out) == A.idempotent(lam)
@@ -363,9 +360,9 @@ def test_intertwiner_path_within_clan_composes_to_idempotent():
 def test_intertwiner_square_not_unit_across_order_wall():
     # crossing a wall with order value 1 gives a square equal to ±root, not a unit
     A = rank1_algebra()
-    lam0 = A.omega.base_point
+    lam0 = A.omega.base_key
     phi_out = intertwiner_phi(A, 1, lam0)
-    phi_back = intertwiner_phi(A, 1, A.group.act_point(A.group.simple_reflection(1), lam0))
+    phi_back = intertwiner_phi(A, 1, A.group.act_point(A.group.simple_reflection(1), lam0, A.den))
     sq = A.mul(phi_back, phi_out)
     da = A.root_poly(A.rs.simple_root(0))
     assert sq == A.poly_mult(da, lam0) or sq == A.poly_mult(-da, lam0)
@@ -375,7 +372,7 @@ def test_tau_word_choice_changes_only_lower_degree():
     # two reduced words of the same element differ by lower filtration terms
     A = a2_generic_algebra()
     W = A.group
-    lam = A.omega.base_point
+    lam = A.omega.base_key
     cases = [((0, 1, 0), (1, 0, 1)), ((0, 2, 0), (2, 0, 2)), ((1, 2, 1), (2, 1, 2))]
     for wa, wb in cases:
         if W.from_word(wa) != W.from_word(wb):
@@ -399,7 +396,7 @@ def test_g2_operator_smoke():
     A = Algebra(OrderFunction(W, lam0, {a: 1 for a in W.ars.delta}))
     for _ in range(5):
         word = [rng.randrange(3) for _ in range(rng.randrange(1, 5))]
-        op = A.tau_word(word, lam0)
+        op = A.tau_word(word, A.omega.base_key)
         nf = A.normal_form(op)
         assert A.reconstruct(nf) == op
 
@@ -409,11 +406,11 @@ def test_invalid_block_rejected(finite):
     # a block whose target is not its twist applied to its source is refused:
     # no affine element connects the weights, or the torus points disagree
     A = a2_generic_algebra()
-    lam = A.omega.base_point
+    lam = A.omega.base_key
     if finite:
         A = BAlgebra(integral_b_order_function(A.omega))
-        lam = torus_point(lam)
-    other = vec((lam[0] + Fraction(1, 2), lam[1]))
+        lam = A.torus.point(lam)
+    other = (lam[0] + 1, lam[1])  # 1/D off the target: no twist reaches it
     bad = RatOperator.from_dict({
         (lam, other, A.group.finite.identity): RatFunc.from_poly(Poly.const(2, 1)),
     })
@@ -429,7 +426,7 @@ def test_lost_leading_block_raises(finite, monkeypatch):
         return BAlgebra(integral_b_order_function(A.omega)) if finite else A
 
     A = make()
-    lam = A._weight(A.bof.base_point if finite else A.omega.base_point)
+    lam = A._weight(A.over.key(A.bof.base_point if finite else A.omega.base_point))
     g = A.group.finite.simple[0] if finite else A.group.simple_reflection(0)
     x = A.tau_element(g, lam)
     broken = make()
@@ -455,7 +452,7 @@ def test_leading_coefficient_matches_inversion_product():
     # (-root)^(order value) over the inversion set of g
     A = a2_wall_algebra()
     W = A.group
-    lam0 = A.omega.base_point
+    lam0 = A.omega.base_key
     for g in W.ball(4):
         lam = lam0
         direct = leading_coefficient(A, g, lam)
@@ -488,16 +485,16 @@ def test_translation_walks_only_its_source(monkeypatch):
     spec = load_instance(INSTANCES / "c2_generic.json")
     alg, omega, W = spec.algebra(), spec.omega, spec.group
     gamma = spec.gamma_choice.gamma
-    gamma2 = vec(tuple(2 * c - r for c, r in zip(gamma, two_rho_coroot(W))))
+    gamma2 = tuple(2 * c - r for c, r in zip(gamma, two_rho_coroot(W)))
     walked = []
     witness = OrderFunction.witness
 
     def counting(self, lam):
-        walked.append(vec(lam))
+        walked.append(lam)
         return witness(self, lam)
 
     monkeypatch.setattr(OrderFunction, "witness", counting)
-    diff = vec(tuple(a - b for a, b in zip(gamma, gamma2)))
+    diff = tuple(a - b for a, b in zip(gamma, gamma2))
     for ell in omega.torus.points:
         src = pregamma_point(omega, gamma2, ell)
         walked.clear()
@@ -505,3 +502,59 @@ def test_translation_walks_only_its_source(monkeypatch):
         assert walked == [src]
         tgt = pregamma_point(omega, gamma, ell)
         assert alg._moved[tgt] == omega.moved(witness(omega, tgt))
+
+
+def is_key(x):
+    return type(x) is tuple and all(type(c) is int for c in x)
+
+
+def assert_int_keys(alg):
+    """Every weight key of an operator algebra's caches and orbit tables is a tuple of ints."""
+    assert alg._tau_elt
+    for (_, lam), (op, _, _) in alg._tau_elt.items():
+        assert is_key(lam)
+        for (src, tgt, _), _ in op.entries:
+            assert is_key(src) and is_key(tgt)
+    for lam in getattr(alg, "_moved", ()):
+        assert is_key(lam)
+
+
+def assert_int_orbit(orbit):
+    assert orbit.points and all(map(is_key, orbit.points))
+    assert all(map(is_key, orbit.cosets)) and all(map(is_key, orbit.lifts))
+    assert all(map(is_key, orbit.lifts.values()))
+    assert all(is_key(ell) and is_key(img) for (_, ell), img in orbit._act.items())
+
+
+def test_no_weight_key_holds_a_fraction():
+    # after the lifting sweeps on c2_generic, the affine and finite caches,
+    # blocks and orbit tables hold ints only
+    spec = load_instance(INSTANCES / "c2_generic.json")
+    alg, B = spec.algebra(), spec.b_algebra()
+    spec.algebra, spec.b_algebra = (lambda: alg), (lambda: B)
+    for check in ("iso", "gamma", "product"):
+        assert cli.CHECK_FUNCS[check](spec, spec.ball, 0)["pass"]
+    assert alg._moved
+    assert_int_keys(alg)
+    assert_int_keys(B)
+    assert_int_orbit(spec.omega.torus)
+    assert_int_orbit(B.torus)
+    assert all(is_key(ell) for ell, _ in B.bof.table)
+
+
+def test_no_weight_key_holds_a_fraction_in_the_frobenius_sweep():
+    # the a2_wall_lite data: lambda_0 = (1/7, 2/7), order -1 on +-alpha_1
+    spec = instance_from_data({
+        "type": "A2",
+        "lambda0": ["1/7", "2/7"],
+        "omega": [
+            {"root": {"alpha": [1, 0], "level": 0}, "value": -1},
+            {"root": {"alpha": [-1, 0], "level": 0}, "value": -1},
+        ],
+    })
+    B = spec.b_algebra()
+    spec.b_algebra = lambda: B
+    assert cli.CHECK_FUNCS["frobenius"](spec, spec.ball, 3)["pass"]
+    assert_int_keys(B)
+    assert_int_orbit(B.torus)
+    assert all(is_key(ell) for ell, _ in B.bof.table) and B.bof.table

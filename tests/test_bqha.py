@@ -9,7 +9,7 @@ from qdha.algebra import NotInAlgebra, RatOperator
 from qdha.bqha import BAlgebra, gram_rank_at_point
 from qdha.instances import instance_from_data, load_instance
 from qdha.kz import integral_b_order_function
-from qdha.orderfun import BOrderFunction, OrderFunction, torus_point
+from qdha.orderfun import BOrderFunction, OrderFunction
 from qdha.polyring import Poly, RatFunc
 from qdha.rootsys import affinise, vec
 from qdha.weyl import AffineWeylGroup
@@ -35,7 +35,7 @@ def rank1_b_algebra():
 def nil_hecke_a1():
     W = AffineWeylGroup(affinise("A1"))
     lam0 = vec((Fraction(0),))
-    bof = BOrderFunction(W, lam0, {(torus_point(lam0), (1,)): -1})
+    bof = BOrderFunction(W, lam0, {((0,), (1,)): -1})  # the torus point 0, over D = 1
     return BAlgebra(bof)
 
 
@@ -116,11 +116,11 @@ def test_minus_one_kills_invariants():
 
 def test_rank1_omega_one_generator():
     B = rank1_b_algebra()
-    ellp = torus_point(vec((Fraction(-3, 4),)))
+    ellp = B.torus.point(B.over.key([Fraction(-3, 4)]))
     t = B.tau_letter(0, ellp)
     alpha = B.root_poly((1,))
     s = B.fin.reflection((1,))
-    assert t.entries == (((ellp, torus_point(vec((Fraction(-5, 4),))), s),
+    assert t.entries == (((ellp, B.torus.point(B.over.key([Fraction(-5, 4)])), s),
                           RatFunc.from_poly(alpha)),)
 
 
@@ -175,7 +175,7 @@ def test_trace_of_idempotent_vanishes():
 def test_trace_of_top_basis_element_trivial_stabilizer():
     B = rank1_b_algebra()
     w0 = B.fin.longest_element()
-    ell0 = torus_point(B.bof.base_point)
+    ell0 = B.torus.point(B.over.key(B.bof.base_point))
     assert B.frobenius_trace(B.tau_element(w0, ell0)) == Poly.const(1, 1)
     f = Poly.variable(1, 0) ** 2
     x = B.mul(B.poly_mult(f, B.act_ell(w0, ell0)), B.tau_element(w0, ell0))
@@ -195,7 +195,7 @@ def test_trace_reduced_word_independence_of_theta():
     # reduced words s1 s2 s1 = s2 s1 s2 of the longest element of A2 at 0
     W = AffineWeylGroup(affinise("A2"))
     lam0 = vec((Fraction(0), Fraction(0)))
-    bof = BOrderFunction(W, lam0, {(torus_point(lam0), a): -1
+    bof = BOrderFunction(W, lam0, {((0, 0), a): -1  # the torus point 0, over D = 1
                                    for a in W.rs.positive_roots})
     B = BAlgebra(bof)
     rng = random.Random(77)
@@ -398,6 +398,29 @@ def test_gram_rank_by_blocks_on_gram_matrix():
     assert gram_rank_at_point(matrix, point) == dense_rank(values)
 
 
+def fraction_evaluate(f, point):
+    """``f`` at a rational point, one ``Fraction`` product per term and power."""
+    total = Fraction(0)
+    for m, c in f.numer.items():
+        v = Fraction(c)
+        for x, e in zip(point, m):
+            v *= Fraction(x) ** e
+        total += v
+    return total / f.denom
+
+
+@pytest.mark.parametrize("name", ["a2_generic", "a2_wall"])
+def test_integer_evaluation_of_gram_entries(name):
+    # Poly.evaluate works on the integer numerators over the point's common
+    # denominator; it must agree with term-by-term Fraction arithmetic
+    _, matrix = instance_b_algebra(name).gram_matrix(4)
+    assert matrix
+    for point in [(Fraction(3, 5), Fraction(5, 7)), (Fraction(-2, 3), Fraction(4)),
+                  (Fraction(0), Fraction(1, 6))]:
+        for entry in matrix.values():
+            assert entry.evaluate(point) == fraction_evaluate(entry, point)
+
+
 def test_theta_words_frozen_per_orbit_point():
     # one trace table entry per orbit point; each stabilizer is one
     # reflection, so each trace is a single divided difference pulled back
@@ -409,7 +432,7 @@ def test_theta_words_frozen_per_orbit_point():
         signed, den = B.trace_terms[ell]
         assert sorted(sign for _, sign in signed) == [-1, 1]
         assert den.total_degree() == 1
-        roots = [a for a in B.rs.positive_roots if B.rs.pair_root_point(a, ell).denominator == 1]
+        roots = [a for a in B.rs.positive_roots if B.rs.pair_root_point(a, ell) % B.den == 0]
         assert len(roots) == 1
         f = Poly(2, {(rng.randrange(3), rng.randrange(1, 3)): Fraction(rng.randrange(1, 5))})
         pull = B.fin.inverse(B.torus.cosets[ell])

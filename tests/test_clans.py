@@ -15,6 +15,7 @@ from qdha.kz import choose_gamma, clans_met
 from qdha.orderfun import OrderFunction
 from qdha.rootsys import AffineRoot, AffineRootSystem, affinise, vec
 from qdha.weyl import AffineWeylGroup
+from test_tables import fraction_act_point
 from test_weyl import element_ball
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -24,7 +25,7 @@ INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 def alcove_point(W, g):
     """Interior sample point of the alcove g^{-1}(fundamental alcove)."""
-    return W.act_point(W.inverse(g), W.alcove_point)
+    return fraction_act_point(W, W.inverse(g), W.alcove_point)
 
 
 def clan_of(omega, g, walls):

@@ -1,8 +1,8 @@
 """Command line behaviour: reports, exit codes, determinism."""
 import json
+import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,9 +10,8 @@ import pytest
 from qdha import cli, kz
 from qdha.algebra import NonTerminating, RatOperator
 from qdha.clans import IncompleteExploration
-from qdha.instances import load_instance
+from qdha.instances import instance_from_data, load_instance
 from qdha.cli import main
-from qdha.rootsys import vec
 
 ROOT = Path(__file__).resolve().parent.parent
 A1 = str(ROOT / "instances" / "a1_quarter.json")
@@ -117,6 +116,47 @@ def test_malformed_instance_is_a_usage_error(tmp_path, capsys, argv, changes, me
     assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
 
+def a2_root_variant(tmp_path, key, x):
+    """a2_generic with ``key`` of its first support root set to x."""
+    data = json.loads(Path(A2).read_text())
+    target = data["omega"][0]
+    (target if key == "value" else target["root"])[key] = x
+    return a2_variant(tmp_path, omega=data["omega"])
+
+
+def a1h_variant(tmp_path, **changes):
+    data = json.loads(Path(A1H).read_text())
+    data.update(changes)
+    path = tmp_path / "a1h_variant.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda tmp: a2_root_variant(tmp, "value", 1.7), "'value' is 1.7; it must be an integer"),
+    (lambda tmp: a2_root_variant(tmp, "level", 0.5), "'level' is 0.5; it must be an integer"),
+    (lambda tmp: a2_root_variant(tmp, "alpha", [1.5, 0]), "'alpha' is 1.5; it must be an integer"),
+    (lambda tmp: a2_variant(tmp, ball=2.9), "'ball' is 2.9; it must be an integer"),
+    (lambda tmp: a1h_variant(tmp, window=12.5), "'window' is 12.5; it must be an integer"),
+], ids=["value", "level", "alpha", "ball", "window"])
+def test_non_integer_instance_number_is_a_usage_error(tmp_path, capsys, make, message):
+    # a number that must be an integer is refused, not truncated
+    code = main(["describe", "--instance", make(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+def test_integral_float_instance_numbers_load():
+    # a float whose exact value is an integer is that integer
+    data = json.loads(Path(A2).read_text())
+    data["omega"][0]["value"] = 1.0
+    data["ball"] = 8.0
+    spec = instance_from_data(data)
+    assert spec.ball == 8 and type(spec.ball) is int
+    assert sorted(spec.omega.support.values()) == [1, 1, 1]
+    assert all(type(v) is int for v in spec.omega.support.values())
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", '{"type": "A2", "lambda0": 5, "omega": []}'])
 def test_instance_of_the_wrong_shape_is_a_usage_error(tmp_path, capsys, text):
     path = tmp_path / "shape.json"
@@ -148,6 +188,24 @@ def test_example_a1(capsys):
     assert data["clans"] == 3
     assert data["product_scalar"] == "1"
     assert data["projective_exponent"] == 1
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "--instance", A1, "--check", "length", "--json"], 0),
+    (["describe", "--instance", str(ROOT / "instances" / "a2_wall.json"), "--json"], 0),
+])
+def test_reader_closing_stdout_early_keeps_the_exit_code(argv, code):
+    # as in `qdha ... | head -1`: the reader is gone before the report is
+    # written, so writing it fails; the exit code is still the verdict's
+    read, write = os.pipe()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with subprocess.Popen([sys.executable, "-m", "qdha", *argv], stdout=write,
+                          stderr=subprocess.PIPE, text=True, cwd=ROOT, env=env) as proc:
+        os.close(write)
+        os.close(read)
+        err = proc.stderr.read()
+    assert proc.returncode == code
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_module_entry_point():
@@ -187,8 +245,9 @@ def test_value_error_inside_a_sweep_is_undecided(monkeypatch, capsys):
     lift = kz.lift
 
     def shifted(omega, gamma, op):
+        # targets moved by 1/D, off every coroot-lattice coset of the orbit
         return RatOperator.from_dict({
-            (src, vec(tuple(c + Fraction(1, 3) for c in tgt)), u): r
+            (src, tuple(c + 1 for c in tgt), u): r
             for (src, tgt, u), r in lift(omega, gamma, op).entries})
 
     monkeypatch.setattr(kz, "lift", shifted)

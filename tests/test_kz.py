@@ -24,12 +24,13 @@ from qdha.kz import (
     product_formula_check,
     two_rho_coroot,
 )
-from qdha.orderfun import OrderFunction, TorusOrbit, torus_point
+from qdha.orderfun import OrderFunction, TorusOrbit
 from qdha.polyring import Poly, monomials
 from qdha.rootsys import affinise, vec
 from qdha.weyl import AffineWeylGroup
 from test_algebra import apply
 from test_clans import clan_of
+from test_tables import fraction_act_point
 from test_weyl import element_ball
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,11 +60,12 @@ def test_pregamma_points_rank1_worked_example():
     alg, B, gamma = rank1_setup()
     assert gamma == (-1,) and type(gamma[0]) is int
     omega = alg.omega
-    ell0 = torus_point(omega.base_point)
-    assert pregamma_point(omega, gamma, ell0) == vec((Fraction(-3, 4),))
-    s_ell0 = torus_point(vec((Fraction(-1, 4),)))
-    assert pregamma_point(omega, gamma, s_ell0) == vec((Fraction(-5, 4),))
-    assert e_gamma_weights(omega, gamma) == [vec((Fraction(-5, 4),)), vec((Fraction(-3, 4),))]
+    key = omega.over.key
+    ell0 = omega.torus.point(omega.base_key)
+    assert pregamma_point(omega, gamma, ell0) == key([Fraction(-3, 4)]) == (-3,)
+    s_ell0 = omega.torus.point(key([Fraction(-1, 4)]))
+    assert pregamma_point(omega, gamma, s_ell0) == key([Fraction(-5, 4)]) == (-5,)
+    assert e_gamma_weights(omega, gamma) == [key([Fraction(-5, 4)]), key([Fraction(-3, 4)])]
 
 
 def test_pregamma_group_section():
@@ -92,9 +94,9 @@ def test_e_gamma_size_counts_cosets():
 
 def test_sigma_rank1_matches_five_letter_product():
     alg, B, gamma = rank1_setup()
-    ellp = torus_point(vec((Fraction(-3, 4),)))
+    lp = alg.over.key([Fraction(-3, 4)])
+    ellp = B.torus.point(lp)
     op = lift(alg.omega, gamma, B.tau_letter(0, ellp))
-    lp = vec((Fraction(-3, 4),))
     prod = alg.tau_word([1, 0, 1, 0, 1], lp)
     assert op == prod
 
@@ -135,7 +137,7 @@ def test_lift_of_finite_tau_basis_equals_integral_reference(name):
     spec = load_instance(ROOT / "instances" / f"{name}.json")
     alg, B = spec.algebra(), spec.b_algebra()
     g1 = spec.gamma_choice.gamma
-    g2 = vec(tuple(2 * c - r for c, r in zip(g1, two_rho_coroot(spec.group))))
+    g2 = tuple(2 * c - r for c, r in zip(g1, two_rho_coroot(spec.group)))
     for gamma in (g1, g2):
         for ell in B.orbit:
             for w in spec.group.finite.elements:
@@ -275,14 +277,14 @@ def test_gamma_change_same_gamma():
 
 def test_gamma_change_rank1():
     alg, B, gamma = rank1_setup()
-    gamma2 = vec((-2,))
+    gamma2 = (-2,)
     report = gamma_change(alg, B, gamma, gamma2)
     assert report.ok()
 
 
 def test_gamma_change_a2():
     alg, B, gamma = a2_setup()
-    gamma2 = vec(tuple(2 * c for c in gamma))
+    gamma2 = tuple(2 * c for c in gamma)
     report = gamma_change(alg, B, gamma, gamma2)
     assert report.ok()
 
@@ -304,10 +306,10 @@ def walked_characters(omega, bound):
     """The weights w lambda_0 of each clan, one per alcove w^{-1} nu_0 within
     the length bound, with the sign vectors that ``walked_signs`` reads off the
     walked wall images."""
-    point, found = omega.group.walk(omega.base_point, bound, wall_roots(omega))
+    found = omega.group.walk(omega.base_point, bound, wall_roots(omega))
     out = {}
     for (x, _), sign in walked_signs(omega.group, found):
-        out.setdefault(sign, {})[point(x)] = 1
+        out.setdefault(sign, {})[omega.over(x)] = 1
     return out
 
 
@@ -318,7 +320,7 @@ def test_clan_characters_against_one_clan_at_a_time():
     chars = walked_characters(omega, 10)
     assert set(chars) <= set(dec.clans)
     for sign in dec.clans:
-        expected = {W.act_point(g, omega.base_point): 1 for g in element_ball(W, 10)
+        expected = {fraction_act_point(W, g, omega.base_point): 1 for g in element_ball(W, 10)
                     if clan_of(omega, g, dec.walls) == sign}
         assert chars.get(sign, {}) == expected
 
@@ -331,7 +333,7 @@ def test_clan_characters_against_one_clan_at_a_time_on_instance_files(name):
     W, walls = omega.group, wall_roots(omega)
     expected = {}
     for g in element_ball(W, 12):
-        expected.setdefault(clan_of(omega, g, walls), {})[W.act_point(g, omega.base_point)] = 1
+        expected.setdefault(clan_of(omega, g, walls), {})[fraction_act_point(W, g, omega.base_point)] = 1
     assert walked_characters(omega, 12) == expected
 
 
@@ -367,7 +369,7 @@ def test_clans_met_unchanged_at_the_deeper_lift(name):
     # the lift 2 gamma - 2 rho^vee that the gamma sweep changes to
     spec = load_instance(ROOT / "instances" / f"{name}.json")
     W, gamma, walls = spec.group, spec.gamma_choice.gamma, wall_roots(spec.omega)
-    deeper = vec(tuple(2 * c - r for c, r in zip(gamma, two_rho_coroot(W))))
+    deeper = tuple(2 * c - r for c, r in zip(gamma, two_rho_coroot(W)))
     assert clans_met(W, walls, deeper) == clans_met(W, walls, gamma)
 
 
@@ -394,7 +396,7 @@ def nil_flavour_setup():
 def test_sigma_with_integral_minus_one_kills_invariants():
     alg, gamma = nil_flavour_setup()
     W = alg.group
-    ell0 = torus_point(alg.omega.base_point)
+    ell0 = alg.omega.torus.point(alg.omega.base_key)
     B = BAlgebra(integral_b_order_function(alg.omega))
     assert B.bof.value(ell0, W.rs.simple_root(0)) == -1
     op = lift(alg.omega, gamma, B.tau_letter(0, ell0))

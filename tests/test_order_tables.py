@@ -22,7 +22,7 @@ from qdha.kz import (
     two_rho_coroot,
 )
 from qdha.orderfun import BOrderFunction
-from qdha.rootsys import AffineRoot, vec
+from qdha.rootsys import AffineRoot
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -81,7 +81,7 @@ def test_finite_table_matches_level_window_integral(name):
     omega = omega_of(name)
     group = omega.group
     g1 = choose_gamma(omega).gamma
-    g2 = vec(tuple(2 * c - r for c, r in zip(g1, two_rho_coroot(group))))
+    g2 = tuple(2 * c - r for c, r in zip(g1, two_rho_coroot(group)))
     nonzero = 0
     bof = integral_b_order_function(omega)
     for gamma in (g1, g2):

@@ -1,6 +1,7 @@
 """Order functions: transport, extraction from deformation parameters, integration."""
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,10 +10,10 @@ from qdha.orderfun import (
     OrderFunction,
     from_ddaha_h,
     from_ddaha_k,
-    torus_point,
 )
 from qdha.algebra import Algebra
-from qdha.kz import choose_gamma, integral_b_order_function, pregamma_point
+from qdha.instances import load_instance
+from qdha.kz import choose_gamma, e_gamma_weights, integral_b_order_function, pregamma_point
 from qdha.rootsys import AffineRoot, affinise, vec
 from qdha.weyl import AffineWeylGroup
 
@@ -62,12 +63,12 @@ def test_omega_witness_independence():
     omega = OrderFunction(W, lam0, sup)
     window = W.orbit_window(lam0, 4)
     roots = W.ars.positive_window(2)
-    stab = W.stabilizer(lam0)[1]
+    stab = W.stabilizer(omega.base_key, 7)[1]
     assert len(stab) == 2
     for lam, wit in window.items():
         for u in stab:
             wit2 = W.compose(wit, u)
-            assert W.act_point(wit2, lam0) == lam
+            assert W.act_point(wit2, omega.base_key, 7) == lam
             for a in rng.sample(roots, 8):
                 assert omega.moved(wit).get(a, 0) == omega.moved(wit2).get(a, 0)
 
@@ -76,19 +77,22 @@ def test_witness_reuses_the_base_walk(monkeypatch):
     W = group("A2")
     lam0 = vec((Fraction(1, 7), Fraction(2, 7)))
     omega = OrderFunction(W, lam0, {AffineRoot((1, 0), 0): -1, AffineRoot((-1, 0), 0): -1})
-    assert omega.base_walk == W.to_fundamental_domain(lam0)
+    x0 = omega.base_key
+    assert x0 == (1, 2) and omega.over.den == 7
+    assert omega.base_walk == W.to_fundamental_domain(x0, 7)
     walked = []
     walk = W.to_fundamental_domain
-    monkeypatch.setattr(W, "to_fundamental_domain", lambda lam: walked.append(lam) or walk(lam))
+    monkeypatch.setattr(W, "to_fundamental_domain",
+                        lambda lam, den: walked.append(lam) or walk(lam, den))
     window = sorted(W.orbit_window(lam0, 3))
     wits = [omega.witness(lam) for lam in window]
-    off_orbit = vec((Fraction(1, 2), Fraction(1, 2)))
+    off_orbit = (0, 0)  # the origin
     assert omega.witness(off_orbit) is None
     # one walk per call, never of the base point
     assert walked == window + [off_orbit]
     for lam, wit in zip(window, wits):
-        assert W.act_point(wit, lam0) == lam
-        assert wit == W.witness_from(lam, W.to_fundamental_domain(lam0))
+        assert W.act_point(wit, x0, 7) == lam
+        assert wit == W.witness_from(lam, 7, W.to_fundamental_domain(x0, 7))
 
 
 def test_validation_rejects_minus_one_off_wall():
@@ -136,8 +140,8 @@ def test_from_ddaha_k_rank1():
     # ell_+ = exp(-3/4): <alpha, -3/4 alpha^vee> = -3/2 congruent to 1/2 = h
     bof = from_ddaha_k(W, Fraction(1, 2), (Fraction(-3, 4),))
     alpha = W.rs.simple_root(0)
-    assert bof.value(vec((Fraction(-3, 4),)), alpha) == 1
-    assert bof.value(vec((Fraction(-5, 4),)), alpha) == 1
+    assert bof.value(bof.over.key([Fraction(-3, 4)]), alpha) == 1
+    assert bof.value(bof.over.key([Fraction(-5, 4)]), alpha) == 1
 
 
 def test_from_ddaha_k_generic_and_pole():
@@ -145,17 +149,17 @@ def test_from_ddaha_k_generic_and_pole():
     alpha = W.rs.simple_root(0)
     # generic: no congruence holds
     bof = from_ddaha_k(W, Fraction(1, 3), (Fraction(1, 5),))
-    assert (torus_point(vec((Fraction(1, 5),))), alpha) not in bof.table
+    assert ((1,), alpha) not in bof.table  # the torus point 1/5
     # Y = 1 but v^2 != 1: simple pole, order -1
     bof = from_ddaha_k(W, Fraction(1, 3), (Fraction(1, 2),))
-    assert bof.value(vec((Fraction(1, 2),)), alpha) == -1
+    assert bof.value(bof.over.key([Fraction(1, 2)]), alpha) == -1
 
 
 def test_integral_rank1_worked_example():
     W, omega = rank1_example()
     alpha = W.rs.simple_root(0)
-    ellp = vec((Fraction(-3, 4),))
-    ellm = vec((Fraction(-5, 4),))
+    ellp = omega.over.key([Fraction(-3, 4)])
+    ellm = omega.over.key([Fraction(-5, 4)])
     bof = integral_b_order_function(omega)
     assert bof.value(ellp, alpha) == 1
     assert bof.value(ellm, alpha) == 1
@@ -167,7 +171,7 @@ def test_integral_zero_function():
     omega = OrderFunction(W, lam0, {})
     bof = integral_b_order_function(omega)
     for alpha in W.rs.positive_roots:
-        assert bof.value(lam0, alpha) == 0
+        assert bof.value(omega.base_key, alpha) == 0
 
 
 def walked_integral(omega, gamma, ell, alpha):
@@ -181,7 +185,7 @@ def test_integral_gamma_independent():
     W, omega = rank1_example()
     alpha = W.rs.simple_root(0)
     g1 = choose_gamma(omega).gamma
-    g2 = vec(tuple(3 * c for c in g1))
+    g2 = tuple(3 * c for c in g1)
     bof = integral_b_order_function(omega)
     for ell in omega.torus.points:
         for gamma in (g1, g2):
@@ -191,7 +195,7 @@ def test_integral_gamma_independent():
     sup = {a: 1 for a in W2.ars.delta}
     om2 = OrderFunction(W2, lam0, sup)
     g1 = choose_gamma(om2).gamma
-    g2 = vec(tuple(2 * c for c in g1))
+    g2 = tuple(2 * c for c in g1)
     bof = integral_b_order_function(om2)
     for ell in om2.torus.points:
         for alpha in W2.rs.positive_roots:
@@ -222,7 +226,7 @@ def test_choose_gamma_rank1_is_minus_coroot():
     W, omega = rank1_example()
     gc = choose_gamma(omega)
     assert gc.margin == 2
-    assert gc.gamma == vec((-1,))
+    assert gc.gamma == (-1,)
 
 
 def test_choose_gamma_zero_support():
@@ -248,9 +252,9 @@ def test_tau_degree_rank1():
     W, omega = rank1_example()
     # deg tau_{a_1} e(1/4) = omega_{1/4}(a1) + omega_{-1/4}(a1) = 1 + 0
     s1 = W.simple_reflection(1)
-    assert Algebra(omega).tau_element_degree(s1, omega.base_point) == 1
+    assert Algebra(omega).tau_element_degree(s1, omega.base_key) == 1
     om0 = OrderFunction(W, vec((Fraction(1, 4),)), {})
-    assert Algebra(om0).tau_element_degree(s1, om0.base_point) == 0
+    assert Algebra(om0).tau_element_degree(s1, om0.base_key) == 0
 
 
 def test_tau_degree_both_walls_case():
@@ -258,4 +262,28 @@ def test_tau_degree_both_walls_case():
     W = group("A2")
     lam0 = vec((Fraction(1, 7), Fraction(2, 7)))
     omega = OrderFunction(W, lam0, {AffineRoot((1, 0), 0): -1, AffineRoot((-1, 0), 0): -1})
-    assert Algebra(omega).tau_element_degree(W.simple_reflection(1), lam0) == -2
+    assert Algebra(omega).tau_element_degree(W.simple_reflection(1), omega.base_key) == -2
+
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in INSTANCES.glob("*.json")))
+def test_key_point_round_trip(name):
+    # a weight's key is its numerators over D; the order function converts
+    # keys to Fraction points and back exactly
+    spec = load_instance(INSTANCES / f"{name}.json")
+    omega = spec.omega
+    over, den = omega.over, omega.over.den
+    assert over(omega.base_key) == omega.base_point
+    assert omega.base_key == over.key(omega.base_point)
+    assert all(den % c.denominator == 0 for c in omega.base_point)
+    keys = list(omega.group.orbit_window(omega.base_point, 2)) + list(omega.torus.points)
+    keys += list(omega.torus.lifts.values())
+    keys += e_gamma_weights(omega, spec.gamma_choice.gamma)
+    for x in keys:
+        assert all(type(c) is int for c in x)
+        assert over.key(over(x)) == x
+        assert all(c * den == n for c, n in zip(over(x), x))
+    with pytest.raises(ValueError, match=f"not a weight over the denominator {den}"):
+        over.key([Fraction(1, den + 1)] * len(omega.base_key))

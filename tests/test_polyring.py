@@ -8,7 +8,7 @@ import pytest
 from qdha.algebra import OperatorAlgebra
 from qdha.polyring import Poly, RatFunc, apply_linear_rat, divide_exact
 from qdha.rootsys import affinise, build_finite
-from qdha.weyl import AffineWeylGroup, FiniteWeylGroup
+from qdha.weyl import AffineWeylGroup, FiniteWeylGroup, PointsOver
 
 
 def random_poly(rng, nvars, deg=3, terms=4):
@@ -357,7 +357,7 @@ def test_apply_linear_rat_matches_public_constructor(label):
     # the oracle: substitute numerator and factors, then normalize and reduce
     # again through RatFunc(...); the automorphism route only fixes signs
     rng = random.Random(label)
-    alg = OperatorAlgebra(AffineWeylGroup(affinise(label)))
+    alg = OperatorAlgebra(AffineWeylGroup(affinise(label)), PointsOver(1))
     roots = [alg.root_poly(a) for a in alg.rs.positive_roots]
     fractions = []
     for _ in range(12):

@@ -7,13 +7,30 @@ import pytest
 
 from qdha.algebra import OperatorAlgebra
 from qdha.bqha import BAlgebra
-from qdha.orderfun import BOrderFunction, TorusOrbit, torus_point
+from qdha.orderfun import BOrderFunction, TorusOrbit
 from qdha.polyring import Poly
 from qdha.rootsys import affinise, build_finite, vec
-from qdha.weyl import AffineWeylGroup
+from qdha.weyl import AffineWeylGroup, PointsOver, common_denominator
 from test_polyring import demazure
 
 LABELS = ["A1", "A2", "A3", "B2", "C2", "G2"]
+
+
+# ----- references on Fraction points, for the tables keyed by integer numerators -----
+
+def over(lam0):
+    """The conversions between points and keys over the denominator of lam0."""
+    return PointsOver(common_denominator(vec(lam0)))
+
+
+def fraction_act_point(W, g, x):
+    """``g x = w x + mu`` on a ``Fraction`` point x."""
+    return tuple(a + b for a, b in zip(W.finite.act_point(g.w, x), g.mu))
+
+
+def torus_point(x):
+    """The canonical representative of a ``Fraction`` point modulo the coroot lattice."""
+    return tuple(c - (c.numerator // c.denominator) for c in map(Fraction, x))
 
 
 def gram_inner(rs, a, b):
@@ -51,7 +68,7 @@ def stepwise_fundamental_domain(W, lam):
         if i is None:
             return cur, g
         s = W.simple_reflection(i)
-        cur = W.act_point(s, cur)
+        cur = fraction_act_point(W, s, cur)
         g = W.compose(s, g)
 
 
@@ -90,7 +107,7 @@ def substituted_images(rs, fin, w):
 @pytest.mark.parametrize("label", LABELS + ["A4"])
 def test_variable_images_and_root_forms_against_substitution(label):
     W = AffineWeylGroup(affinise(label))
-    alg = OperatorAlgebra(W)
+    alg = OperatorAlgebra(W, PointsOver(1))
     for a in W.rs.roots:
         assert alg.root_poly(a) == reference_root_poly(W.rs, a)
         assert alg.root_poly(a) == Poly.linear(
@@ -196,8 +213,10 @@ def test_coset_table_against_sort(label):
     rng = random.Random(label)
     for base in [vec(p) for p in WALL_POINTS[label]] + sample_points(W.rank, rng, 4):
         expected = old_coset_representatives(W, base)
-        assert TorusOrbit(W, base).cosets == expected
-        assert list(TorusOrbit(W, base).cosets) == list(expected)
+        orbit = TorusOrbit(W, base)
+        cosets = {orbit.over(ell): w for ell, w in orbit.cosets.items()}
+        assert cosets == expected
+        assert list(cosets) == list(expected)
 
 
 def old_torus_orbit(group, base):
@@ -240,14 +259,15 @@ def test_torus_orbit_table_against_direct_action(label):
     rng = random.Random(label)
     for base in [vec(p) for p in WALL_POINTS[label]] + sample_points(W.rank, rng, 4):
         orbit = TorusOrbit(W, base)
-        assert list(orbit.points) == old_torus_orbit(W, base)
+        point = orbit.over
+        assert [point(ell) for ell in orbit.points] == old_torus_orbit(W, base)
         assert list(orbit.cosets) == list(orbit.lifts) == list(orbit.points)
         for ell, w in orbit.cosets.items():
-            assert orbit.lifts[ell] == fin.act_point(w, base)
-            assert torus_point(orbit.lifts[ell]) == ell
+            assert point(orbit.lifts[ell]) == fin.act_point(w, base)
+            assert torus_point(point(orbit.lifts[ell])) == point(ell)
         for w in fin.elements:
             for ell in orbit.points:
-                assert orbit.act(w, ell) == torus_point(fin.act_point(w, ell))
+                assert point(orbit.act(w, ell)) == torus_point(fin.act_point(w, point(ell)))
 
 
 def torus_grid(rank, max_den):
@@ -265,7 +285,8 @@ def test_torus_stabilizer_generated_by_reflections(label, max_den):
     fin, rs = W.finite, W.rs
     for ell in torus_grid(W.rank, max_den):
         orbit = TorusOrbit(W, ell)
-        table = {w for w in fin.elements if orbit.act(w, ell) == ell}
+        key = orbit.over.key(ell)
+        table = {w for w in fin.elements if orbit.act(w, key) == key}
         roots = [a for a in rs.positive_roots if rs.pair_root_point(a, ell).denominator == 1]
         assert table == reflection_closure(fin, roots)
         assert len(orbit.points) * len(table) == len(fin.elements)
@@ -300,9 +321,10 @@ def test_coefficient_trace_matches_demazure_words(label, max_den):
     rng = random.Random(label)
     for base in torus_grid(W.rank, max_den):
         B = BAlgebra(BOrderFunction(W, base, {}))
-        for ell in dict.fromkeys((base, B.orbit[-1])):
+        for ell in dict.fromkeys((B.over.key(base), B.orbit[-1])):
             table = {w for w in fin.elements if B.act_ell(w, ell) == ell}
-            roots = [a for a in rs.positive_roots if rs.pair_root_point(a, ell).denominator == 1]
+            roots = [a for a in rs.positive_roots
+                     if rs.pair_root_point(a, B.over(ell)).denominator == 1]
             words = stabilizer_longest_words(fin, rs, table, roots)
             f = Poly(W.rank, {tuple(rng.randrange(4) for _ in range(W.rank)): Fraction(rng.randrange(-5, 6))
                               for _ in range(3)})
@@ -321,8 +343,10 @@ def test_finite_quotient_rejects_points_outside_the_orbit():
     lam0 = vec((Fraction(1, 5), Fraction(1, 7)))
     B = BAlgebra(BOrderFunction(W, lam0, {}))
     one = Poly.const(2, 1)
-    assert B.poly_mult(one, vec((Fraction(6, 5), Fraction(-6, 7)))).entries
-    for outside in [vec((Fraction(1, 2), 0)), vec((Fraction(1, 7), Fraction(1, 5)))]:
+    assert B.poly_mult(one, B.over.key((Fraction(6, 5), Fraction(-6, 7)))).entries
+    with pytest.raises(ValueError, match="not a weight over the denominator 35"):
+        B.over.key((Fraction(1, 2), 0))
+    for outside in [(0, 0), B.over.key((Fraction(1, 7), Fraction(1, 5)))]:
         with pytest.raises(ValueError, match="not in the torus orbit"):
             B.poly_mult(one, outside)
         with pytest.raises(ValueError, match="not in the torus orbit"):
@@ -334,8 +358,10 @@ def test_integer_alcove_walk_against_stepwise(label):
     W = AffineWeylGroup(affinise(label))
     rng = random.Random(label)
     for lam in [vec(p) for p in WALL_POINTS[label]] + sample_points(W.rank, rng, 40):
-        rep, g = W.to_fundamental_domain(lam)
-        assert (rep, g) == stepwise_fundamental_domain(W, lam)
-        assert W.act_point(g, lam) == rep
-        assert all(type(c) is Fraction for c in rep)
+        point = over(lam)
+        x = point.key(lam)
+        rep, g = W.to_fundamental_domain(x, point.den)
+        assert (point(rep), g) == stepwise_fundamental_domain(W, lam)
+        assert W.act_point(g, x, point.den) == rep
+        assert all(type(c) is int for c in rep + x)
         assert all(type(c) is int for c in g.mu)

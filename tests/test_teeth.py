@@ -57,7 +57,8 @@ def test_iso_fails_on_a_finite_order_value_off_by_one(name, monkeypatch, capsys)
 def test_iso_fails_on_a_collapsed_lift(name, monkeypatch, capsys):
     code, report = verify_iso(name, capsys)
     assert code == 0 and report["pass"]
-    orbit = load_instance(ROOT / "instances" / f"{name}.json").omega.torus.points
+    omega = load_instance(ROOT / "instances" / f"{name}.json").omega
+    orbit = omega.torus.points
     pregamma_point = kz.pregamma_point
 
     def collapsed(omega, gamma, ell):
@@ -68,7 +69,9 @@ def test_iso_fails_on_a_collapsed_lift(name, monkeypatch, capsys):
     monkeypatch.setattr(kz, "pregamma_point", collapsed)
     code, report = verify_iso(name, capsys)
     assert code == 1 and not report["pass"]
-    assert report["discrepancies"] == [{"word": repr(("coverage", orbit[0], orbit[1]))}]
+    # the report names the orbit points as Fraction points
+    p0, p1 = omega.over(orbit[0]), omega.over(orbit[1])
+    assert report["discrepancies"] == [{"word": repr(("coverage", p0, p1))}]
 
 
 # the number of (w, ell) pairs whose scalar the fault breaks

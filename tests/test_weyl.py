@@ -7,7 +7,7 @@ import pytest
 from qdha.instances import load_instance
 from qdha.rootsys import affinise, vec
 from qdha.weyl import AffineWeylGroup
-from test_tables import torus_grid
+from test_tables import fraction_act_point, over, torus_grid
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 INSTANCE_NAMES = ["a1_quarter", "a1_ddaha_half", "a2_generic", "a2_wall", "a3_generic",
@@ -88,7 +88,7 @@ def test_length_dominant_translation_formula():
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
 def test_length_formula_equals_inversions_on_ball(label):
     W = group(label)
-    _, found = W.walk(W.alcove_point, 4)
+    found = W.walk(W.alcove_point, 4)
     for g, (layer, _, _) in zip(W.ball(4), found.values(), strict=True):
         assert W.length_formula(g) == W.length_inversions(g)
         assert layer == W.length_formula(g)
@@ -183,44 +183,44 @@ def test_min_coset_rep_is_unique_minimum_of_coset():
 
 def test_stabilizer_a1_quarter_is_trivial():
     W = group("A1")
-    gens, elements = W.stabilizer(vec((Fraction(1, 4),)))
+    gens, elements = W.stabilizer((1,), 4)  # 1/4
     assert gens == []
     assert elements == [W.identity]
 
 
 def test_stabilizer_origin_is_finite_weyl():
     W = group("A2")
-    gens, elements = W.stabilizer(vec((0, 0)))
+    gens, elements = W.stabilizer((0, 0), 1)
     assert len(elements) == 6
-    assert all(g.mu == vec((0, 0)) for g in elements)
+    assert all(g.mu == (0, 0) for g in elements)
 
 
 def test_stabilizer_single_wall():
     W = group("A2")
-    # <alpha_1, lam> = 0 exactly: lam = t * (1, 2)/something; use coroot coords (1/7, 2/7)
-    lam = vec((Fraction(1, 7), Fraction(2, 7)))
-    gens, elements = W.stabilizer(lam)
+    # <alpha_1, lam> = 0 exactly: coroot coordinates (1/7, 2/7), keyed (1, 2) over 7
+    lam = (1, 2)
+    gens, elements = W.stabilizer(lam, 7)
     assert len(elements) == 2
     for g in elements:
-        assert W.act_point(g, lam) == lam
+        assert W.act_point(g, lam, 7) == lam
 
 
 def test_orbit_window_examples():
     W = group("A1")
     lam0 = vec((Fraction(1, 4),))
     w0 = W.orbit_window(lam0, 0)
-    assert set(w0) == {lam0}
+    assert set(w0) == {(1,)}  # keys over 4
     w2 = W.orbit_window(lam0, 2)
-    got = {pt[0] for pt in w2}
+    got = {Fraction(pt[0], 4) for pt in w2}
     assert got == {Fraction(1, 4), Fraction(-1, 4), Fraction(3, 4), Fraction(-3, 4), Fraction(5, 4)}
     for pt, wit in w2.items():
-        assert W.act_point(wit, lam0) == pt
+        assert W.act_point(wit, (1,), 4) == pt
 
 
 def test_orbit_window_size_trivial_stabilizer():
     W = group("A2")
     lam0 = vec((Fraction(1, 5), Fraction(1, 7)))
-    assert W.stabilizer(lam0)[1] == [W.identity]
+    assert W.stabilizer(over(lam0).key(lam0), 35)[1] == [W.identity]
     ball = W.ball(4)
     window = W.orbit_window(lam0, 4)
     assert len(window) == len(ball)
@@ -228,14 +228,14 @@ def test_orbit_window_size_trivial_stabilizer():
 
 def test_witness_and_fundamental_domain():
     W = group("A2")
-    lam0 = vec((Fraction(1, 5), Fraction(1, 7)))
-    walk0 = W.to_fundamental_domain(lam0)
+    x0 = (7, 5)  # (1/5, 1/7) over 35
+    walk0 = W.to_fundamental_domain(x0, 35)
     for g in W.ball(3):
-        lam = W.act_point(g, lam0)
-        wit = W.witness_from(lam, walk0)
+        lam = W.act_point(g, x0, 35)
+        wit = W.witness_from(lam, 35, walk0)
         assert wit is not None
-        assert W.act_point(wit, lam0) == lam
-    assert W.witness_from(vec((Fraction(1, 2), Fraction(1, 2))), walk0) is None
+        assert W.act_point(wit, x0, 35) == lam
+    assert W.witness_from((0, 0), 35, walk0) is None  # the origin
 
 
 # ----- the orbit walk against the search on elements -----
@@ -244,15 +244,15 @@ def ball_reach(W, lam0, ball):
     """``{g lam0: least l(g)}`` over a list of ``(g, l(g))``."""
     out = {}
     for g, n in ball:
-        pt = W.act_point(g, lam0)
+        pt = fraction_act_point(W, g, lam0)
         out[pt] = min(out.get(pt, n), n)
     return out
 
 
 def orbit_reach(W, lam0, n):
     """``{w lam0: least l(w)}`` for l(w) <= n, read off the points and layers of ``walk``."""
-    point, found = W.walk(lam0, n)
-    return {point(x): k for (x, _), (k, _, _) in found.items()}
+    point = over(lam0)
+    return {point(x): k for (x, _), (k, _, _) in W.walk(lam0, n).items()}
 
 
 def instance_bound(name):
@@ -284,10 +284,11 @@ def test_orbit_window_witnesses_have_the_least_length(name):
     W, lam0, bound = spec.group, spec.omega.base_point, instance_bound(name)
     reach = orbit_reach(W, lam0, bound)
     window = W.orbit_window(lam0, bound)
-    assert window.keys() == reach.keys()
-    for pt, wit in window.items():
-        assert W.act_point(wit, lam0) == pt
-        assert W.length(wit) == reach[pt]
+    point = spec.omega.over
+    assert {point(x) for x in window} == reach.keys()
+    for x, wit in window.items():
+        assert W.act_point(wit, spec.omega.base_key, point.den) == x
+        assert W.length(wit) == reach[point(x)]
 
 
 @pytest.mark.parametrize("name", ["a1_quarter", "a2_wall", "c2_generic", "g2_generic"])
@@ -297,10 +298,29 @@ def test_walk_states_are_the_images_of_the_ball(name):
     W, lam0 = spec.group, spec.omega.base_point
     roots = W.ars.window(1)
     index = {key: i for i, key in enumerate(W.rs.roots)}
-    point, found = W.walk(lam0, 8, roots)
+    found = W.walk(lam0, 8, roots)
+    point = over(lam0)
     expected = {}
     for g in element_ball(W, 8):
-        state = (W.act_point(g, lam0),
+        state = (fraction_act_point(W, g, lam0),
                  tuple((index[b.alpha], b.level) for b in (W.act_root(g, a) for a in roots)))
         expected[state] = min(expected.get(state, 8), W.length(g))
     assert {(point(x), images): n for (x, images), (n, _, _) in found.items()} == expected
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C2", "G2"])
+def test_act_point_on_keys_against_fraction_points(label):
+    # act_point works on integer numerators over D; it must agree with
+    # w x + mu on the Fraction points they stand for
+    W = group(label)
+    lam0 = vec(Fraction(1, p) for p in (5, 7, 11)[:W.rank])
+    point = over(lam0)
+    window = W.orbit_window(lam0, 3)
+    ball = W.ball(2)
+    for x, wit in window.items():
+        assert W.act_point(wit, point.key(lam0), point.den) == x
+        assert fraction_act_point(W, wit, lam0) == point(x)
+        for g in ball:
+            y = W.act_point(g, x, point.den)
+            assert all(type(c) is int for c in y)
+            assert point(y) == fraction_act_point(W, g, point(x))
