@@ -14,10 +14,13 @@ The generator attached to a basis letter a and a weight lambda is
 with ``da`` the differential of a and s the reflection in it.  Products of
 generators along a reduced word of g have all their blocks at elements of
 length <= l(g), with the block at g itself carrying the invertible leading
-coefficient ``prod (-db)^{omega(b)}`` over the inversion set of g.  The normal
-form routine peels blocks by descending length using that triangularity; the
-result expresses an operator in the basis ``{f_g tau_g e(lambda)}`` with
-polynomial coefficients exactly when the operator belongs to the algebra.
+coefficient ``w( prod (-db)^{omega(b)} )`` over the inversion set of g, w the
+twist of g.  That coefficient is a root monomial (``RootMonomial``): a sign
+and the exponents of ``-db`` over positive roots b, twisted by a table lookup
+per root.  The normal form routine peels blocks by descending length using
+that triangularity; the result expresses an operator in the basis
+``{f_g tau_g e(lambda)}`` with polynomial coefficients exactly when the
+operator belongs to the algebra.
 
 ``OperatorAlgebra`` holds this calculus once.  ``Algebra`` runs it on the
 affine weight orbit of an order function; ``qdha.bqha.BAlgebra`` runs it on
@@ -43,6 +46,8 @@ from .weyl import AffineWeylElement, AffineWeylGroup, Perm, PointsOver
 EntryKey = tuple[PointKey, PointKey, Perm]
 # a basis element: affine in the affine algebra, finite in the finite quotient
 Element = AffineWeylElement | Perm
+# ``sign * prod (-d beta)^e`` over the positive roots beta of the map, no e = 0
+RootMonomial = tuple[int, dict[RootKey, int]]
 # the order of s_i s_j by the product a_ij a_ji of Cartan integers
 _COXETER_ORDER = {0: 2, 1: 3, 2: 4, 3: 6}
 
@@ -151,9 +156,10 @@ class OperatorAlgebra:
         # weights are keys over over.den; over turns a key back into its point
         self.over = over
         self.den = over.den
-        # tau_g e(lambda) with its leading block and that block's inverse (None if absent)
-        self._tau_elt: dict[tuple[Element, PointKey],
-                            tuple[RatOperator, RatFunc | None, RatFunc | None]] = {}
+        # [tau_g e(lambda), its leading block (None if absent), the block's
+        # inverse (None until _leading_block first asks for it)]
+        self._tau_elt: dict[tuple[Element, PointKey], list] = {}
+        self.one = Poly.const(self.rank, 1)
         # variable j is the fundamental weight x -> x_j, the j-th simple-coroot
         # coordinate, so w sends it to x_j(w^-1 x): row j of the integer point
         # matrix of w^-1; a root a is the form <a, x> = sum_i <a, alpha_i^vee> x_i
@@ -163,6 +169,11 @@ class OperatorAlgebra:
         }
         self._root_poly: dict[RootKey, Poly] = {
             a: Poly.linear([self.rs.pair_root_coroot(a, self.rs.simple_root(i)) for i in range(self.rank)])
+            for a in self.rs.roots
+        }
+        # each root's positive root, and whether the root is negative
+        self._folded: dict[RootKey, tuple[RootKey, bool]] = {
+            a: (a, False) if self.rs.is_positive_root(a) else (tuple(-c for c in a), True)
             for a in self.rs.roots
         }
 
@@ -187,7 +198,7 @@ class OperatorAlgebra:
         return RatOperator(())
 
     def idempotent(self, lam: PointKey) -> RatOperator:
-        return self.poly_mult(Poly.const(self.rank, 1), lam)
+        return self.poly_mult(self.one, lam)
 
     def poly_mult(self, f: Poly, lam: PointKey) -> RatOperator:
         lam = self._weight(lam)
@@ -202,12 +213,12 @@ class OperatorAlgebra:
         if m == -1:
             if tgt != src:
                 raise ValueError("order value -1 where the reflection moves the weight")
-            inv = RatFunc(Poly.const(self.rank, 1), {da: 1})
+            inv = RatFunc(self.one, {da: 1})
             return RatOperator.from_dict({
                 (src, src, s): inv,
                 (src, src, self.fin.identity): -inv,
             })
-        return RatOperator.from_dict({(src, tgt, s): RatFunc.from_poly(da ** m)})
+        return RatOperator.from_dict({(src, tgt, s): RatFunc.from_poly(da ** m if m else self.one)})
 
     def tau_letter(self, i: int, lam: PointKey) -> RatOperator:
         """The generator tau_{a_i} e(lambda)."""
@@ -240,7 +251,8 @@ class OperatorAlgebra:
         """tau_g e(lambda) along the canonical (lex-least) reduced word of g."""
         return self._tau(g, lam)[0]
 
-    def _tau(self, g: Element, lam: PointKey) -> tuple[RatOperator, RatFunc | None, RatFunc | None]:
+    def _tau(self, g: Element, lam: PointKey) -> list:
+        """The cache entry [tau_g e(lambda), its leading block, that block's inverse]."""
         lam = self._weight(lam)
         key = (g, lam)
         hit = self._tau_elt.get(key)
@@ -248,7 +260,7 @@ class OperatorAlgebra:
             op = self.tau_word(self._word(g), lam)
             lead_key = (lam, self._target(g, lam), self._twist(g))
             lead = next((r for k, r in op.entries if k == lead_key), None)
-            hit = self._tau_elt[key] = (op, lead, None if lead is None else lead.inverse())
+            hit = self._tau_elt[key] = [op, lead, None]
         return hit
 
     # ----- degrees -----
@@ -269,32 +281,58 @@ class OperatorAlgebra:
 
     # ----- leading coefficients and normal forms -----
 
-    def _leading_block(self, g: Element, lam: PointKey) -> tuple[RatOperator, RatFunc, RatFunc]:
-        """tau_g e(lambda), its leading block and the block's inverse."""
-        op, lead, inv = self._tau(g, lam)
-        if lead is None:
+    def _leading_block(self, g: Element, lam: PointKey) -> list:
+        """[tau_g e(lambda), its leading block, the block's inverse]; the inverse is
+        computed on the first request and kept in the cache entry."""
+        hit = self._tau(g, lam)
+        if hit[1] is None:
             raise ArithmeticError(f"tau_{g} e({self.over(lam)}) lost its leading block")
-        return op, lead, inv
+        if hit[2] is None:
+            hit[2] = hit[1].inverse()
+        return hit
 
-    def inversion_product(self, pairs: Iterable[tuple[RootKey, int]]) -> RatFunc:
-        """``prod (-d beta)^m`` over (root beta, order value m) pairs."""
-        one = Poly.const(self.rank, 1)
-        acc = RatFunc.from_poly(one)
+    def root_monomial(self, pairs: Iterable[tuple[RootKey, int]]) -> RootMonomial:
+        """``prod (-d beta)^m`` over (root beta, order value m) pairs.
+
+        A negative root gamma gives ``-d gamma = -(-d(-gamma))``, so it flips
+        the sign when m is odd.
+        """
+        sign, exps = 1, {}
         for beta, m in pairs:
-            db = -self.root_poly(beta)
-            acc = acc * (RatFunc.from_poly(db ** m) if m >= 0 else RatFunc(one, {db: -m}))
-        return acc
+            if not m:
+                continue
+            beta, negative = self._folded[beta]
+            if negative and m % 2:
+                sign = -sign
+            e = exps.get(beta, 0) + m
+            if e:
+                exps[beta] = e
+            else:
+                del exps[beta]
+        return sign, exps
 
-    def inversion_leading_coefficient(self, g: Element, lam: PointKey) -> RatFunc:
+    def leading_monomial(self, g: Element, lam: PointKey) -> RootMonomial:
         """The closed form of the leading coefficient: ``w( prod (-db)^{omega(b)} )``.
 
         The product runs over the inversion set of g and w is the twist of g;
         it is the invertible diagonal entry of the transition to the twist basis.
+        w sends ``-d b`` to ``-d(w b)``, a lookup in the root table.
         """
-        acc = self.inversion_product(self.inversion_orders(g, self._weight(lam)))
         w = self._twist(g)
-        return RatFunc(self.act_poly(w, acc.num),
-                       {self.act_poly(w, p): mult for p, mult in acc.den.items()})
+        return self.root_monomial((self.fin.act_root(w, b), m)
+                                  for b, m in self.inversion_orders(g, self._weight(lam)))
+
+    def monomial_rat(self, mono: RootMonomial) -> RatFunc:
+        """A root monomial as one rational function."""
+        sign, exps = mono
+        num, den = (self.one if sign > 0 else -self.one), {}
+        for beta, e in exps.items():
+            db = -self._root_poly[beta]
+            if e > 0:
+                num = num * db ** e
+            else:
+                den[db] = -e
+        return RatFunc(num, den)
 
     def _basis_key(self, g: Element):
         return (self._length(g), g)

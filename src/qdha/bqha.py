@@ -58,7 +58,7 @@ class BAlgebra(OperatorAlgebra):
             v_inv = self.fin.inverse(v)
             signed = tuple((self.fin.compose(v_inv, w), (-1) ** self.fin.length(w))
                            for w in self.fin.elements if self.act_ell(w, ell) == ell)
-            den = Poly.const(self.rank, 1)
+            den = self.one
             for alpha in self.rs.positive_roots:
                 if self.rs.pair_root_point(alpha, ell) % self.den == 0:
                     den = -(den * self.act_poly(v_inv, self.root_poly(alpha)))

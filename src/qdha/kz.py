@@ -108,7 +108,7 @@ def integral_b_order_function(omega: OrderFunction) -> BOrderFunction:
             beta = group.finite.act_root(w, a.alpha)
             if rs.is_positive_root(beta):
                 table[(ell, beta)] = table.get((ell, beta), 0) + v
-    return BOrderFunction(group, omega.base_point, {k: v for k, v in table.items() if v})
+    return BOrderFunction(group, omega.torus, {k: v for k, v in table.items() if v})
 
 
 # ----- lifts of finite-quotient operators -----
@@ -137,32 +137,25 @@ class ProductFormulaReport:
 
 
 def product_formula_check(alg, B, gamma: Lattice, w: Perm, ell: PointKey) -> ProductFormulaReport:
-    """Compare the affine inversion product with the finite one, up to ±2^k.
+    """Compare the affine inversion product with the finite one.
 
     Left side: prod over the inversion set of the conjugated reflection word of
     (-db)^{omega(b)}.  Right side: prod over finite inversions of
     (-beta)^{integral omega(beta)}, read from the finite order function of B.
-    Both are left untwisted.  Their quotient must be a constant whose absolute
-    value is a power of two.
+    Both are left untwisted root monomials, each a product of root forms with
+    constant ±1 by construction.  Distinct positive roots give non-associate
+    linear forms, so the quotient is constant exactly when the two exponent
+    maps agree; the scalar is then the quotient of the two signs, and 0 marks
+    a quotient that is not constant.
     """
     omega = alg.omega
     ell = omega.torus.point(ell)
     lam = pregamma_point(omega, gamma, ell)
-    lhs = alg.inversion_product(alg.inversion_orders(pregamma_group(alg.group, gamma, w), lam))
-    rhs = B.inversion_product(B.inversion_orders(w, ell))
-    if rhs.is_zero() or lhs.is_zero():
+    lsign, lexps = alg.root_monomial(alg.inversion_orders(pregamma_group(alg.group, gamma, w), lam))
+    rsign, rexps = B.root_monomial(B.inversion_orders(w, ell))
+    if lexps != rexps:
         return ProductFormulaReport(w=w, ell=ell, scalar=Fraction(0), ok=False)
-    quot = lhs / rhs
-    if not quot.is_constant():
-        return ProductFormulaReport(w=w, ell=ell, scalar=Fraction(0), ok=False)
-    c = quot.num.constant_value()
-    ok = c != 0 and _is_power_of_two(abs(c))
-    return ProductFormulaReport(w=w, ell=ell, scalar=c, ok=ok)
-
-
-def _is_power_of_two(q: Fraction) -> bool:
-    num, den = q.numerator, q.denominator
-    return num & (num - 1) == 0 and den & (den - 1) == 0
+    return ProductFormulaReport(w=w, ell=ell, scalar=Fraction(lsign * rsign), ok=True)
 
 
 # ----- the isomorphism check -----
@@ -188,7 +181,8 @@ def iso_check(alg, B, gamma: Lattice) -> IsoReport:
     * triangularity: the top term of each lifted ``tau_w e(ell)`` is the affine
       element of the same block, with a nonzero constant coefficient.  Peeling
       adds blocks only at shorter elements, so that is its one longest block,
-      over ``inversion_leading_coefficient``; no deep ``tau_g`` is built;
+      times the inverse of the root monomial ``leading_monomial``; no deep
+      ``tau_g`` is built;
     * coverage: the ``|orbit| |W|`` top terms are pairwise distinct, i.e. the
       lift of the orbit is injective.  The affine stabiliser of a lifted
       point is as large as its torus stabiliser, so ``e_gamma A e_gamma`` has
@@ -229,7 +223,8 @@ def iso_check(alg, B, gamma: Lattice) -> IsoReport:
             expected = ranked((lam, lifts[omega.torus.act(w, ell)], w))
             lead = None
             if expected in blocks and all(b[0] < expected[0] for b in blocks if b != expected):
-                lead = blocks[expected] / alg.inversion_leading_coefficient(expected[1], lam)
+                sign, exps = alg.leading_monomial(expected[1], lam)
+                lead = blocks[expected] * alg.monomial_rat((sign, {b: -e for b, e in exps.items()}))
             if lead is None or not lead.is_constant():
                 discrepancies.append(("triangularity", point(ell), w))
             else:

@@ -203,17 +203,19 @@ def from_ddaha_h(group: AffineWeylGroup, h, base_point: Sequence, window: int) -
 class BOrderFunction:
     """The finite order function on the torus orbit of ``exp(lambda0)``.
 
-    Stored as a table over (canonical torus point key, positive root).
+    Stored as a table over (canonical torus point key, positive root).  The
+    orbit is passed in, so the finite order function integrated from an
+    order function shares its ``torus``.
     """
 
-    def __init__(self, group: AffineWeylGroup, base_point: Sequence,
+    def __init__(self, group: AffineWeylGroup, torus: TorusOrbit,
                  table: Mapping[tuple[PointKey, RootKey], int]):
         self.group = group
         self.rs = group.rs
-        self.base_point = vec(base_point)
+        self.torus = torus
+        self.base_point = torus.base
         self.table = {k: int(v) for k, v in table.items()}
-        self.torus = TorusOrbit(group, self.base_point)
-        self.over = self.torus.over
+        self.over = torus.over
         self.validate()
 
     def value(self, ell: PointKey, alpha: RootKey) -> int:
@@ -258,4 +260,4 @@ def from_ddaha_k(group: AffineWeylGroup, h, base_point: Sequence) -> BOrderFunct
                      - (1 if yexp % den == 0 else 0))
             if order:
                 bof_table[(ell, alpha)] = order
-    return BOrderFunction(group, base_point, bof_table)
+    return BOrderFunction(group, torus, bof_table)

@@ -195,8 +195,10 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.const(self.nvars, 1)
-        for _ in range(n):
+        if n == 0:
+            return Poly.const(self.nvars, 1)
+        out = self
+        for _ in range(n - 1):
             out = out * self
         return out
 

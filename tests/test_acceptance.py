@@ -330,4 +330,4 @@ def test_criterion_10_product_formula():
                 scalars.add(rep.scalar)
     verdict(10, not failures,
             f"product formula: {6 * len(B.orbit)} (w, ell) pairs agree up to "
-            f"scalars {sorted(scalars)} (each ±2^k)")
+            f"scalars {sorted(scalars)} (each ±1)")

@@ -12,7 +12,7 @@ from qdha import cli
 from qdha.algebra import Algebra, NotInAlgebra, RatOperator
 from qdha.bqha import BAlgebra
 from qdha.instances import instance_from_data, load_instance
-from qdha.kz import integral_b_order_function, pregamma_point, two_rho_coroot
+from qdha.kz import e_gamma_weights, integral_b_order_function, pregamma_point, two_rho_coroot
 from qdha.orderfun import OrderFunction
 from qdha.polyring import Poly, RatFunc
 from qdha.rootsys import AffineRoot, affinise, vec
@@ -447,17 +447,49 @@ def leading_coefficient(alg, g, lam):
     return alg.tau_element(g, lam).to_dict()[(lam, alg._target(g, lam), alg._twist(g))]
 
 
+def inversion_product(alg, pairs):
+    """The reference ``prod (-d beta)^m`` over (root beta, order value m) pairs, as a
+    rational function built factor by factor."""
+    one = Poly.const(alg.rank, 1)
+    acc = RatFunc.from_poly(one)
+    for beta, m in pairs:
+        db = -alg.root_poly(beta)
+        acc = acc * (RatFunc.from_poly(db ** m) if m >= 0 else RatFunc(one, {db: -m}))
+    return acc
+
+
+def inversion_leading_coefficient(alg, g, lam):
+    """The reference closed form ``w( prod (-db)^{omega(b)} )`` over the inversion set
+    of g, with w the twist of g substituted into the product's factors."""
+    acc = inversion_product(alg, alg.inversion_orders(g, alg._weight(lam)))
+    w = alg._twist(g)
+    return RatFunc(alg.act_poly(w, acc.num),
+                   {alg.act_poly(w, p): mult for p, mult in acc.den.items()})
+
+
+# the instances whose leading coefficients are checked against the references
+LEADING = ("a2_wall", "c2_generic", "g2_generic")
+
+
 def test_leading_coefficient_matches_inversion_product():
-    # the block of tau_g at g itself equals the twisted product of
-    # (-root)^(order value) over the inversion set of g
-    A = a2_wall_algebra()
-    W = A.group
-    lam0 = A.omega.base_key
-    for g in W.ball(4):
-        lam = lam0
-        direct = leading_coefficient(A, g, lam)
-        closed = A.inversion_leading_coefficient(g, lam)
-        assert direct == closed
+    # the block of tau_g at g itself, the root monomial as a rational function
+    # and the reference twisted product of (-root)^(order value) over the
+    # inversion set of g agree, at the base point and at an idempotent weight;
+    # the monomial with negated exponents is the inverse
+    for name in LEADING:
+        spec = load_instance(INSTANCES / f"{name}.json")
+        A = spec.algebra()
+        one = RatFunc.from_poly(A.one)
+        lams = (A.omega.base_key, e_gamma_weights(A.omega, spec.gamma_choice.gamma)[0])
+        for g in A.group.ball(4):
+            for lam in lams:
+                sign, exps = A.leading_monomial(g, lam)
+                assert all(e and A.rs.is_positive_root(b) for b, e in exps.items())
+                mono = A.monomial_rat((sign, exps))
+                assert mono == inversion_leading_coefficient(A, g, lam), (name, g, lam)
+                assert leading_coefficient(A, g, lam) == mono, (name, g, lam)
+                inverse = A.monomial_rat((sign, {b: -e for b, e in exps.items()}))
+                assert mono * inverse == one
 
 
 LIFTING = ("integral", "iso", "gamma", "product")

@@ -9,10 +9,11 @@ from qdha.algebra import NotInAlgebra, RatOperator
 from qdha.bqha import BAlgebra, gram_rank_at_point
 from qdha.instances import instance_from_data, load_instance
 from qdha.kz import integral_b_order_function
-from qdha.orderfun import BOrderFunction, OrderFunction
+from qdha.orderfun import BOrderFunction, OrderFunction, TorusOrbit
 from qdha.polyring import Poly, RatFunc
 from qdha.rootsys import affinise, vec
 from qdha.weyl import AffineWeylGroup
+from test_algebra import LEADING, inversion_leading_coefficient
 from test_polyring import demazure
 
 
@@ -35,14 +36,15 @@ def rank1_b_algebra():
 def nil_hecke_a1():
     W = AffineWeylGroup(affinise("A1"))
     lam0 = vec((Fraction(0),))
-    bof = BOrderFunction(W, lam0, {((0,), (1,)): -1})  # the torus point 0, over D = 1
+    # the torus point 0, over D = 1
+    bof = BOrderFunction(W, TorusOrbit(W, lam0), {((0,), (1,)): -1})
     return BAlgebra(bof)
 
 
 def zero_b_algebra(label="A2"):
     W = AffineWeylGroup(affinise(label))
     lam0 = vec(tuple(Fraction(1, p) for p in (5, 7, 11, 13)[: W.rs.rank]))
-    return BAlgebra(BOrderFunction(W, lam0, {}))
+    return BAlgebra(BOrderFunction(W, TorusOrbit(W, lam0), {}))
 
 
 def a2_wall_lite():
@@ -159,11 +161,14 @@ def test_b_normal_form_rejects_denominator():
 
 
 def test_leading_coefficient_closed_form():
-    B = rank1_b_algebra()
-    w0 = B.fin.longest_element()
-    for ell in B.orbit:
-        lead = B.tau_element(w0, ell).to_dict()[(ell, B.act_ell(w0, ell), w0)]
-        assert lead == B.inversion_leading_coefficient(w0, ell)
+    # in the finite quotient the leading block of every tau_w e(ell) is the
+    # root monomial, which agrees with the reference rational function
+    for B in [rank1_b_algebra()] + [instance_b_algebra(name) for name in LEADING]:
+        for ell in B.orbit:
+            for w in B.fin.elements:
+                lead = B.tau_element(w, ell).to_dict()[(ell, B.act_ell(w, ell), w)]
+                mono = B.monomial_rat(B.leading_monomial(w, ell))
+                assert lead == mono == inversion_leading_coefficient(B, w, ell), (ell, w)
 
 
 def test_trace_of_idempotent_vanishes():
@@ -195,8 +200,8 @@ def test_trace_reduced_word_independence_of_theta():
     # reduced words s1 s2 s1 = s2 s1 s2 of the longest element of A2 at 0
     W = AffineWeylGroup(affinise("A2"))
     lam0 = vec((Fraction(0), Fraction(0)))
-    bof = BOrderFunction(W, lam0, {((0, 0), a): -1  # the torus point 0, over D = 1
-                                   for a in W.rs.positive_roots})
+    bof = BOrderFunction(W, TorusOrbit(W, lam0),  # the torus point 0, over D = 1
+                         {((0, 0), a): -1 for a in W.rs.positive_roots})
     B = BAlgebra(bof)
     rng = random.Random(77)
     ell = B.orbit[0]

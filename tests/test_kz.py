@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from qdha.algebra import Algebra
+from qdha.algebra import Algebra, OperatorAlgebra
 from qdha import cli
 from qdha.bqha import BAlgebra
 from qdha.instances import load_instance
@@ -25,7 +25,7 @@ from qdha.kz import (
     two_rho_coroot,
 )
 from qdha.orderfun import OrderFunction, TorusOrbit
-from qdha.polyring import Poly, monomials
+from qdha.polyring import Poly, RatFunc, monomials
 from qdha.rootsys import affinise, vec
 from qdha.weyl import AffineWeylGroup
 from test_algebra import apply
@@ -197,6 +197,29 @@ def test_iso_check_against_full_normal_forms(name):
             assert [g for g in coeffs if W.length(g) == top] == [expected], (ell, w)
             lead = coeffs[expected]
             assert lead.is_constant() and lead.num.constant_value() == report.scalars[ell, w]
+
+
+def test_iso_inverts_only_the_leading_blocks_the_peel_reads(monkeypatch):
+    # the tau cache inverts a leading block on the peel's first request, and
+    # iso divides by no block: on c2_generic every RatFunc inverse is one of
+    # the distinct (g, lambda) whose leading block the peel of a lifted letter
+    # reads, not one per cached tau
+    spec = load_instance(ROOT / "instances" / "c2_generic.json")
+    alg, B = spec.algebra(), spec.b_algebra()
+    inverses = []
+    inverse = RatFunc.inverse
+    monkeypatch.setattr(RatFunc, "inverse", lambda r: inverses.append(r) or inverse(r))
+    peeled = set()
+    leading_block = OperatorAlgebra._leading_block
+
+    def recorded(self, g, lam):
+        peeled.add((self, g, lam))
+        return leading_block(self, g, lam)
+
+    monkeypatch.setattr(OperatorAlgebra, "_leading_block", recorded)
+    assert iso_check(alg, B, spec.gamma_choice.gamma).ok()
+    assert len(inverses) == len(peeled) == 16
+    assert {self for self, _, _ in peeled} == {alg}
 
 
 def test_iso_check_trivial_products():

@@ -123,7 +123,7 @@ def test_integral_sweep_catches_inverse_representative(name, failures, monkeypat
                 beta = group.finite.act_root(group.finite.inverse(w), a.alpha)
                 if rs.is_positive_root(beta):
                     table[ell, beta] = table.get((ell, beta), 0) + v
-        return BOrderFunction(group, omega.base_point, {k: v for k, v in table.items() if v})
+        return BOrderFunction(group, omega.torus, {k: v for k, v in table.items() if v})
 
     spec = load_instance(ROOT / "instances" / f"{name}.json")
     assert cli.check_integral(spec, 0, 0)["pass"]

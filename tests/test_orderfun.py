@@ -287,3 +287,11 @@ def test_key_point_round_trip(name):
         assert all(c * den == n for c, n in zip(over(x), x))
     with pytest.raises(ValueError, match=f"not a weight over the denominator {den}"):
         over.key([Fraction(1, den + 1)] * len(omega.base_key))
+
+
+def test_finite_order_function_shares_the_torus_orbit():
+    # the integral of an order function reuses its torus orbit, and so does
+    # the finite quotient built from it
+    for path in sorted(INSTANCES.glob("*.json")):
+        spec = load_instance(path)
+        assert spec.b_algebra().torus is spec.omega.torus, path.stem

@@ -171,6 +171,17 @@ def test_demazure_braid_relations(label, i, j, m):
         assert fa == fb
 
 
+def test_pow_matches_repeated_products():
+    rng = random.Random(31)
+    for nvars in (1, 2, 3):
+        f = random_poly(rng, nvars, deg=2, terms=3)
+        assert f ** 0 == Poly.const(nvars, 1)
+        assert f ** 1 is f
+        assert f ** 3 == f * f * f
+    with pytest.raises(ValueError):
+        Poly.variable(2, 0) ** -1
+
+
 def test_ratfunc_unit_and_additive_inverse():
     x = Poly.variable(2, 0)
     y = Poly.variable(2, 1)

@@ -320,7 +320,7 @@ def test_coefficient_trace_matches_demazure_words(label, max_den):
     fin, rs = W.finite, W.rs
     rng = random.Random(label)
     for base in torus_grid(W.rank, max_den):
-        B = BAlgebra(BOrderFunction(W, base, {}))
+        B = BAlgebra(BOrderFunction(W, TorusOrbit(W, base), {}))
         for ell in dict.fromkeys((B.over.key(base), B.orbit[-1])):
             table = {w for w in fin.elements if B.act_ell(w, ell) == ell}
             roots = [a for a in rs.positive_roots
@@ -341,7 +341,7 @@ def test_coefficient_trace_matches_demazure_words(label, max_den):
 def test_finite_quotient_rejects_points_outside_the_orbit():
     W = AffineWeylGroup(affinise("A2"))
     lam0 = vec((Fraction(1, 5), Fraction(1, 7)))
-    B = BAlgebra(BOrderFunction(W, lam0, {}))
+    B = BAlgebra(BOrderFunction(W, TorusOrbit(W, lam0), {}))
     one = Poly.const(2, 1)
     assert B.poly_mult(one, B.over.key((Fraction(6, 5), Fraction(-6, 7)))).entries
     with pytest.raises(ValueError, match="not a weight over the denominator 35"):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from qdha import cli, kz
-from qdha.algebra import RatOperator
+from qdha.algebra import Algebra, RatOperator
 from qdha.bqha import BAlgebra
 from qdha.cli import main
 from qdha.instances import load_instance
@@ -92,6 +92,27 @@ def test_product_fails_on_the_section_conjugated_on_the_wrong_side(name, monkeyp
     code, report = verify(name, "product", capsys)
     assert code == 1 and not report["pass"]
     assert len(report["failures"]) == WRONG_SIDE[name]
+
+
+# the number of (w, ell) pairs with a nonempty affine inversion product
+DROPPED = {"a1_quarter": 2, "a2_generic": 24, "a2_wall": 12, "c2_generic": 31, "g2_generic": 71}
+
+
+@pytest.mark.parametrize("name", sorted(DROPPED))
+def test_product_fails_on_a_dropped_affine_inversion_pair(name, monkeypatch, capsys):
+    code, report = verify(name, "product", capsys)
+    assert code == 0 and report["pass"]
+    inversion_orders = Algebra.inversion_orders
+
+    def dropped(self, g, lam):
+        # the first (root, order value) pair of the inversion set left out
+        return inversion_orders(self, g, lam)[1:]
+
+    monkeypatch.setattr(Algebra, "inversion_orders", dropped)
+    code, report = verify(name, "product", capsys)
+    assert code == 1 and not report["pass"]
+    assert len(report["failures"]) == DROPPED[name]
+    assert {f["scalar"] for f in report["failures"]} == {"0"}
 
 
 def test_frobenius_fails_on_twists_composed_in_the_wrong_order(monkeypatch, capsys):
