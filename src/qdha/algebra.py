@@ -186,11 +186,12 @@ class OperatorAlgebra:
         """The images of the variables under the automorphism w."""
         return self._images[w]
 
+    # the identity returns its argument: its images give the same canonical form
     def act_poly(self, w: Perm, f: Poly) -> Poly:
-        return f.substitute(self._images[w])
+        return f if w == self.fin.identity else f.substitute(self._images[w])
 
     def act_rat(self, w: Perm, r: RatFunc) -> RatFunc:
-        return apply_linear_rat(r, self.images(w))
+        return r if w == self.fin.identity else apply_linear_rat(r, self.images(w))
 
     # ----- operator constructors -----
 

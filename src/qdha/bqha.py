@@ -25,22 +25,24 @@ witnesses the Frobenius property.  The blocks of ``tau_w e(ell)`` end at
 ``w ell``, so by left Pol-linearity one product ``tau_w e(ell) y`` serves
 every monomial m of a spanning group ``(ell, w)``, and only the columns y
 whose target is ell, indexed by target once, pair with it.  Of that product
-only the tau_{w0} blocks are formed, the block pairs whose twists compose to
-w0.  The stabilizer images ``g(f)`` of its coefficient are shared across the
-group's rows, so a row costs one product per stabilizer element and one exact
-division.
+only the tau_{w0} blocks are formed: a column block at u2 meets only the head
+block at ``u1 = w0 u2^-1``, so each column is kept twisted by those u1 and
+its blocks find their head block by lookup.  The stabilizer images ``g(f)``
+are shared across the group's rows, so a row costs one product per
+stabilizer element and one exact division by a denominator normalised once.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .algebra import EntryKey, NotInAlgebra, OperatorAlgebra, RatOperator
 from .fm import rank
 from .orderfun import BOrderFunction
-from .polyring import Poly, RatFunc, divide_exact, monomials
+from .polyring import Poly, RatFunc, divide_exact, monomials, normalize_factor
 from .rootsys import PointKey, RootKey
-from .weyl import Perm
+from .weyl import Perm, PointsOver
 
 
 class BAlgebra(OperatorAlgebra):
@@ -53,7 +55,8 @@ class BAlgebra(OperatorAlgebra):
         self.orbit = bof.torus.points
         # per orbit point ell = v ell0: the stabilizer elements w as
         # (v^-1 w, sgn w), and the negated pulled-back positive roots' product
-        self.trace_terms: dict[PointKey, tuple[tuple[tuple[Perm, int], ...], Poly]] = {}
+        # as its primitive part and scalar (``normalize_factor``), found once
+        self.trace_terms: dict[PointKey, tuple[tuple, tuple[Poly, Fraction]]] = {}
         for ell, v in self.torus.cosets.items():
             v_inv = self.fin.inverse(v)
             signed = tuple((self.fin.compose(v_inv, w), (-1) ** self.fin.length(w))
@@ -62,7 +65,7 @@ class BAlgebra(OperatorAlgebra):
             for alpha in self.rs.positive_roots:
                 if self.rs.pair_root_point(alpha, ell) % self.den == 0:
                     den = -(den * self.act_poly(v_inv, self.root_poly(alpha)))
-            self.trace_terms[ell] = (signed, den)
+            self.trace_terms[ell] = (signed, normalize_factor(den))
 
     # ----- points and basis elements -----
 
@@ -144,20 +147,29 @@ class BAlgebra(OperatorAlgebra):
                         out.append((ell, w, Poly(self.rank, {m: Fraction(1)})))
         return out
 
-    def _top_product(self, x: RatOperator, y: RatOperator) -> RatOperator:
-        """The tau_{w0} blocks of ``x y``, the only ones ``top_coefficients`` reads.
+    def _twisted_column(self, y: RatOperator) -> list[tuple[PointKey, PointKey, Perm, RatFunc]]:
+        """The blocks ``(s2, t2, u2), r2`` of y as ``(s2, t2, u1, u1(r2))``: ``mul`` keys
+        the product of blocks at u1 and u2 by ``u1 u2``, so a block reaches the
+        tau_{w0} blocks only through the head twist ``u1 = w0 u2^-1``."""
+        w0 = self.fin.longest_element()
+        out = []
+        for (s2, t2, u2), r2 in y.entries:
+            u1 = self.fin.compose(w0, self.fin.inverse(u2))
+            out.append((s2, t2, u1, self.act_rat(u1, r2)))
+        return out
 
-        ``mul`` keys the product of the blocks at u1 and u2 by ``u1 u2``, so
-        this is ``mul`` restricted to the block pairs with ``u1 u2 = w0``.
-        """
+    def _top_product(self, head: dict[tuple[PointKey, Perm], tuple[PointKey, RatFunc]],
+                     column: list[tuple[PointKey, PointKey, Perm, RatFunc]]) -> RatOperator:
+        """The tau_{w0} blocks of ``x y``, the only ones ``top_coefficients`` reads,
+        for x as its blocks ``(t1, r1)`` indexed by (source, twist) and y as its
+        ``_twisted_column``: a column block pairs with the head block at (t2, u1) alone."""
         w0 = self.fin.longest_element()
         out: dict[EntryKey, RatFunc] = {}
-        for (s2, t2, u2), r2 in y.entries:
-            for (s1, t1, u1), r1 in x.entries:
-                if s1 != t2 or self.fin.compose(u1, u2) != w0:
-                    continue
-                key = (s2, t1, w0)
-                term = r1 * self.act_rat(u1, r2)
+        for s2, t2, u1, r2 in column:
+            hit = head.get((t2, u1))
+            if hit is not None:
+                key = (s2, hit[0], w0)
+                term = hit[1] * r2
                 out[key] = out[key] + term if key in out else term
         return RatOperator.from_dict(out)
 
@@ -168,12 +180,14 @@ class BAlgebra(OperatorAlgebra):
 
         Entry (i, j) is ``tr(x_i y_j)`` with ``x_i = m_i tau_{w_i} e(ell_i)``.
         It vanishes unless the target of y_j is ell_i, so the columns are
-        indexed by target once.  The rows of one group (ell, w) share
-        ``z = tau_w e(ell) y_j``, of which only the tau_{w0} blocks are
-        formed: by left Pol-linearity the entry is the coefficient trace of
-        ``m_i f``, with f the tau_{w0} coefficient of z, that is
-        ``sum_g sgn(g) g(m_i) g(f) / den`` over ``trace_terms``.  The images
-        ``g(f)`` are taken once per product and ``g(m_i)`` once per monomial.
+        indexed by target once and kept as their ``_twisted_column``.  The
+        rows of one group (ell, w) share ``z = tau_w e(ell) y_j``, of which
+        only the tau_{w0} blocks are formed, each column block finding its
+        block of ``tau_w e(ell)`` by (source, twist).  By left Pol-linearity
+        the entry is the coefficient trace of ``m_i f``, f the tau_{w0}
+        coefficient of z: ``sum_g sgn(g) g(m_i) g(f) / den`` over ``trace_terms``.
+        The images ``g(f)`` are taken once per product and ``g(m_i)`` once per
+        monomial.
         """
         span = self.spanning_set(degree_bound)
         columns: dict[PointKey, list[int]] = {}
@@ -181,14 +195,14 @@ class BAlgebra(OperatorAlgebra):
         for j, (ell, w, m) in enumerate(span):
             tgt = self.act_ell(w, ell)
             columns.setdefault(tgt, []).append(j)
-            ops.append(self.mul(self.poly_mult(m, tgt), self.tau_element(w, ell)))
+            ops.append(self._twisted_column(self.mul(self.poly_mult(m, tgt), self.tau_element(w, ell))))
         groups: dict[tuple[PointKey, Perm], list[int]] = {}
         for i, (ell, w, _) in enumerate(span):
             groups.setdefault((ell, w), []).append(i)
         images: dict[tuple[Perm, Poly], Poly] = {}
         matrix: dict[tuple[int, int], Poly] = {}
         for (ell, w), rows in groups.items():
-            head = self.tau_element(w, ell)
+            head = {(s, u): (t, r) for (s, t, u), r in self.tau_element(w, ell).entries}
             for j in columns.get(ell, ()):
                 for src, f in self.top_coefficients(self._top_product(head, ops[j])).items():
                     signed, den = self.trace_terms[src]
@@ -231,9 +245,12 @@ def gram_rank_at_point(matrix: dict[tuple[int, int], Poly], point: Sequence[Frac
             a = parent[a]
         return a
 
+    # the point as integer numerators over their common denominator, once
+    q = lcm(*(Fraction(x).denominator for x in point))
+    xs = PointsOver(q).key(point)
     values: dict[tuple[int, int], Fraction] = {}
     for (r, c), entry in matrix.items():
-        x = entry.evaluate(point)
+        x = entry.evaluate(xs, q)
         if x != 0:
             values[r, c] = x
             parent[find(r)] = find(-1 - c)

@@ -20,6 +20,7 @@ import sys
 import time
 from fractions import Fraction
 
+from . import kz
 from .algebra import NonTerminating, NotInAlgebra
 from .bqha import gram_rank_at_point
 from .clans import IncompleteExploration, enumerate_clans
@@ -188,18 +189,12 @@ def check_frobenius(spec: InstanceSpec, ball: int, seed: int) -> dict:
     if rank != expected:
         failures.append({"reason": "gram rank", "rank": rank, "expected": expected})
     # trace symmetry under the anti-involution, on sampled generator words
-    gens = []
-    for i in range(B.rank):
-        out = B.zero()
-        for ell in B.orbit:
-            out = out + B.tau_letter(i, ell)
-        gens.append(out)
-    for i in range(B.rank):
-        f = Poly.variable(B.rank, i)
-        out = B.zero()
-        for ell in B.orbit:
-            out = out + B.poly_mult(f, ell)
-        gens.append(out)
+    # the tau letters, then the coordinates, each summed over the orbit
+    gens = [B.zero()] * (2 * B.rank)
+    for ell in B.orbit:
+        for i in range(B.rank):
+            gens[i] = gens[i] + B.tau_letter(i, ell)
+            gens[B.rank + i] = gens[B.rank + i] + B.poly_mult(Poly.variable(B.rank, i), ell)
     count = len(span)
     for _ in range(20):
         wx = [rng.randrange(len(gens)) for _ in range(rng.randrange(1, 3))]
@@ -255,9 +250,10 @@ def check_product(spec: InstanceSpec, ball: int, seed: int) -> dict:
     failures = []
     count = 0
     for w in spec.group.finite.elements:
+        section = kz.pregamma_group(alg.group, gamma, w)
         for ell in B.orbit:
             count += 1
-            rep = product_formula_check(alg, B, gamma, w, ell)
+            rep = product_formula_check(alg, B, gamma, section, ell)
             if not rep.ok:
                 failures.append({"w": list(spec.group.finite.word(w)),
                                  "ell": _strs(spec, ell), "scalar": str(rep.scalar)})
@@ -354,13 +350,9 @@ def cmd_example_a1(as_json: bool) -> int:
     scalars = {}
     products = {}
     for lam in (lp, lm):
-        prod = alg.tau_word([1, 0, 1, 0, 1], lam)
-        products[lam] = prod
-        entry = prod.to_dict()
-        key = next(iter(entry))
-        coeff = entry[key]
-        # extract c with coefficient = c * da
-        ratio = coeff / RatFunc.from_poly(da)
+        prod = products[lam] = alg.tau_word([1, 0, 1, 0, 1], lam)
+        # extract c with the first block's coefficient = c * da
+        ratio = prod.entries[0][1] / RatFunc.from_poly(da)
         scalars[lam] = ratio.num.constant_value() if ratio.is_constant() else None
     product_ok = (scalars[lp] is not None and scalars[lp] == scalars[lm] and scalars[lp] != 0
                   and len(products[lp].entries) == 1)

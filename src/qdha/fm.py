@@ -10,6 +10,7 @@ variables minus the rank of its implicit equalities.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 Constraint = tuple[tuple[Fraction, ...], Fraction, bool]
@@ -67,24 +68,23 @@ def cone_dimension(rows: list[Sequence], nvars: int) -> int:
     return nvars - rank(equalities)
 
 
-def rank(rows: list[list[Fraction]]) -> int:
-    """Exact rank by Gauss-Jordan elimination; reduces ``rows`` in place."""
-    n = len(rows)
-    rank = 0
-    col = 0
-    ncols = n and len(rows[0])
-    while rank < n and col < ncols:
-        piv = next((r for r in range(rank, n) if rows[r][col] != 0), None)
+def rank(rows: Sequence[Sequence]) -> int:
+    """Exact rank of a matrix of ints or ``Fraction``s by fraction-free (Bareiss)
+    elimination: each row is scaled by the lcm of its denominators, and every
+    entry stays an integer minor, so each division by the last pivot is exact."""
+    m = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (d // x.denominator) for x in row])
+    n, r, last = len(m), 0, 1
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, n) if m[i][col]), None)
         if piv is None:
-            col += 1
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+        m[r], m[piv] = m[piv], m[r]
+        p, top = m[r][col], m[r]
+        for i in range(r + 1, n):
+            a = m[i][col]
+            m[i] = [(p * x - a * y) // last for x, y in zip(m[i], top)]
+        last, r = p, r + 1
+    return r

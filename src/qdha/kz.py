@@ -136,10 +136,12 @@ class ProductFormulaReport:
     ok: bool
 
 
-def product_formula_check(alg, B, gamma: Lattice, w: Perm, ell: PointKey) -> ProductFormulaReport:
-    """Compare the affine inversion product with the finite one.
+def product_formula_check(alg, B, gamma: Lattice, section: AffineWeylElement,
+                          ell: PointKey) -> ProductFormulaReport:
+    """Compare the affine inversion product with the finite one, for the finite
+    element w of ``section = pregamma_group(group, gamma, w)``.
 
-    Left side: prod over the inversion set of the conjugated reflection word of
+    Left side: prod over the inversion set of the section of
     (-db)^{omega(b)}.  Right side: prod over finite inversions of
     (-beta)^{integral omega(beta)}, read from the finite order function of B.
     Both are left untwisted root monomials, each a product of root forms with
@@ -151,11 +153,11 @@ def product_formula_check(alg, B, gamma: Lattice, w: Perm, ell: PointKey) -> Pro
     omega = alg.omega
     ell = omega.torus.point(ell)
     lam = pregamma_point(omega, gamma, ell)
-    lsign, lexps = alg.root_monomial(alg.inversion_orders(pregamma_group(alg.group, gamma, w), lam))
-    rsign, rexps = B.root_monomial(B.inversion_orders(w, ell))
+    lsign, lexps = alg.root_monomial(alg.inversion_orders(section, lam))
+    rsign, rexps = B.root_monomial(B.inversion_orders(section.w, ell))
     if lexps != rexps:
-        return ProductFormulaReport(w=w, ell=ell, scalar=Fraction(0), ok=False)
-    return ProductFormulaReport(w=w, ell=ell, scalar=Fraction(lsign * rsign), ok=True)
+        return ProductFormulaReport(w=section.w, ell=ell, scalar=Fraction(0), ok=False)
+    return ProductFormulaReport(w=section.w, ell=ell, scalar=Fraction(lsign * rsign), ok=True)
 
 
 # ----- the isomorphism check -----

@@ -135,9 +135,6 @@ class Poly:
             return -1
         return max(sum(m) for m in self.numer)
 
-    def items_sorted(self):
-        return sorted(self.coeffs.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
-
     # ----- arithmetic -----
 
     def _combine(self, other: "Poly", sign: int) -> "Poly":
@@ -242,13 +239,10 @@ class Poly:
             out = {m: c for m, c in out.items() if c}
         return _canonical(nvars, out, self.denom * d ** top)
 
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        """The value at a rational point, in integers: with ``point = xs / q`` over
-        its common denominator q and d the total degree, it is
+    def evaluate(self, xs: Sequence[int], q: int) -> Fraction:
+        """The value at the rational point ``xs / q``, given as integer numerators
+        over a positive common denominator: with d the total degree, it is
         ``sum_m c_m xs^m q^(d - |m|)`` over ``q^d denom``, one ``Fraction`` in all."""
-        point = [Fraction(x) for x in point]
-        q = lcm(*(x.denominator for x in point))
-        xs = [x.numerator * (q // x.denominator) for x in point]
         d = max(self.total_degree(), 0)
         total = 0
         for m, c in self.numer.items():
@@ -264,7 +258,7 @@ class Poly:
         if not self.numer:
             return "0"
         parts = []
-        for m, c in self.items_sorted():
+        for m, c in sorted(self.coeffs.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True):
             mono = "*".join(
                 (f"x{i}" if e == 1 else f"x{i}^{e}") for i, e in enumerate(m) if e
             )
@@ -512,10 +506,11 @@ def apply_linear_rat(r: RatFunc, images: Sequence[Poly]) -> RatFunc:
     return out
 
 
-def divide_exact(f: Poly, g: Poly) -> Poly:
-    """f / g for a nonzero g that divides f; a remainder raises ArithmeticError."""
-    prim, scalar = normalize_factor(g)
+def divide_exact(f: Poly, g: tuple[Poly, Fraction]) -> Poly:
+    """f / g for a nonzero g, given as ``normalize_factor(g)``, that divides f;
+    a remainder raises ArithmeticError."""
+    prim, scalar = g
     q = _exact_quotient(f, prim)
     if q is None:
         raise ArithmeticError("exact division left a remainder")
-    return q.scale(1 / scalar)
+    return q if scalar == 1 else -q if scalar == -1 else q.scale(1 / scalar)

@@ -179,13 +179,10 @@ class FiniteRootSystem:
 
     def _fundamental_coweights(self) -> list[Vec]:
         # coords c of varpi_i^vee in the coroot basis: sum_k c_k <alpha_j, alpha_k^vee> = delta_ij
-        out = []
         rows = [[self.pair_root_coroot(self.simple_root(j), self.simple_root(k)) for k in range(self.rank)]
                 for j in range(self.rank)]
-        for i in range(self.rank):
-            rhs = [Fraction(1) if j == i else Fraction(0) for j in range(self.rank)]
-            out.append(tuple(solve_linear(rows, rhs)))
-        return out
+        return [tuple(solve_linear(rows, [Fraction(int(j == i)) for j in range(self.rank)]))
+                for i in range(self.rank)]
 
     # ----- basic queries -----
 
@@ -239,12 +236,8 @@ def build_finite(type_label: str) -> FiniteRootSystem:
         n = int(m.group(1))
         if n < 1:
             raise ValueError(f"unknown root system label {type_label!r}")
-        simple = []
-        for i in range(n):
-            e = [Fraction(0)] * (n + 1)
-            e[i] = Fraction(1)
-            e[i + 1] = Fraction(-1)
-            simple.append(tuple(e))
+        # e_i - e_{i+1} in R^{n+1}
+        simple = [tuple(Fraction(int(k == i) - int(k == i + 1)) for k in range(n + 1)) for i in range(n)]
         return FiniteRootSystem(label, simple)
     if label == "B2":
         return FiniteRootSystem(label, [vec((1, -1)), vec((0, 1))])

@@ -17,6 +17,7 @@ from qdha.kz import (
     gamma_change,
     integral_b_order_function,
     iso_check,
+    pregamma_group,
     product_formula_check,
     two_rho_coroot,
 )
@@ -323,7 +324,7 @@ def test_criterion_10_product_formula():
     scalars = set()
     for w in spec.group.finite.elements:
         for ell in B.orbit:
-            rep = product_formula_check(alg, B, gamma, w, ell)
+            rep = product_formula_check(alg, B, gamma, pregamma_group(alg.group, gamma, w), ell)
             if not rep.ok:
                 failures.append((w, ell))
             else:

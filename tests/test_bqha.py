@@ -1,16 +1,18 @@
 """Finite quotient algebra: generators, normal forms, Frobenius trace, Gram rank."""
 import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 
+from qdha import algebra, polyring
 from qdha.algebra import NotInAlgebra, RatOperator
 from qdha.bqha import BAlgebra, gram_rank_at_point
 from qdha.instances import instance_from_data, load_instance
 from qdha.kz import integral_b_order_function
 from qdha.orderfun import BOrderFunction, OrderFunction, TorusOrbit
-from qdha.polyring import Poly, RatFunc
+from qdha.polyring import Poly, RatFunc, apply_linear_rat
 from qdha.rootsys import affinise, vec
 from qdha.weyl import AffineWeylGroup
 from test_algebra import LEADING, inversion_leading_coefficient
@@ -309,6 +311,22 @@ def test_gram_matrix_equals_reference(name):
     assert list(matrix) == list(ref)
 
 
+def head_operator(head):
+    """The operator behind a ``_top_product`` head: its blocks indexed by (source, twist)."""
+    return RatOperator.from_dict({(s, t, u): r for (s, u), (t, r) in head.items()})
+
+
+def untwisted_column(B, column):
+    """The operator behind a ``_twisted_column``: ``(s2, t2, u1, u1(r2))`` is the
+    block r2 at (s2, t2, u2) with ``u2 = u1^-1 w0``."""
+    w0 = B.fin.longest_element()
+    out = {}
+    for s2, t2, u1, r in column:
+        v = B.fin.inverse(u1)
+        out[s2, t2, B.fin.compose(v, w0)] = B.act_rat(v, r)
+    return RatOperator.from_dict(out)
+
+
 def test_gram_matrix_one_product_per_group_and_column(monkeypatch):
     B = a2_wall_lite()
     B.gram_matrix(4)  # fill the tau element cache
@@ -325,16 +343,93 @@ def test_gram_matrix_one_product_per_group_and_column(monkeypatch):
     assert len(span) == 108
     assert len(products) == 108
     assert len(top_products) == 648
-    # each is the tau_{w0} part of the full product
+    # the heads are the groups' tau_w e(ell) and the columns the spanning
+    # operators ending at ell, in order
+    ops = spanning_ops(B, span)
+    pairs = [(B.tau_element(w, ell), y) for ell, w in dict.fromkeys((ell, w) for ell, w, _ in span)
+             for (ell_j, w_j, _), y in zip(span, ops) if B.act_ell(w_j, ell_j) == ell]
+    full = [(head_operator(h), untwisted_column(B, c)) for h, c, _ in top_products]
+    assert full == pairs
+    # each is the tau_{w0} part of the full product of its head and column
     w0 = B.fin.longest_element()
-    for x, y, z in top_products:
-        assert z == RatOperator.from_dict({k: v for k, v in mul(x, y).entries if k[2] == w0})
+    full = [mul(x, y) for x, y in full]
+    for (_, _, z), xy in zip(top_products, full):
+        assert z == RatOperator.from_dict({k: v for k, v in xy.entries if k[2] == w0})
     # 510 have no tau_{w0} block, 72 of them because the full product
     # vanishes (order -1 on the wall)
     assert sum(1 for _, _, z in top_products if z.is_zero()) == 510
-    assert sum(1 for x, y, _ in top_products if mul(x, y).is_zero()) == 72
+    assert sum(1 for xy in full if xy.is_zero()) == 72
     # the tau_{w0} coefficient is read off its block, without a peel
     assert normal_forms == []
+
+
+def test_identity_twist_equals_substitution_by_identity_images():
+    # act_rat and act_poly return their argument at the identity; substituting
+    # the identity images gives the same canonical numerator and factors
+    B = a2_wall_lite()
+    e, w0 = B.fin.identity, B.fin.longest_element()
+    images = B.images(e)
+    blocks = [r for ell in B.orbit for _, r in B.tau_element(w0, ell).entries]
+    assert any(not r.is_poly() for r in blocks)
+    for r in blocks:
+        ref = apply_linear_rat(r, images)
+        out = B.act_rat(e, r)
+        assert (out.num, out.den) == (ref.num, ref.den)
+        for p in [r.num, *r.den]:
+            assert B.act_poly(e, p) == p.substitute(images)
+
+
+def test_gram_matrix_twists_each_column_block_once(monkeypatch):
+    B = a2_wall_lite()
+    B.gram_matrix(4)  # fill the tau element cache
+    counts = {"apply_linear_rat": 0, "twisted factors": 0, "substitute": 0, "normalize_factor": 0,
+              "columns": 0, "column blocks": 0, "act_rat": 0}
+    apply, substitute, normalize = algebra.apply_linear_rat, Poly.substitute, polyring.normalize_factor
+    twisted_column, act_rat = B._twisted_column, B.act_rat
+
+    def counted_apply(r, images):
+        counts["apply_linear_rat"] += 1
+        counts["twisted factors"] += len(r.den)
+        return apply(r, images)
+
+    def counted_substitute(f, images):
+        counts["substitute"] += 1
+        return substitute(f, images)
+
+    def counted_normalize(f):
+        counts["normalize_factor"] += 1
+        return normalize(f)
+
+    def counted_column(y):
+        counts["columns"] += 1
+        counts["column blocks"] += len(y.entries)
+        before = counts["act_rat"]
+        out = twisted_column(y)
+        assert counts["act_rat"] - before == len(y.entries)
+        return out
+
+    def counted_act_rat(w, r):
+        counts["act_rat"] += 1
+        return act_rat(w, r)
+
+    monkeypatch.setattr(algebra, "apply_linear_rat", counted_apply)
+    monkeypatch.setattr(Poly, "substitute", counted_substitute)
+    monkeypatch.setattr(polyring, "normalize_factor", counted_normalize)
+    monkeypatch.setattr(B, "_twisted_column", counted_column)
+    monkeypatch.setattr(B, "act_rat", counted_act_rat)
+    B.gram_matrix(4)
+    # one twisted column per spanning operator, each block twisted once
+    assert counts["columns"] == 108
+    # act_rat runs once per column block in the column products (at the
+    # identity) and once in its twist, and nowhere else
+    assert counts["act_rat"] == 2 * counts["column blocks"] == 324
+    # 378 and 960 when every matched pair twisted its column block again and
+    # every identity twist still substituted
+    assert counts["apply_linear_rat"] == 144
+    assert counts["substitute"] == 494
+    # every normalisation is of a twisted denominator factor: the trace
+    # denominators are normalised once per orbit point, at construction
+    assert counts["normalize_factor"] == counts["twisted factors"] == 90
 
 
 def test_normal_form_left_pol_linear():
@@ -398,9 +493,16 @@ def test_gram_rank_by_blocks_on_gram_matrix():
     B = a2_wall_lite()
     span, matrix = B.gram_matrix(4)
     point = (Fraction(3, 5), Fraction(5, 7))
-    values = [[matrix[i, j].evaluate(point) if (i, j) in matrix else Fraction(0)
+    xs, q = over_common_denominator(point)
+    values = [[matrix[i, j].evaluate(xs, q) if (i, j) in matrix else Fraction(0)
                for j in range(len(span))] for i in range(len(span))]
     assert gram_rank_at_point(matrix, point) == dense_rank(values)
+
+
+def over_common_denominator(point):
+    """The integer numerators of a rational point over their common denominator, and it."""
+    q = lcm(*(Fraction(x).denominator for x in point))
+    return [int(x * q) for x in point], q
 
 
 def fraction_evaluate(f, point):
@@ -423,7 +525,7 @@ def test_integer_evaluation_of_gram_entries(name):
     for point in [(Fraction(3, 5), Fraction(5, 7)), (Fraction(-2, 3), Fraction(4)),
                   (Fraction(0), Fraction(1, 6))]:
         for entry in matrix.values():
-            assert entry.evaluate(point) == fraction_evaluate(entry, point)
+            assert entry.evaluate(*over_common_denominator(point)) == fraction_evaluate(entry, point)
 
 
 def test_theta_words_frozen_per_orbit_point():
@@ -434,9 +536,9 @@ def test_theta_words_frozen_per_orbit_point():
     assert set(B.trace_terms) == set(B.orbit)
     rng = random.Random(5)
     for ell in B.orbit:
-        signed, den = B.trace_terms[ell]
+        signed, (den, scalar) = B.trace_terms[ell]
         assert sorted(sign for _, sign in signed) == [-1, 1]
-        assert den.total_degree() == 1
+        assert den.total_degree() == 1 and abs(scalar) == 1
         roots = [a for a in B.rs.positive_roots if B.rs.pair_root_point(a, ell) % B.den == 0]
         assert len(roots) == 1
         f = Poly(2, {(rng.randrange(3), rng.randrange(1, 3)): Fraction(rng.randrange(1, 5))})
@@ -458,7 +560,7 @@ def test_gram_products_in_algebra_with_peeled_top_coefficients(make, monkeypatch
     w0 = B.fin.longest_element()
     assert any(B.top_coefficients(top_product(x, y)) for x, y in pairs)
     for x, y in pairs:
-        z = B.mul(x, y)
+        z = B.mul(head_operator(x), untwisted_column(B, y))
         peeled = {}
         for src in z.sources():
             nf = B.normal_form(RatOperator.from_dict({k: v for k, v in z.entries if k[0] == src}))

@@ -1,4 +1,6 @@
-"""Clan decomposition: sign vectors, enumeration, recession cone dimensions, genericity."""
+"""Clan decomposition: sign vectors, enumeration, recession cone dimensions, genericity;
+the exact rank they rest on."""
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -196,6 +198,84 @@ def test_generic_flags_agree_with_deep_translate_membership():
 ])
 def test_cone_dimension_examples(rows, dimension):
     assert fm.cone_dimension(rows, 2) == dimension
+
+
+def gauss_jordan_rank(rows):
+    """Exact rank by Gauss-Jordan elimination in ``Fraction``s (the reference)."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+BIG = 10 ** 30
+
+
+@pytest.mark.parametrize("rows,rank", [
+    ([], 0),
+    ([[]], 0),
+    ([[0, 0], [0, 0]], 0),                                 # zero matrix
+    ([[1, 2], [2, 4]], 1),
+    ([[Fraction(1, 3), Fraction(1, 2)], [Fraction(2, 3), 1]], 1),
+    ([[1, 2, 3]], 1),                                      # wide
+    ([[1], [2], [0], [-5]], 1),                            # tall
+    ([[0, 1, 2], [0, 2, 4], [0, 0, 0], [0, 3, 7]], 2),     # zero row and column
+    ([[BIG, -BIG + 1], [-BIG, BIG]], 2),                   # large and negative
+    ([[BIG, Fraction(1, BIG)], [BIG ** 2, 1]], 1),
+    ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], 3),                # every pivot needs a swap
+])
+def test_rank_examples(rows, rank):
+    before = [list(row) for row in rows]
+    assert fm.rank(rows) == gauss_jordan_rank(rows) == rank
+    assert rows == before  # the input is left as it is
+
+
+def test_rank_matches_fraction_gauss_jordan_on_random_matrices():
+    rng = random.Random(17)
+
+    def entry():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rng.randrange(-9, 10)
+        if kind == 2:
+            return Fraction(rng.randrange(-9, 10), rng.randrange(1, 12))
+        return rng.choice([-1, 1]) * rng.randrange(BIG)
+
+    for _ in range(300):
+        n, k, m = rng.randrange(1, 8), rng.randrange(0, 8), rng.randrange(1, 8)
+        if k and rng.randrange(2):
+            # a product of n x k and k x m factors has rank at most k
+            a = [[entry() for _ in range(k)] for _ in range(n)]
+            b = [[entry() for _ in range(m)] for _ in range(k)]
+            rows = [[sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+                    for row in a]
+        else:
+            rows = [[entry() for _ in range(m)] for _ in range(n)]
+        assert fm.rank(rows) == gauss_jordan_rank(rows)
+
+
+def test_rank_reads_only_numerators_and_denominators():
+    # the elimination runs on integers: an entry that supports no arithmetic
+    # but exposes its numerator and denominator is enough
+    class Opaque:
+        def __init__(self, x):
+            self.numerator, self.denominator = Fraction(x).numerator, Fraction(x).denominator
+
+    rows = [[Fraction(1, 2), 3, 0], [1, 6, 0], [Fraction(-2, 7), 5, Fraction(9, 4)]]
+    assert fm.rank([[Opaque(x) for x in row] for row in rows]) == gauss_jordan_rank(rows) == 2
 
 
 def test_feasibility_rejects_contradictory_signs():

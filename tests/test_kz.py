@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from qdha.algebra import Algebra, OperatorAlgebra
-from qdha import cli
+from qdha import cli, kz
 from qdha.bqha import BAlgebra
 from qdha.instances import load_instance
 from qdha.cli import check_kernel
@@ -147,7 +147,8 @@ def test_lift_of_finite_tau_basis_equals_integral_reference(name):
 
 def test_product_formula_identity_element():
     alg, B, gamma = a2_setup()
-    rep = product_formula_check(alg, B, gamma, alg.group.finite.identity, B.orbit[0])
+    rep = product_formula_check(alg, B, gamma, pregamma_group(alg.group, gamma, alg.group.finite.identity),
+                                B.orbit[0])
     assert rep.ok and rep.scalar == 1
 
 
@@ -155,7 +156,7 @@ def test_product_formula_rank1_reflection():
     alg, B, gamma = rank1_setup()
     s = alg.group.finite.reflection(alg.rs.simple_root(0))
     for ell in B.orbit:
-        rep = product_formula_check(alg, B, gamma, s, ell)
+        rep = product_formula_check(alg, B, gamma, pregamma_group(alg.group, gamma, s), ell)
         assert rep.ok
 
 
@@ -163,8 +164,21 @@ def test_product_formula_a2_all_elements_and_weights():
     alg, B, gamma = a2_setup()
     for w in alg.group.finite.elements:
         for ell in B.orbit:
-            rep = product_formula_check(alg, B, gamma, w, ell)
+            rep = product_formula_check(alg, B, gamma, pregamma_group(alg.group, gamma, w), ell)
             assert rep.ok, (w, ell, rep.scalar)
+
+
+def test_product_sweep_builds_one_section_per_finite_element(monkeypatch):
+    # the section depends on (gamma, w) alone, so the sweep builds it once per
+    # w, through the module attribute, and shares it over the orbit
+    spec = load_instance(ROOT / "instances" / "c2_generic.json")
+    calls = []
+    section = kz.pregamma_group
+    monkeypatch.setattr(kz, "pregamma_group",
+                        lambda group, gamma, w: calls.append(w) or section(group, gamma, w))
+    report = cli.check_product(spec, spec.ball, 1)
+    assert report["pass"] and report["instances"] == len(calls) * len(spec.b_algebra().orbit)
+    assert sorted(calls) == sorted(spec.group.finite.elements)
 
 
 def test_iso_check_rank1():

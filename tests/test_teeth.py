@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from qdha import cli, kz
-from qdha.algebra import Algebra, RatOperator
+from qdha.algebra import Algebra
 from qdha.bqha import BAlgebra
 from qdha.cli import main
 from qdha.instances import load_instance
@@ -119,19 +119,16 @@ def test_frobenius_fails_on_twists_composed_in_the_wrong_order(monkeypatch, caps
     code, report = verify("a2_generic", "frobenius", capsys)
     assert code == 0 and report["pass"]
 
-    def wrong_order(self, x, y):
-        # BAlgebra._top_product with the twists composed as u2 u1
+    def wrong_order(self, y):
+        # BAlgebra._twisted_column with the head twist chosen so that u2 u1 = w0
         w0 = self.fin.longest_element()
-        out = {}
+        out = []
         for (s2, t2, u2), r2 in y.entries:
-            for (s1, t1, u1), r1 in x.entries:
-                if s1 != t2 or self.fin.compose(u2, u1) != w0:
-                    continue
-                term = r1 * self.act_rat(u1, r2)
-                out[s2, t1, w0] = out[s2, t1, w0] + term if (s2, t1, w0) in out else term
-        return RatOperator.from_dict(out)
+            u1 = self.fin.compose(self.fin.inverse(u2), w0)
+            out.append((s2, t2, u1, self.act_rat(u1, r2)))
+        return out
 
-    monkeypatch.setattr(BAlgebra, "_top_product", wrong_order)
+    monkeypatch.setattr(BAlgebra, "_twisted_column", wrong_order)
     code, report = verify("a2_generic", "frobenius", capsys)
     assert code == 1 and not report["pass"]
     assert [f["reason"] for f in report["failures"]] == ["gram rank"]
