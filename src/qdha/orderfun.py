@@ -171,7 +171,11 @@ class OrderFunction:
 def _orbit_parameter(h, rs, alpha: RootKey) -> Fraction:
     """The deformation parameter for a root, constant on length classes."""
     if isinstance(h, Mapping):
-        return Fraction(h[rs.norm2(alpha)])
+        n2 = rs.norm2(alpha)
+        if n2 not in h:
+            raise ValueError(f"'ddaha_h' gives no value for roots of squared length {n2}; "
+                             f"it gives squared lengths {', '.join(map(str, sorted(h)))}")
+        return Fraction(h[n2])
     return Fraction(h)
 
 

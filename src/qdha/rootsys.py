@@ -1,13 +1,16 @@
 """Finite root systems and their affinisations, in exact rational arithmetic.
 
-A finite root system is realized once in an ambient rational vector space, then
-converted to intrinsic data: every root is stored by its integer coordinates in
-the simple-root basis, and all pairings go through the Gram matrix of the simple
-roots.  Points of the reflection space E are stored by their coordinates in the
-simple-coroot basis, so that lattice membership and root evaluation are exact;
-a vector of the coroot lattice, a coroot or a translation, is a tuple of ints,
-checked once by ``lattice_vector``.  A weight of an instance is a tuple of
-ints too, its numerators over the instance's denominator (``PointKey``).
+A finite root system is given by its simple roots in an ambient rational vector
+space, read once for their Gram matrix and so their integer Cartan matrix.
+Everything else is integer work in the simple-root basis: the roots are the
+orbit of the simple roots under the simple reflections, each stored by its
+integer coordinates, and the pairings, coroots and reflections of every pair of
+roots are tables of ints; only a squared length is a ``Fraction``.  Points of
+the reflection space E are stored by their coordinates in the simple-coroot
+basis, so that lattice membership and root evaluation are exact; a vector of
+the coroot lattice, a coroot or a translation, is a tuple of ints, checked once
+by ``lattice_vector``.  A weight of an instance is a tuple of ints too, its
+numerators over the instance's denominator (``PointKey``).
 
 An affine root ``a = alpha + k`` is the affine function ``x -> <alpha, x> + k``
 on E; the affine roots are ``{alpha + k : alpha in R, k in Z}``.  Every system
@@ -18,6 +21,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 # a point of E in simple-coroot coordinates, as exact rationals: an input such
@@ -62,7 +68,9 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
     n = len(rows)
     m = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
     for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular linear system")
         m[col], m[piv] = m[piv], m[col]
         inv = Fraction(1) / m[col][col]
         m[col] = [x * inv for x in m[col]]
@@ -87,81 +95,63 @@ class AffineRoot:
 class FiniteRootSystem:
     """An irreducible reduced finite root system with a fixed basis.
 
-    All data is exact: roots are integer vectors in the simple-root basis and
-    the scalar product is the rational Gram matrix of the simple roots.
+    All data is exact: roots are integer vectors in the simple-root basis, and
+    every table is built from the integer Cartan matrix of the simple roots.
     """
 
     def __init__(self, label: str, simple_ambient: list[Vec]):
         self.label = label
         self.rank = len(simple_ambient)
-        self._ambient = [vec(v) for v in simple_ambient]
-        # Gram matrix of the simple roots.
-        self.gram = [[_dot(a, b) for b in self._ambient] for a in self._ambient]
-        keys = sorted(self._to_key(v) for v in self._reflection_closure(self._ambient))
-        self.roots: tuple[RootKey, ...] = tuple(keys)
+        r = range(self.rank)
+        ambient = [vec(v) for v in simple_ambient]
+        # Gram matrix of the simple roots; its diagonal over one common denominator
+        self.gram = [[_dot(a, b) for b in ambient] for a in ambient]
+        den = lcm(*(g.denominator for row in self.gram for g in row))
+        length = [int(self.gram[i][i] * den) for i in r]
+        # cartan[j][i] = <alpha_j, alpha_i^vee>, refused unless integral before
+        # any closure, so that a non-crystallographic basis cannot loop
+        cartan = [[2 * self.gram[j][i] / self.gram[i][i] for i in r] for j in r]
+        for j, i in product(r, r):
+            if cartan[j][i].denominator != 1:
+                raise ValueError(f"<alpha_{j}, alpha_{i}^vee> = {cartan[j][i]} is not an integer")
+        cartan = [list(map(int, row)) for row in cartan]
+        # coords c of varpi_i^vee in the coroot basis: sum_k c_k <alpha_j, alpha_k^vee> = delta_ij;
+        # solving refuses linearly dependent simple roots, whose reflections
+        # generate an infinite group
+        self.fundamental_coweights = [tuple(solve_linear(cartan, [Fraction(int(j == i)) for j in r]))
+                                      for i in r]
+        # the roots are the orbit of the simple roots under s_i(b) = b - <b, alpha_i^vee> alpha_i;
+        # norm[b] is (b, b) over den, constant on the orbit, and rows[b][i] = <b, alpha_i^vee>
+        queue = [self.simple_root(i) for i in r]
+        norm = dict(zip(queue, length))
+        rows: dict[RootKey, list[int]] = {}
+        for b in queue:  # grows as new roots are found
+            rows[b] = row = [sum(b[j] * cartan[j][i] for j in r if b[j]) for i in r]
+            for i in r:
+                if row[i]:
+                    img = b[:i] + (b[i] - row[i],) + b[i + 1:]
+                    if img not in norm:
+                        norm[img] = norm[b]
+                        queue.append(img)
+        self.roots: tuple[RootKey, ...] = tuple(sorted(norm))
         self._root_set = frozenset(self.roots)
         self.positive_roots = tuple(k for k in self.roots if self._key_sign(k) > 0)
         self.highest_root = self._find_highest()
-        self._build_tables()
-        self.fundamental_coweights = self._fundamental_coweights()
-        self.coxeter_number = int(self.height(self.highest_root)) + 1
-
-    # ----- construction helpers -----
-
-    def _reflection_closure(self, seed: list[Vec]) -> set[Vec]:
-        roots = set(seed) | {tuple(-c for c in v) for v in seed}
-        while True:
-            new = set()
-            for a in roots:
-                na = _dot(a, a)
-                for b in roots:
-                    coef = 2 * _dot(a, b) / na
-                    img = tuple(x - coef * y for x, y in zip(b, a))
-                    if img not in roots:
-                        new.add(img)
-            if not new:
-                return roots
-            roots |= new
-
-    def _to_key(self, ambient: Vec) -> RootKey:
-        basis = self._ambient
-        # Solve over the span of the simple roots (the ambient space may be larger).
-        gm = [[_dot(a, b) for b in basis] for a in basis]
-        rhs = [_dot(a, ambient) for a in basis]
-        coords = solve_linear(gm, rhs)
-        key = tuple(int(c) for c in coords)
-        if any(Fraction(k) != c for k, c in zip(key, coords)):
-            raise ValueError(f"root {ambient} is not an integer combination of the simple roots")
-        return key
-
-    def _build_tables(self) -> None:
-        """Pairings, coroots and reflections for every pair of roots, built once."""
-        roots, r = self.roots, range(self.rank)
-        gram_b = {b: [sum(self.gram[i][j] * b[j] for j in r) for i in r] for b in roots}
-        self._inner: dict[tuple[RootKey, RootKey], Fraction] = {
-            (a, b): sum((a[i] * gb[i] for i in r if a[i]), Fraction(0))
-            for a in roots for b, gb in gram_b.items()
-        }
-        self._pairing: dict[tuple[RootKey, RootKey], int] = {}
-        for (a, b), ab in self._inner.items():
-            c = 2 * ab / self._inner[(b, b)]
-            if c.denominator != 1:
-                raise ValueError(f"<{a}, {b}^vee> = {c} is not an integer")
-            self._pairing[(a, b)] = int(c)
+        self.coxeter_number = self.height(self.highest_root) + 1
+        self._norm2 = {a: Fraction(norm[a], den) for a in self.roots}
+        # a^vee = sum_i a_i (alpha_i, alpha_i) / (a, a) alpha_i^vee, an integer vector
         self._coroot: dict[RootKey, Lattice] = {
-            a: lattice_vector([a[i] * self.gram[i][i] / self._inner[(a, a)] for i in r],
-                              f"the coroot of {a}")
-            for a in roots
-        }
+            a: tuple(a[i] * length[i] // norm[a] for i in r) for a in self.roots}
+        self._pairing: dict[tuple[RootKey, RootKey], int] = {
+            (a, b): sum(map(mul, rows[a], self._coroot[b])) for a in self.roots for b in self.roots}
         # <a, x> = sum_i x_i <a, alpha_i^vee>, kept as the nonzero (i, pairing) terms
         self._point_terms: dict[RootKey, tuple[tuple[int, int], ...]] = {
-            a: tuple((i, p) for i in r if (p := self._pairing[(a, self.simple_root(i))]))
-            for a in roots
-        }
+            a: tuple((i, p) for i, p in enumerate(rows[a]) if p) for a in self.roots}
         self._reflect: dict[tuple[RootKey, RootKey], RootKey] = {
             (by, a): tuple(ai - self._pairing[(a, by)] * bi for ai, bi in zip(a, by))
-            for by in roots for a in roots
-        }
+            for by in self.roots for a in self.roots}
+
+    # ----- construction helpers -----
 
     def _key_sign(self, key: RootKey) -> int:
         if all(c >= 0 for c in key):
@@ -176,13 +166,6 @@ class FiniteRootSystem:
             if k != best and any(b < c for b, c in zip(best, k)):
                 raise ValueError("no dominant highest root; system is not irreducible")
         return best
-
-    def _fundamental_coweights(self) -> list[Vec]:
-        # coords c of varpi_i^vee in the coroot basis: sum_k c_k <alpha_j, alpha_k^vee> = delta_ij
-        rows = [[self.pair_root_coroot(self.simple_root(j), self.simple_root(k)) for k in range(self.rank)]
-                for j in range(self.rank)]
-        return [tuple(solve_linear(rows, [Fraction(int(j == i)) for j in range(self.rank)]))
-                for i in range(self.rank)]
 
     # ----- basic queries -----
 
@@ -199,7 +182,8 @@ class FiniteRootSystem:
         return sum(key)
 
     def norm2(self, a: RootKey) -> Fraction:
-        return self._inner[(a, a)]
+        """``(a, a)``, the squared length of the root a."""
+        return self._norm2[a]
 
     def pair_root_coroot(self, a: RootKey, b: RootKey) -> int:
         """``<a, b^vee> = 2(a,b)/(b,b)``; an integer for roots a, b."""

@@ -11,6 +11,7 @@ from qdha import cli, kz
 from qdha.algebra import NonTerminating, RatOperator
 from qdha.clans import IncompleteExploration
 from qdha.instances import instance_from_data, load_instance
+from qdha.rootsys import AffineRoot
 from qdha.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,6 +66,32 @@ def test_verify_iso_a1(capsys):
 def test_verify_integral_with_parameters(capsys):
     code, out = run_main(["verify", "--instance", A1H, "--check", "integral"], capsys)
     assert code == 0
+
+
+def c2_ddaha(tmp_path, h):
+    """A C2 instance given by ddaha_h parameters h at a generic base point."""
+    path = tmp_path / "c2_ddaha.json"
+    path.write_text(json.dumps({"type": "C2", "lambda0": ["1/5", "1/7"], "ddaha_h": h}))
+    return str(path)
+
+
+def test_ddaha_h_missing_a_length_class_is_a_usage_error(tmp_path, capsys):
+    # C2 has roots of squared lengths 2 and 4; the file gives only 2
+    code = main(["verify", "--instance", c2_ddaha(tmp_path, {"2": "1/2"}), "--check", "integral"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == ("error: 'ddaha_h' gives no value for roots of squared length 4; "
+                            "it gives squared lengths 2\n")
+
+
+def test_ddaha_h_per_length_class_integral_passes_on_c2(tmp_path, capsys):
+    # at lambda0 the short alpha_1 takes 9/35 and the long alpha_2 takes -4/35,
+    # so each length class puts its own simple root into the support
+    path = c2_ddaha(tmp_path, {"2": "9/35", "4": "-4/35"})
+    spec = load_instance(path)
+    assert spec.omega.support == {AffineRoot((1, 0), 0): 1, AffineRoot((0, 1), 0): 1}
+    code, out = run_main(["verify", "--instance", path, "--check", "integral"], capsys)
+    assert code == 0 and out.startswith("PASS integral")
 
 
 def test_verify_unknown_check_usage_error(capsys):
